@@ -73,7 +73,8 @@ def aim_iterate(state: AimState, eq: EquationSpec) -> AimState:
     # degree growth is at most linear: one factor of max(deg P3, deg P2, deg P1)
     # per iteration
     bound = (n + 1) * max(len(p3.coeffs), len(p2.coeffs), len(p1.coeffs), 1)
-    assert len(L.coeffs) <= bound + 1 and len(S.coeffs) <= bound + 1
+    if len(L.coeffs) > bound + 1 or len(S.coeffs) > bound + 1:
+        raise ArithmeticError(f"AIM numerators exceed the degree bound {bound}")
     return AimState(n=n, L=L, S=S)
 
 

@@ -117,11 +117,11 @@ def coulomb_spec(p: CoulombProblem, n: int) -> EquationSpec:
     """Equation for the polynomial factor, with alpha = Z/(n+k+1) applied.
 
     The criterion matrix of the result is tridiagonal; its entries are
-    asserted against the closed forms
+    checked against the closed forms
         diagonal       2 alpha beta (k+j+1) - j (j+2k+1)
         subdiagonal    2 alpha (j-n-1)
         superdiagonal  -(j+1) beta (j+2k+2)
-    on every build.
+    on every build, and a mismatch raises ``ArithmeticError``.
     """
     k = p.k
     alpha = coulomb_alpha(p, n)
@@ -134,11 +134,15 @@ def coulomb_spec(p: CoulombProblem, n: int) -> EquationSpec:
     matrix = build_criterion_matrix(eq, n)
     t = alpha * beta
     for j in range(n + 1):
-        assert matrix.entry(j, j) == 2 * t * (k + j + 1) - j * (j + 2 * k + 1)
+        closed = [(j, 2 * t * (k + j + 1) - j * (j + 2 * k + 1))]
         if j >= 1:
-            assert matrix.entry(j, j - 1) == 2 * alpha * (j - n - 1)
+            closed.append((j - 1, 2 * alpha * (j - n - 1)))
         if j + 1 <= n:
-            assert matrix.entry(j, j + 1) == -(j + 1) * beta * (j + 2 * k + 2)
+            closed.append((j + 1, -(j + 1) * beta * (j + 2 * k + 2)))
+        for col, value in closed:
+            if matrix.entry(j, col) != value:
+                raise ArithmeticError(
+                    f"Coulomb matrix entry ({j}, {col}) differs from its closed form")
     return eq
 
 

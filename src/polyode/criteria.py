@@ -46,7 +46,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .exactalg import UPoly, bareiss_determinant
+# bareiss_determinant is no longer called here; it stays bound so that
+# perfbench/tracing.py can count any call to it through this module
+from .exactalg import UPoly, banded_determinant, bareiss_determinant  # noqa: F401
 
 ScalarLike = Union[int, str, Fraction, UPoly, Sequence]
 
@@ -272,7 +274,8 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
     """Assemble rows k = 0..n of the coefficient recurrence.
 
     The suppressed row k = n+1 would multiply c_n by exactly the degree
-    condition polynomial; that closure is asserted on every build.
+    condition polynomial; that closure is checked on every build and a
+    mismatch raises ``ArithmeticError``.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -291,16 +294,17 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
             row[k + 2] = d
         rows.append(tuple(row))
     truncated_sub, _, _, _ = row_entries(eq, n + 1)
-    assert truncated_sub == degree_condition(eq, n), (
-        "row n+1 closure does not reproduce the degree condition"
-    )
+    if truncated_sub != degree_condition(eq, n):
+        raise ArithmeticError(
+            "row n+1 closure does not reproduce the degree condition")
     return CriterionMatrix(n=n, rows=tuple(rows))
 
 
 def delta_determinant(eq: EquationSpec, n: int) -> UPoly:
     """Exact determinant of the degree-n criterion matrix, as a polynomial in
-    the unknown parameter (a constant when the equation is numeric)."""
-    return bareiss_determinant(build_criterion_matrix(eq, n).as_lists())
+    the unknown parameter (a constant when the equation is numeric), by the
+    O(n) leading-minor recurrence of its band."""
+    return banded_determinant(build_criterion_matrix(eq, n).rows)
 
 
 # ---------------------------------------------------------------------------

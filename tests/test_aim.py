@@ -118,6 +118,14 @@ def test_default_iteration_cap():
     assert default_iteration_cap(3) == 10
 
 
+def test_iterate_rejects_numerators_beyond_degree_bound():
+    # a state that no iteration from aim_init can reach: L of degree 10
+    # while the bound after one step of the Bessel equation is 6
+    state = AimState(n=0, L=UPoly([0] * 10 + [1]), S=UPoly([1]))
+    with pytest.raises(ArithmeticError, match="degree bound"):
+        aim_iterate(state, bessel_eq(6))
+
+
 # ---------------------------------------------------------------------------
 # denominator exactness: the cleared recurrence equals direct
 # rational-function iteration on small cases

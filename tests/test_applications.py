@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyode import applications
 from polyode.applications import (
     BadDegreeError,
     CoulombProblem,
@@ -22,6 +23,8 @@ from polyode.applications import (
     krylov_robnik_spec,
 )
 from polyode.criteria import (
+    CriterionMatrix,
+    build_criterion_matrix,
     construct_solution,
     degree_condition,
     delta_determinant,
@@ -121,6 +124,18 @@ def test_coulomb_energy():
     assert coulomb_energy(CoulombProblem(1, 1, 3, 0), 1) == Fraction(-1, 8)
     # k = -1/2 here, so n + k + 1 = 1/2 and E = -(1/2) * 4 / (1/4)
     assert coulomb_energy(CoulombProblem(2, 1, 2, 0), 0) == -8
+
+
+def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
+    def tampered(eq, n):
+        matrix = build_criterion_matrix(eq, n)
+        rows = [list(row) for row in matrix.rows]
+        rows[0][0] = rows[0][0] + UPoly([1])
+        return CriterionMatrix(n=matrix.n, rows=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(applications, "build_criterion_matrix", tampered)
+    with pytest.raises(ArithmeticError, match="closed form"):
+        coulomb_spec(CoulombProblem(1, 2, 3, 0), 2)
 
 
 def test_coulomb_spec_entries_assert_internally():

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyode import criteria
 from polyode.criteria import (
     AmbiguousNullspaceError,
     DegenerateDenominatorError,
@@ -27,7 +30,7 @@ from polyode.criteria import (
     row_entries,
     verify_solution,
 )
-from polyode.exactalg import UPoly, banded_determinant
+from polyode.exactalg import UPoly, bareiss_determinant
 
 T = UPoly([0, 1])  # the unknown parameter
 
@@ -218,6 +221,20 @@ def test_truncation_closure_symbolically():
         assert sub == degree_condition(eq, n)
 
 
+def test_broken_closure_raises_even_without_asserts(monkeypatch):
+    # the check must not be an assert, which python -O removes
+    monkeypatch.setattr(criteria, "degree_condition", lambda eq, n: UPoly([1]))
+    with pytest.raises(ArithmeticError, match="closure"):
+        build_criterion_matrix(krylov_eq(1, 4, 9), 2)
+
+
+def test_library_has_no_assert_statements():
+    package = pathlib.Path(criteria.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
 # ---------------------------------------------------------------------------
 # determinant
 
@@ -257,7 +274,7 @@ def test_determinant_band_recurrence_agreement():
         if not any(eq.a3) and not any(eq.a2):
             continue
         m = build_criterion_matrix(eq, n)
-        assert delta_determinant(eq, n) == banded_determinant(m.as_lists())
+        assert delta_determinant(eq, n) == bareiss_determinant(m.as_lists())
 
 
 # ---------------------------------------------------------------------------

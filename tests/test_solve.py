@@ -1,12 +1,16 @@
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyode.applications import coulomb_constraint_for_k, krylov_robnik_analyze
+from polyode.cli import main
 from polyode.exactalg import UPoly
 from polyode.solve import (
     NotIsolatingError,
@@ -213,6 +217,134 @@ def test_rational_roots_detection():
 def test_rational_roots_with_fractions():
     p = UPoly([-1, 2]) * UPoly([3, 4])  # roots 1/2, -3/4
     assert rational_roots(p) == (Fraction(-3, 4), Fraction(1, 2))
+
+
+def test_rational_candidate_must_lie_in_its_interval():
+    # t (t^2 - 3t + 1): near the irrational root (3 - sqrt(5))/2 ~ 0.38 the
+    # closest integer is the root 0, which belongs to another interval
+    p = UPoly([0, 1]) * UPoly([1, -3, 1])
+    report = analyze_roots(p)
+    assert report.exact_rational_roots == (0,)
+    assert len(report.intervals) == 3
+
+
+def _divisors(value: int) -> list[int]:
+    out = []
+    d = 1
+    while d * d <= value:
+        if value % d == 0:
+            out.append(d)
+            if d != value // d:
+                out.append(value // d)
+        d += 1
+    return sorted(out)
+
+
+def divisor_rational_roots(p: UPoly) -> tuple[Fraction, ...]:
+    """Rational roots by the rational-root theorem: every +-(divisor of the
+    constant term)/(divisor of the leading term) of the primitive integer
+    form, tested exactly.  Independent of Sturm chains and bisection, but
+    its trial division up to the square roots of both coefficients limits
+    it to small ones."""
+    coeffs = list(p.primitive_part().coeffs)
+    roots = []
+    if coeffs[0] == 0:
+        roots.append(Fraction(0))
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+    if len(coeffs) > 1:
+        q = UPoly(coeffs)
+        numerators = _divisors(abs(int(coeffs[0])))
+        denominators = _divisors(abs(int(coeffs[-1])))
+        for num in numerators:
+            for den in denominators:
+                for candidate in (Fraction(num, den), Fraction(-num, den)):
+                    if candidate not in roots and q(candidate) == 0:
+                        roots.append(candidate)
+    return tuple(sorted(roots))
+
+
+def sympy_poly(coeffs) -> sympy.Poly:
+    """The same polynomial for sympy, from ascending rational coefficients."""
+    values = [Fraction(c) for c in coeffs]
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(values)], sympy.Symbol("x"))
+
+
+def _is_square(d: int) -> bool:
+    return d >= 0 and math.isqrt(d) ** 2 == d
+
+
+ROOTS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=50),
+    st.just(Fraction(0)),
+    # points that isolation and refinement visit: the default search range
+    # is (-10^6, 10^6] and every split halves an interval
+    st.builds(lambda k, e: Fraction(k * 10**6, 2**e),
+              st.integers(-16, 16), st.integers(18, 26)),
+)
+IRREDUCIBLE_QUADRATICS = (
+    st.tuples(st.integers(-6, 6), st.integers(-9, 9))
+    .filter(lambda bc: not _is_square(bc[0] ** 2 - 4 * bc[1]))
+    .map(lambda bc: UPoly([bc[1], bc[0], 1]))
+)
+
+
+@st.composite
+def factored_polynomials(draw):
+    """Scaled products of rational linear factors, some repeated, and
+    irreducible quadratics."""
+    p = UPoly([draw(st.fractions(min_value=-9, max_value=9, max_denominator=7)
+                    .filter(bool))])
+    for root in draw(st.lists(ROOTS, max_size=4)):
+        p = p * UPoly([-root, 1]) ** draw(st.integers(1, 3))
+    for quadratic in draw(st.lists(IRREDUCIBLE_QUADRATICS, max_size=2)):
+        p = p * quadratic
+    assume(p.degree >= 1)
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_polynomials())
+def test_analyze_roots_matches_divisor_oracle_and_sympy(p):
+    report = analyze_roots(p)
+    poly = sympy_poly(p.coeffs)
+    sqf = poly.sqf_part()
+    real = sqf.real_roots()
+    rational = tuple(sorted(Fraction(int(r.p), int(r.q)) for r in poly.ground_roots()))
+    assert report.exact_rational_roots == rational
+    primitive = [c for c in p.primitive_part().coeffs if c]
+    if max(abs(primitive[0]), abs(primitive[-1])) <= 10**9:
+        assert rational == divisor_rational_roots(p)
+    assert rational_roots(p) == rational
+    assert len(report.intervals) == len(real) == sqf.count_roots()
+    assert report.nonreal_count == sqf.degree() - len(real)
+    for (lo, hi), value, root in zip(report.intervals, report.refined, real):
+        assert bool(root > sympy.Rational(lo.numerator, lo.denominator))
+        assert bool(root <= sympy.Rational(hi.numerator, hi.denominator))
+        assert abs(value - float(root)) <= 1e-12 + 1e-15 * abs(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "krylov", "--alpha", "1", "--n", "15"],
+    ["demo", "chhajlany", "--p", "2", "--n", "12"],
+    ["demo", "coulomb", "--n", "20"],
+])
+def test_large_demo_roots_finish_and_match_sympy(argv, capsys):
+    # the divisor search these replaced ran for minutes on such constraints
+    start = time.perf_counter()
+    code = main([*argv, "--json"])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert elapsed < 10
+    poly = sympy_poly(report["constraint"])
+    sqf = poly.sqf_part()
+    roots = report["roots"]
+    assert len(roots["intervals"]) == sqf.count_roots()
+    assert roots["nonreal_count"] == sqf.degree() - sqf.count_roots()
+    assert [Fraction(r) for r in roots["exact"]] == sorted(
+        Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
+    assert code == (0 if roots["intervals"] else 2)
 
 
 # ---------------------------------------------------------------------------
