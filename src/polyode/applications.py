@@ -78,7 +78,8 @@ def davidson_eigenvalue(mu: ScalarLike, n: int):
 
 @dataclass(frozen=True)
 class CoulombProblem:
-    """Charge Z, positive shift beta, dimension d >= 2, angular momentum l."""
+    """Nonzero charge Z, positive shift beta, dimension d >= 2, angular
+    momentum l >= 0."""
 
     Z: Fraction
     beta: Fraction
@@ -88,6 +89,8 @@ class CoulombProblem:
     def __post_init__(self):
         object.__setattr__(self, "Z", Fraction(self.Z))
         object.__setattr__(self, "beta", Fraction(self.beta))
+        if not self.Z:
+            raise ValueError("charge Z must be nonzero")
         if self.beta <= 0:
             raise ValueError("shift beta must be positive")
         if self.d < 2:

@@ -12,7 +12,8 @@ demo         run a named case study end to end
 heun         map a Heun-family equation onto the generic form and emit its
              polynomial-solution conditions
 
-Machine-readable JSON goes to stdout; a short human summary goes to stderr
+Machine-readable JSON goes to stdout as one compact line (pipe it through
+``python -m json.tool`` to indent it); a short human summary goes to stderr
 unless --json is given.  Exact values are serialized as strings ("p/q");
 only refined root approximations are floats.  Exit codes: 0 when a verified
 solution (or admissible parameter value) exists, 2 when not, 1 on input
@@ -22,6 +23,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -77,7 +79,10 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since parsing leaves no
+    state in it."""
     parser = _Parser(prog="polyode")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -155,8 +160,7 @@ def _construct_solutions(eq: EquationSpec, n: int, notes: list[str]) -> list[Pol
         return []
 
 
-def analyze_check(eq: EquationSpec, n: int, method: str,
-                  tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
+def analyze_check(eq: EquationSpec, n: int, method: str) -> dict:
     start = time.monotonic()
     notes: list[str] = []
     level, cond = degree_condition_effective(eq, n)
@@ -283,6 +287,8 @@ def _parse_equation(text: str, unknown_flag) -> EquationSpec:
             f"malformed JSON at line {exc.lineno} column {exc.colno} "
             f"(char {exc.pos}): {exc.msg}"
         ) from exc
+    if not isinstance(data, dict):
+        raise CliError("the equation must be a JSON object")
     if unknown_flag and "unknown" not in data:
         data["unknown"] = unknown_flag
     try:
@@ -307,7 +313,8 @@ def _scalar_from_json(value, where: str):
         return UPoly([_scalar_from_json(v, where) for v in value])
     if isinstance(value, dict) and len(value) == 1:
         (_, coeffs), = value.items()
-        return UPoly([_scalar_from_json(v, where) for v in coeffs])
+        if isinstance(coeffs, list):
+            return UPoly([_scalar_from_json(v, where) for v in coeffs])
     raise CliError(f"{where}: bad scalar {value!r}")
 
 
@@ -338,7 +345,7 @@ def cmd_check(args) -> tuple[dict, int]:
         )
     if args.max_n is not None:
         reports = [
-            analyze_check(eq, n, args.method, args.tolerance)
+            analyze_check(eq, n, args.method)
             for n in range(args.max_n + 1)
         ]
         exists = any(r["exists"] for r in reports)
@@ -350,7 +357,7 @@ def cmd_check(args) -> tuple[dict, int]:
         return report, 0 if exists else 2
     if args.n is None:
         raise CliError("check needs --n or --max-n")
-    report = analyze_check(eq, args.n, args.method, args.tolerance)
+    report = analyze_check(eq, args.n, args.method)
     return report, 0 if report["exists"] else 2
 
 
@@ -384,7 +391,7 @@ def _heun_equation(family: str, params: dict) -> EquationSpec:
 def cmd_heun(args) -> tuple[dict, int]:
     eq = _heun_equation(args.family, _params_dict(args))
     if eq.is_numeric:
-        report = analyze_check(eq, args.n, "both", args.tolerance)
+        report = analyze_check(eq, args.n, "both")
     else:
         report = analyze_constraints(eq, args.n, args.tolerance)
     report["family"] = args.family
@@ -420,7 +427,7 @@ def _demo_davidson(args) -> tuple[dict, int]:
     eps = args.eps if args.eps is not None else apps.davidson_eigenvalue(mu, n)
     degree = 2 * n
     eq = apps.davidson_spec(mu, eps)
-    report = analyze_check(eq, degree, "both", args.tolerance)
+    report = analyze_check(eq, degree, "both")
     report.update({
         "name": "davidson",
         "mu": str(mu),
@@ -437,10 +444,10 @@ def _demo_coulomb(args) -> tuple[dict, int]:
         n = args.n
         problem_beta = beta if beta is not None else Fraction(1)
         problem = apps.CoulombProblem(Z=args.Z, beta=problem_beta, d=args.d, l=args.l)
+        constraint = apps.coulomb_constraint(problem, n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     alpha = apps.coulomb_alpha(problem, n)
-    constraint = apps.coulomb_constraint(problem, n)
     roots = analyze_roots(constraint, tolerance=args.tolerance)
     report = {
         "name": "coulomb",
@@ -472,7 +479,10 @@ def _demo_coulomb(args) -> tuple[dict, int]:
 
 
 def _demo_krylov(args) -> tuple[dict, int]:
-    beta, constraint = apps.krylov_robnik_analyze(args.alpha, args.n)
+    try:
+        beta, constraint = apps.krylov_robnik_analyze(args.alpha, args.n)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     roots = analyze_roots(constraint, tolerance=args.tolerance)
     report = {
         "name": "krylov",
@@ -495,7 +505,10 @@ def _demo_krylov(args) -> tuple[dict, int]:
 
 
 def _demo_chhajlany(args) -> tuple[dict, int]:
-    constraint = apps.chhajlany_analyze(args.p, args.n)
+    try:
+        constraint = apps.chhajlany_analyze(args.p, args.n)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     roots = analyze_roots(constraint, tolerance=args.tolerance)
     report = {
         "name": "chhajlany",
@@ -544,7 +557,7 @@ def _demo_bessel(args) -> tuple[dict, int]:
     n = args.n
     tau00 = args.tau00 if args.tau00 is not None else classical_tau(1, 2, n)
     eq = embed_classical((1, 0, 0), (2, 2), tau00)
-    report = analyze_check(eq, n, "both", args.tolerance)
+    report = analyze_check(eq, n, "both")
     report.update({"name": "bessel", "tau00": str(tau00)})
     ladder = classical_polynomials((1, 0, 0), (2, 2), n + 1)
     ladder_poly = ladder[n]
@@ -599,6 +612,17 @@ def _summarize(report: dict) -> list[str]:
     return lines
 
 
+def _check_ranges(args) -> None:
+    """Range checks that the argument types leave to the commands."""
+    for name in ("n", "max_n"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = name.replace("_", "-")
+            raise CliError(f"--{flag} must be nonnegative, got {value}")
+    if args.tolerance <= 0:
+        raise CliError(f"--tolerance must be positive, got {args.tolerance}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -606,6 +630,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_ranges(args)
         if args.command == "check":
             report, code = cmd_check(args)
         elif args.command == "constraints":
@@ -617,8 +642,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"polyode: error: {exc}", file=sys.stderr)
         return 1
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, separators=(",", ":")) + "\n")
     if not args.json:
         for line in _summarize(report):
             print(line, file=sys.stderr)

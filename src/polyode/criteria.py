@@ -164,11 +164,20 @@ class EquationSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EquationSpec":
+        """Decode the wire format; every malformed input raises ValueError."""
         unknown = data.get("unknown")
+
+        def rational(text) -> Fraction:
+            if not isinstance(text, str):
+                raise ValueError(f"bad scalar {text!r}")
+            try:
+                return Fraction(text)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"zero denominator in {text!r}") from exc
 
         def decode(s) -> UPoly:
             if isinstance(s, str):
-                return UPoly.constant(Fraction(s))
+                return UPoly.constant(rational(s))
             if isinstance(s, dict):
                 if len(s) != 1:
                     raise ValueError(f"bad scalar {s!r}")
@@ -181,17 +190,20 @@ class EquationSpec:
                     raise ValueError(
                         f"parameter {name!r} does not match declared unknown {unknown!r}"
                     )
-                return UPoly.from_strings(coeffs)
+                if not isinstance(coeffs, list):
+                    raise ValueError(f"bad scalar {s!r}")
+                return UPoly(rational(c) for c in coeffs)
             raise ValueError(f"bad scalar {s!r}")
 
-        try:
-            a3 = [decode(s) for s in data["a3"]]
-            a2 = [decode(s) for s in data["a2"]]
-            tau = [decode(s) for s in data["tau"]]
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc}") from exc
-        return cls(a3=tuple(a3), a2=tuple(a2), tau=tuple(tau),
-                   unknown=unknown or "t")
+        def field(name: str) -> list[UPoly]:
+            if name not in data:
+                raise ValueError(f"missing field {name!r}")
+            if not isinstance(data[name], list):
+                raise ValueError(f"field {name!r} must be a list of scalars")
+            return [decode(s) for s in data[name]]
+
+        return cls(a3=tuple(field("a3")), a2=tuple(field("a2")),
+                   tau=tuple(field("tau")), unknown=unknown or "t")
 
     @classmethod
     def from_json(cls, text: str) -> "EquationSpec":
@@ -337,9 +349,67 @@ def primitive_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c * scale for c in vec)
 
 
+def band_nullspace(bands: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Basis of the nullspace of a square rational matrix with the criterion
+    band, by exact row-echelon band elimination and back-substitution.
+
+    Row k of the matrix vanishes outside columns k-1..k+2; ``bands[k]``
+    lists its entries from column max(k-1, 0) through at most k+2.  The
+    basis is the reduced-echelon one: vector f has 1 at the f-th free
+    column and 0 at every other free column, so it equals the Gauss-Jordan
+    basis of ``rational_nullspace`` entry for entry.
+
+    A row enters elimination at the column where its band starts and waits
+    under its actual leading column, so zero leading entries (an
+    upper-triangular matrix, a zero diagonal, a zero row) need no special
+    case.  The rows leading at column j all come from rows 0..j+1, which end
+    by column j+3, so every update touches at most four entries.
+    """
+    size = len(bands)
+    waiting: dict[int, list[list[Fraction]]] = {}
+
+    def enqueue(start: int, entries: list[Fraction]) -> None:
+        for offset, value in enumerate(entries):
+            if value:
+                waiting.setdefault(start + offset, []).append(entries[offset:])
+                return
+
+    pivot_rows: dict[int, list[Fraction]] = {}
+    fed = 0
+    for col in range(size):
+        while fed < size and fed - 1 <= col:
+            enqueue(max(fed - 1, 0), [Fraction(v) for v in bands[fed]])
+            fed += 1
+        candidates = waiting.pop(col, None)
+        if candidates is None:
+            continue
+        pivot, *others = candidates
+        for row in others:
+            factor = row[0] / pivot[0]
+            reduced = row[1:] + [Fraction(0)] * (len(pivot) - len(row))
+            for i, value in enumerate(pivot[1:]):
+                reduced[i] -= factor * value
+            enqueue(col + 1, reduced)
+        pivot_rows[col] = pivot
+    basis = []
+    for free in range(size):
+        if free in pivot_rows:
+            continue
+        vec = [Fraction(0)] * size
+        vec[free] = Fraction(1)
+        for col in range(free - 1, -1, -1):
+            pivot = pivot_rows.get(col)
+            if pivot is not None:
+                total = sum(pivot[i] * vec[col + i] for i in range(1, len(pivot)))
+                vec[col] = -total / pivot[0]
+        basis.append(vec)
+    return basis
+
+
 def rational_nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the nullspace of a square rational matrix, by exact
-    Gauss-Jordan elimination.  Independent of the determinant kernel."""
+    """Basis of the nullspace of a square rational matrix, by exact dense
+    Gauss-Jordan elimination.  Production code uses ``band_nullspace``; this
+    stays as its independent test oracle."""
     m = [list(map(Fraction, row)) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
@@ -397,10 +467,11 @@ def construct_solution(eq: EquationSpec, n: int) -> PolySolution:
     if not eq.is_numeric:
         raise ValueError("construct_solution requires a numeric equation")
     matrix = build_criterion_matrix(eq, n)
-    numeric_rows = [
-        [entry.constant_value() for entry in row] for row in matrix.rows
+    bands = [
+        [entry.constant_value() for entry in row[max(k - 1, 0):k + 3]]
+        for k, row in enumerate(matrix.rows)
     ]
-    basis = rational_nullspace(numeric_rows)
+    basis = band_nullspace(bands)
     if not basis:
         raise NoNullspaceError(
             f"criterion matrix at degree {n} is nonsingular"

@@ -233,6 +233,13 @@ def isolate_real_roots(
     )
 
 
+def _check_tolerance(tolerance) -> None:
+    """Refinement bisects until the width is below the tolerance, which a
+    non-positive tolerance never allows."""
+    if Fraction(tolerance) <= 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+
+
 def _refine(
     chain: Sequence[IntPoly],
     lo: Fraction,
@@ -318,6 +325,7 @@ def refine_root(
     """
     if not p:
         raise ZeroPolynomialError("zero polynomial")
+    _check_tolerance(tolerance)
     chain = _integer_chain(sturm_chain(squarefree_part(p)))
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     return _refine(chain, lo, hi, tolerance)[0]
@@ -345,6 +353,7 @@ def analyze_roots(
     """
     if not p:
         raise ZeroPolynomialError("zero polynomial")
+    _check_tolerance(tolerance)
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
     lo, hi = _search_range(p, lo, hi)

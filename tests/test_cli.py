@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from polyode.cli import main
+from polyode.cli import build_parser, main
 from polyode.criteria import EquationSpec, verify_solution
 
 BESSEL6 = json.dumps(
@@ -327,3 +330,71 @@ def test_heun_rejects_float_params(capsys):
 def test_bad_flag_exits_1(capsys):
     assert main(["check", "nothere.json"]) == 1  # missing --n and file
     capsys.readouterr()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_stdout_is_one_compact_json_line(eq_file, capsys):
+    code = main(["check", eq_file(BESSEL6), "--n", "2", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "EQ", "--n", "-1"],
+    ["check", "EQ", "--max-n", "-1"],
+    ["demo", "davidson", "--n", "-1"],
+    ["demo", "krylov", "--n", "-1"],
+    ["demo", "krylov", "--n", "0"],
+    ["demo", "coulomb", "--n", "1", "--Z", "0"],
+])
+def test_out_of_range_numbers_are_input_errors(argv, eq_file, capsys):
+    argv = [eq_file(BESSEL6) if a == "EQ" else a for a in argv]
+    code, report, err = run(capsys, *argv)
+    assert code == 1
+    assert report is None
+    assert "polyode: error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check", "[]"),
+    ("check", "null"),
+    ("check", json.dumps({"a3": ["1/0", "1", "0", "0"], "a2": ["0", "2", "2"],
+                          "tau": ["0", "6"]})),
+    ("check", json.dumps({"a3": "0123", "a2": ["0", "2", "2"],
+                          "tau": ["0", "6"]})),
+    ("constraints", json.dumps({"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"],
+                                "tau": ["0", {"t": "12"}], "unknown": "t"})),
+])
+def test_malformed_equation_shapes_are_input_errors(command, text, eq_file, capsys):
+    code, report, err = run(capsys, command, eq_file(text), "--n", "1")
+    assert code == 1
+    assert report is None
+    assert "polyode: error:" in err
+
+
+def test_params_scalar_shape_is_input_error(capsys):
+    params = json.dumps({"alpha": "2", "beta": "4", "gamma": "4",
+                         "delta": {"t": True}})
+    code, _, err = run(capsys, "heun", "biconfluent", "--params", params, "--n", "0")
+    assert code == 1
+    assert "polyode: error:" in err
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1/2"])
+def test_nonpositive_tolerance_exits_1_promptly(tolerance):
+    # run in a child process: the unfixed program bisects forever
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyode.cli", "demo", "krylov", "--alpha", "3",
+         "--n", "2", f"--tolerance={tolerance}"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "polyode: error: --tolerance must be positive" in proc.stderr

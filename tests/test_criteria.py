@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from polyode.criteria import (
     DegenerateDenominatorError,
     EquationSpec,
     NoNullspaceError,
+    band_nullspace,
     build_criterion_matrix,
     classical_polynomials,
     classical_recurrence_step,
@@ -30,7 +32,7 @@ from polyode.criteria import (
     row_entries,
     verify_solution,
 )
-from polyode.exactalg import UPoly, bareiss_determinant
+from polyode.exactalg import UPoly, banded_determinant, bareiss_determinant
 
 T = UPoly([0, 1])  # the unknown parameter
 
@@ -564,3 +566,125 @@ def test_oracle_equivalence_random_instances():
         nullity = len(rational_nullspace(rows))
         assert (det == 0) == (nullity >= 1), (eq, n)
         seen += 1
+
+
+# ---------------------------------------------------------------------------
+# band-elimination nullspace against the dense oracles
+
+def bands_of(rows):
+    """Row k's entries from column max(k-1, 0) on, as band_nullspace reads them."""
+    return [row[max(k - 1, 0):k + 3] for k, row in enumerate(rows)]
+
+
+band_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+rarely = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def band_matrices(draw, max_size=9):
+    """Square rational matrices with the criterion band: row k is zero
+    outside columns k-1..k+2.  Whole rows, the diagonal or the subdiagonal
+    (the upper-triangular shape of ``embed_classical``) can be zeroed
+    outright, so vanishing pivots and nullity >= 2 are common."""
+    size = draw(st.integers(1, max_size))
+    zero_rows = draw(st.sets(st.integers(0, size - 1), max_size=2))
+    zero_diagonal = draw(rarely)
+    zero_subdiagonal = draw(rarely)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for k in range(size):
+        if k in zero_rows:
+            continue
+        for j in range(max(k - 1, 0), min(k + 3, size)):
+            if not (j == k and zero_diagonal or j == k - 1 and zero_subdiagonal):
+                rows[k][j] = draw(band_entries)
+    return rows
+
+
+def test_band_nullspace_upper_triangular_and_zero_diagonal():
+    # Bessel at the wrong degree: upper triangular, one zero on the diagonal
+    rows = [[e.constant_value() for e in row]
+            for row in build_criterion_matrix(bessel_eq(2), 3).rows]
+    assert band_nullspace(bands_of(rows)) == rational_nullspace(rows)
+    # Davidson at degree 2: zero diagonal, the pivots sit off it
+    rows = [[e.constant_value() for e in row]
+            for row in build_criterion_matrix(davidson_eq(0, 7), 2).rows]
+    assert rows[0][0] == rows[1][1] == rows[2][2] == 0
+    assert band_nullspace(bands_of(rows)) == rational_nullspace(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_matrices())
+def test_band_nullspace_equals_gauss_jordan(rows):
+    assert band_nullspace(bands_of(rows)) == rational_nullspace(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(band_matrices())
+def test_band_nullspace_spans_the_sympy_nullspace(rows):
+    basis = band_nullspace(bands_of(rows))
+    matrix = sympy.Matrix(rows)
+    reference = matrix.nullspace()
+    assert len(basis) == len(reference)
+    if not basis:
+        return
+    ours = sympy.Matrix([list(v) for v in basis]).T
+    assert matrix * ours == sympy.zeros(len(rows), len(basis))
+    assert ours.rank() == len(basis)
+    assert ours.row_join(sympy.Matrix.hstack(*reference)).rank() == len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_matrices())
+def test_band_determinant_vanishes_exactly_with_the_nullspace(rows):
+    assert (banded_determinant(rows) == 0) == bool(band_nullspace(bands_of(rows)))
+
+
+def assert_construct_matches_oracle(eq, n):
+    rows = [[e.constant_value() for e in row]
+            for row in build_criterion_matrix(eq, n).rows]
+    expected = [primitive_vector(v) for v in rational_nullspace(rows)]
+    if not expected:
+        with pytest.raises(NoNullspaceError):
+            construct_solution(eq, n)
+    elif len(expected) == 1:
+        assert construct_solution(eq, n).coefficients == expected[0]
+    else:
+        with pytest.raises(AmbiguousNullspaceError) as excinfo:
+            construct_solution(eq, n)
+        solutions = excinfo.value.solutions
+        assert [s.coefficients for s in solutions] == expected
+        assert all(s.residual_is_zero and verify_solution(eq, s.coefficients)
+                   for s in solutions)
+    return len(expected)
+
+
+small_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10), st.tuples(*(small_ints for _ in range(7))), small_ints)
+def test_construct_solution_matches_the_oracle(n, values, t11):
+    # the degree condition is imposed, so every nullspace vector is a solution
+    a30, a31, a32, a33, a20, a21, a22 = values
+    if not any(values):
+        return
+    eq = EquationSpec(a3=(a30, a31, a32, a33), a2=(a20, a21, a22),
+                      tau=(n * (n - 1) * a30 + n * a20, t11))
+    assert_construct_matches_oracle(eq, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_ambiguous_nullspace_carries_the_verified_basis(n, data):
+    """Two families of nullity two: the Euler equation
+    s (x^2 y'' + (1 - k1 - k2) x y' + k1 k2 y) = 0, whose matrix is diagonal
+    with zeros at k1 and k2, and c y'' = 0, whose diagonal is zero and whose
+    last two rows vanish."""
+    s = data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+    if data.draw(st.booleans()):
+        k1, k2 = sorted(data.draw(st.sets(st.integers(0, n), min_size=2, max_size=2)))
+        eq = EquationSpec(a3=(0, s, 0, 0), a2=(0, s * (1 - k1 - k2), 0),
+                          tau=(0, -s * k1 * k2))
+    else:
+        eq = EquationSpec(a3=(0, 0, 0, s), a2=(0, 0, 0), tau=(0, 0))
+    assert assert_construct_matches_oracle(eq, n) == 2

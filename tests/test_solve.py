@@ -180,6 +180,17 @@ def test_refine_not_isolating():
         refine_root(p, (Fraction(-2), Fraction(2)))
 
 
+@pytest.mark.parametrize("tolerance", [Fraction(0), Fraction(-1, 2), 0])
+def test_nonpositive_tolerance_raises(tolerance):
+    # bisection to a non-positive width never ends, so both entry points
+    # refuse it before refining anything
+    p = UPoly([-2, 0, 1])
+    with pytest.raises(ValueError, match="tolerance"):
+        refine_root(p, (Fraction(1), Fraction(2)), tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance"):
+        analyze_roots(p, tolerance=tolerance)
+
+
 def test_refine_root_at_endpoint():
     p = UPoly([-1, 1])
     assert refine_root(p, (Fraction(0), Fraction(1))) == 1.0
