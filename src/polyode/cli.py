@@ -45,21 +45,8 @@ from .criteria import (
     embed_classical,
     verify_solution,
 )
-from .exactalg import UPoly
-from .solve import DEFAULT_TOLERANCE, analyze_roots
-
-DEMO_NAMES = (
-    "davidson",
-    "coulomb",
-    "krylov",
-    "chhajlany",
-    "hyper",
-    "bessel",
-    "heun-confluent",
-    "heun-biconfluent",
-    "heun-general",
-)
-
+from .exactalg import MAX_DIGITS, UPoly, parse_rational
+from .solve import DEFAULT_TOLERANCE, RootReport, analyze_roots
 
 class CliError(Exception):
     """Input problem; maps to exit code 1."""
@@ -74,9 +61,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 @functools.cache
@@ -111,14 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="run a named case study")
     p_demo.add_argument("name")
     p_demo.add_argument("--n", type=int, default=1)
-    p_demo.add_argument("--max-n", type=int, dest="max_n")
     p_demo.add_argument("--mu", type=_fraction, default=Fraction(0))
     p_demo.add_argument("--eps", type=_fraction)
     p_demo.add_argument("--tau00", type=_fraction)
     p_demo.add_argument("--Z", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--d", type=int, default=3)
     p_demo.add_argument("--l", type=int, default=0)
-    p_demo.add_argument("--beta", type=_fraction)
+    p_demo.add_argument("--beta", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--alpha", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--p", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--m", type=int, default=1)
@@ -158,6 +144,21 @@ def _construct_solutions(eq: EquationSpec, n: int, notes: list[str]) -> list[Pol
     except NoNullspaceError:
         notes.append("determinant vanished but no nullspace vector was found")
         return []
+
+
+def _solutions_at_roots(roots: RootReport, n: int, fix, notes: list[str]) -> list[dict]:
+    """Verified degree-n solutions at each exact rational root of a
+    constraint.  ``fix`` maps a root to (parameter name, parameter value,
+    numeric equation), or to None where the root admits no solution."""
+    entries = []
+    for root in roots.exact_rational_roots:
+        fixed = fix(root)
+        if fixed is None:
+            continue
+        name, value, eq = fixed
+        for sol in _construct_solutions(eq, n, notes):
+            entries.append({**_solution_dict(sol), name: str(value)})
+    return entries
 
 
 def analyze_check(eq: EquationSpec, n: int, method: str) -> dict:
@@ -222,8 +223,7 @@ def analyze_constraints(eq: EquationSpec, n: int,
         "degree_condition": {"level": level, "polynomial": cond.to_strings()},
         "determinant": det.to_strings(),
     }
-    roots_dict = {"intervals": [], "roots": [], "exact": [], "nonreal_count": 0}
-    exact_roots: list[Fraction] = []
+    root_report = None
     exists = False
     if cond == 0:
         if not det:
@@ -233,16 +233,13 @@ def analyze_constraints(eq: EquationSpec, n: int,
             notes.append("determinant is a nonzero constant; no parameter value works")
         else:
             root_report = analyze_roots(det, tolerance=tolerance)
-            roots_dict = root_report.to_json_dict()
-            exact_roots = list(root_report.exact_rational_roots)
             exists = bool(root_report.intervals)
     elif isinstance(cond.degree, int) and cond.degree == 1:
         required = -cond.coeffs[0] / cond.coeffs[1]
         report["degree_condition"]["required_value"] = str(required)
         if det(required) == 0:
+            # the linear condition's one root is exactly ``required``
             root_report = analyze_roots(cond, tolerance=tolerance)
-            roots_dict = root_report.to_json_dict()
-            exact_roots = [required]
             exists = True
         else:
             notes.append(
@@ -251,15 +248,12 @@ def analyze_constraints(eq: EquationSpec, n: int,
             )
     else:
         notes.append("degree condition cannot be satisfied for any parameter value")
-    report["roots"] = roots_dict
-    solutions = []
-    for root in exact_roots:
-        fixed = eq.substitute(root)
-        for sol in _construct_solutions(fixed, n, notes):
-            entry = _solution_dict(sol)
-            entry[eq.unknown] = str(root)
-            solutions.append(entry)
-    report["solutions"] = solutions
+    report["roots"] = {"intervals": [], "roots": [], "exact": [], "nonreal_count": 0}
+    report["solutions"] = []
+    if root_report is not None:
+        report["roots"] = root_report.to_json_dict()
+        report["solutions"] = _solutions_at_roots(
+            root_report, n, lambda root: (eq.unknown, root, eq.substitute(root)), notes)
     report["exists"] = exists
     report["notes"] = notes
     report["timing_seconds"] = time.monotonic() - start
@@ -279,7 +273,7 @@ def _read_input(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_equation(text: str, unknown_flag) -> EquationSpec:
+def _json_object(text: str, what: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -287,8 +281,15 @@ def _parse_equation(text: str, unknown_flag) -> EquationSpec:
             f"malformed JSON at line {exc.lineno} column {exc.colno} "
             f"(char {exc.pos}): {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise CliError(f"{what}: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError("the equation must be a JSON object")
+        raise CliError(f"{what} must be a JSON object")
+    return data
+
+
+def _parse_equation(text: str, unknown_flag) -> EquationSpec:
+    data = _json_object(text, "the equation")
     if unknown_flag and "unknown" not in data:
         data["unknown"] = unknown_flag
     try:
@@ -306,9 +307,9 @@ def _scalar_from_json(value, where: str):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"{where}: not an exact rational: {value!r}") from exc
+            return parse_rational(value)
+        except ValueError as exc:
+            raise CliError(f"{where}: {exc}") from exc
     if isinstance(value, list):
         return UPoly([_scalar_from_json(v, where) for v in value])
     if isinstance(value, dict) and len(value) == 1:
@@ -321,22 +322,14 @@ def _scalar_from_json(value, where: str):
 def _params_dict(args) -> dict:
     if not args.params:
         raise CliError("this command needs --params with a JSON object")
-    try:
-        data = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"malformed JSON at line {exc.lineno} column {exc.colno} "
-            f"(char {exc.pos}): {exc.msg}"
-        ) from exc
-    if not isinstance(data, dict):
-        raise CliError("--params must be a JSON object")
+    data = _json_object(args.params, "--params")
     return {k: _scalar_from_json(v, f"params[{k!r}]") for k, v in data.items()}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_check(args) -> tuple[dict, int]:
+def cmd_check(args) -> dict:
     eq = _parse_equation(_read_input(args.input), args.unknown)
     if not eq.is_numeric:
         raise CliError(
@@ -348,25 +341,21 @@ def cmd_check(args) -> tuple[dict, int]:
             analyze_check(eq, n, args.method)
             for n in range(args.max_n + 1)
         ]
-        exists = any(r["exists"] for r in reports)
-        report = {
+        return {
             "sweep": reports,
             "degrees_with_solutions": [r["n"] for r in reports if r["exists"]],
-            "exists": exists,
+            "exists": any(r["exists"] for r in reports),
         }
-        return report, 0 if exists else 2
     if args.n is None:
         raise CliError("check needs --n or --max-n")
-    report = analyze_check(eq, args.n, args.method)
-    return report, 0 if report["exists"] else 2
+    return analyze_check(eq, args.n, args.method)
 
 
-def cmd_constraints(args) -> tuple[dict, int]:
+def cmd_constraints(args) -> dict:
     eq = _parse_equation(_read_input(args.input), args.unknown)
     if eq.is_numeric:
         raise CliError("constraints needs exactly one unknown parameter")
-    report = analyze_constraints(eq, args.n, args.tolerance)
-    return report, 0 if report["exists"] else 2
+    return analyze_constraints(eq, args.n, args.tolerance)
 
 
 def _heun_equation(family: str, params: dict) -> EquationSpec:
@@ -388,41 +377,29 @@ def _heun_equation(family: str, params: dict) -> EquationSpec:
         raise CliError(str(exc)) from exc
 
 
-def cmd_heun(args) -> tuple[dict, int]:
+def cmd_heun(args) -> dict:
     eq = _heun_equation(args.family, _params_dict(args))
     if eq.is_numeric:
         report = analyze_check(eq, args.n, "both")
     else:
         report = analyze_constraints(eq, args.n, args.tolerance)
     report["family"] = args.family
-    return report, 0 if report["exists"] else 2
+    return report
 
 
-def cmd_demo(args) -> tuple[dict, int]:
+def cmd_demo(args) -> dict:
     name = args.name
     if name not in DEMO_NAMES:
         raise CliError(
             f"unknown demo {name!r}; valid names: {', '.join(DEMO_NAMES)}"
         )
-    if name == "davidson":
-        return _demo_davidson(args)
-    if name == "coulomb":
-        return _demo_coulomb(args)
-    if name == "krylov":
-        return _demo_krylov(args)
-    if name == "chhajlany":
-        return _demo_chhajlany(args)
-    if name == "hyper":
-        return _demo_hyper(args)
-    if name == "bessel":
-        return _demo_bessel(args)
-    family = name.removeprefix("heun-")
-    args.family = family
-    report, code = cmd_heun(args)
-    return report, code
+    if name.startswith("heun-"):
+        args.family = name.removeprefix("heun-")
+        return cmd_heun(args)
+    return _DEMOS[name](args)
 
 
-def _demo_davidson(args) -> tuple[dict, int]:
+def _demo_davidson(args) -> dict:
     mu, n = args.mu, args.n
     eps = args.eps if args.eps is not None else apps.davidson_eigenvalue(mu, n)
     degree = 2 * n
@@ -435,21 +412,36 @@ def _demo_davidson(args) -> tuple[dict, int]:
         "degree": degree,
         "eigenvalue": str(eps),
     })
-    return report, 0 if report["exists"] else 2
+    return report
 
 
-def _demo_coulomb(args) -> tuple[dict, int]:
+def _parametric_report(fields: dict, roots: RootReport, n: int, fix) -> dict:
+    """A case-study report: its own fields, then the verified solutions at
+    the exact rational roots of its constraint (see ``_solutions_at_roots``)."""
+    notes: list[str] = []
+    return {**fields, "solutions": _solutions_at_roots(roots, n, fix, notes),
+            "notes": notes, "exists": bool(roots.intervals)}
+
+
+def _demo_coulomb(args) -> dict:
+    n = args.n
     try:
-        beta = args.beta
-        n = args.n
-        problem_beta = beta if beta is not None else Fraction(1)
-        problem = apps.CoulombProblem(Z=args.Z, beta=problem_beta, d=args.d, l=args.l)
+        problem = apps.CoulombProblem(Z=args.Z, beta=args.beta, d=args.d, l=args.l)
         constraint = apps.coulomb_constraint(problem, n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     alpha = apps.coulomb_alpha(problem, n)
     roots = analyze_roots(constraint, tolerance=args.tolerance)
-    report = {
+
+    def fix(root):
+        # the constraint is in t = alpha beta; only a positive shift is physical
+        beta_value = root / alpha
+        if beta_value <= 0:
+            return None
+        fixed = apps.CoulombProblem(Z=args.Z, beta=beta_value, d=args.d, l=args.l)
+        return "beta", beta_value, apps.coulomb_spec(fixed, n)
+
+    return _parametric_report({
         "name": "coulomb",
         "Z": str(problem.Z),
         "d": problem.d,
@@ -461,82 +453,50 @@ def _demo_coulomb(args) -> tuple[dict, int]:
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
         "beta_values": [str(r / alpha) for r in roots.exact_rational_roots],
-        "solutions": [],
-        "notes": [],
-    }
-    for root in roots.exact_rational_roots:
-        beta_value = root / alpha
-        if beta_value <= 0:
-            continue
-        fixed = apps.CoulombProblem(Z=args.Z, beta=beta_value, d=args.d, l=args.l)
-        eq = apps.coulomb_spec(fixed, n)
-        for sol in _construct_solutions(eq, n, report["notes"]):
-            entry = _solution_dict(sol)
-            entry["beta"] = str(beta_value)
-            report["solutions"].append(entry)
-    report["exists"] = bool(roots.intervals)
-    return report, 0 if report["exists"] else 2
+    }, roots, n, fix)
 
 
-def _demo_krylov(args) -> tuple[dict, int]:
+def _demo_krylov(args) -> dict:
     try:
         beta, constraint = apps.krylov_robnik_analyze(args.alpha, args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     roots = analyze_roots(constraint, tolerance=args.tolerance)
-    report = {
+    return _parametric_report({
         "name": "krylov",
         "alpha": str(args.alpha),
         "n": args.n,
         "beta": str(beta),
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
-        "solutions": [],
-        "notes": [],
-    }
-    for root in roots.exact_rational_roots:
-        eq = apps.krylov_robnik_spec(args.alpha, beta, root)
-        for sol in _construct_solutions(eq, args.n, report["notes"]):
-            entry = _solution_dict(sol)
-            entry["gamma"] = str(root)
-            report["solutions"].append(entry)
-    report["exists"] = bool(roots.intervals)
-    return report, 0 if report["exists"] else 2
+    }, roots, args.n, lambda root: (
+        "gamma", root, apps.krylov_robnik_spec(args.alpha, beta, root)))
 
 
-def _demo_chhajlany(args) -> tuple[dict, int]:
+def _demo_chhajlany(args) -> dict:
     try:
         constraint = apps.chhajlany_analyze(args.p, args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     roots = analyze_roots(constraint, tolerance=args.tolerance)
-    report = {
+    return _parametric_report({
         "name": "chhajlany",
         "p": str(args.p),
         "n": args.n,
         "delta": str(2 * args.n),
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
-        "solutions": [],
-        "notes": [],
-    }
-    for root in roots.exact_rational_roots:
-        eq = apps.chhajlany_spec(args.p, 2 * args.n, root)
-        for sol in _construct_solutions(eq, args.n, report["notes"]):
-            entry = _solution_dict(sol)
-            entry["alpha"] = str(root)
-            report["solutions"].append(entry)
-    report["exists"] = bool(roots.intervals)
-    return report, 0 if report["exists"] else 2
+    }, roots, args.n, lambda root: (
+        "alpha", root, apps.chhajlany_spec(args.p, 2 * args.n, root)))
 
 
-def _demo_hyper(args) -> tuple[dict, int]:
+def _demo_hyper(args) -> dict:
     try:
         sol = apps.hyper_build(args.m, args.n, args.l, args.a, args.b)
     except (apps.BadDegreeError, apps.DegenerateParametersError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     verified = apps.hyper_verify(sol)
-    report = {
+    return {
         "name": "hyper",
         "m": args.m,
         "n": args.n,
@@ -550,10 +510,9 @@ def _demo_hyper(args) -> tuple[dict, int]:
         "verified": verified,
         "exists": verified,
     }
-    return report, 0 if verified else 2
 
 
-def _demo_bessel(args) -> tuple[dict, int]:
+def _demo_bessel(args) -> dict:
     n = args.n
     tau00 = args.tau00 if args.tau00 is not None else classical_tau(1, 2, n)
     eq = embed_classical((1, 0, 0), (2, 2), tau00)
@@ -566,7 +525,15 @@ def _demo_bessel(args) -> tuple[dict, int]:
         tau00 == classical_tau(1, 2, n)
         and verify_solution(eq, list(ladder_poly.coeffs))
     )
-    return report, 0 if report["exists"] else 2
+    return report
+
+
+_DEMOS = {"davidson": _demo_davidson, "coulomb": _demo_coulomb,
+          "krylov": _demo_krylov, "chhajlany": _demo_chhajlany,
+          "hyper": _demo_hyper, "bessel": _demo_bessel}
+DEMO_NAMES = (*_DEMOS, "heun-confluent", "heun-biconfluent", "heun-general")
+_COMMANDS = {"check": cmd_check, "constraints": cmd_constraints,
+             "demo": cmd_demo, "heun": cmd_heun}
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +598,24 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_ranges(args)
-        if args.command == "check":
-            report, code = cmd_check(args)
-        elif args.command == "constraints":
-            report, code = cmd_constraints(args)
-        elif args.command == "demo":
-            report, code = cmd_demo(args)
-        else:
-            report, code = cmd_heun(args)
+        report = _COMMANDS[args.command](args)
+        line = json.dumps(report, separators=(",", ":"))
     except CliError as exc:
         print(f"polyode: error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(json.dumps(report, separators=(",", ":")) + "\n")
+    except ValueError as exc:
+        # an integer past Python's digit limit cannot be written out; any
+        # other ValueError is a defect and keeps its traceback
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"polyode: error: an exact value in the report exceeds {MAX_DIGITS} "
+              "digits and cannot be written", file=sys.stderr)
+        return 1
+    sys.stdout.write(line + "\n")
     if not args.json:
         for line in _summarize(report):
             print(line, file=sys.stderr)
-    return code
+    return 0 if report["exists"] else 2
 
 
 if __name__ == "__main__":

@@ -48,7 +48,8 @@ from typing import Sequence, Union
 
 # bareiss_determinant is no longer called here; it stays bound so that
 # perfbench/tracing.py can count any call to it through this module
-from .exactalg import UPoly, banded_determinant, bareiss_determinant  # noqa: F401
+from .exactalg import (  # noqa: F401
+    UPoly, banded_determinant, bareiss_determinant, parse_rational)
 
 ScalarLike = Union[int, str, Fraction, UPoly, Sequence]
 
@@ -167,17 +168,9 @@ class EquationSpec:
         """Decode the wire format; every malformed input raises ValueError."""
         unknown = data.get("unknown")
 
-        def rational(text) -> Fraction:
-            if not isinstance(text, str):
-                raise ValueError(f"bad scalar {text!r}")
-            try:
-                return Fraction(text)
-            except ZeroDivisionError as exc:
-                raise ValueError(f"zero denominator in {text!r}") from exc
-
         def decode(s) -> UPoly:
             if isinstance(s, str):
-                return UPoly.constant(rational(s))
+                return UPoly.constant(parse_rational(s))
             if isinstance(s, dict):
                 if len(s) != 1:
                     raise ValueError(f"bad scalar {s!r}")
@@ -192,7 +185,7 @@ class EquationSpec:
                     )
                 if not isinstance(coeffs, list):
                     raise ValueError(f"bad scalar {s!r}")
-                return UPoly(rational(c) for c in coeffs)
+                return UPoly(parse_rational(c) for c in coeffs)
             raise ValueError(f"bad scalar {s!r}")
 
         def field(name: str) -> list[UPoly]:
@@ -258,32 +251,45 @@ def necessary_condition_general(
 # ---------------------------------------------------------------------------
 # criterion matrix and determinant
 
+def _recurrence_row(coefficients: Sequence, k: int) -> tuple:
+    """(A_k, B_k, C_k, D_k) from the nine coefficients a30..a33, a20..a22,
+    t10, t11, in the ring of those coefficients."""
+    a30, a31, a32, a33, a20, a21, a22, t10, t11 = coefficients
+    a = t10 - (k - 2) * (k - 1) * a30 - (k - 1) * a20
+    b = t11 - k * ((k - 1) * a31 + a21)
+    c = -(k + 1) * (k * a32 + a22)
+    d = -(k + 2) * (k + 1) * a33
+    return a, b, c, d
+
+
 def row_entries(eq: EquationSpec, k: int) -> tuple[UPoly, UPoly, UPoly, UPoly]:
     """Band entries (A_k, B_k, C_k, D_k) of recurrence row k."""
-    a = eq.tau[0] - (k - 2) * (k - 1) * eq.a3[0] - (k - 1) * eq.a2[0]
-    b = eq.tau[1] - k * ((k - 1) * eq.a3[1] + eq.a2[1])
-    c = -(k + 1) * (k * eq.a3[2] + eq.a2[2])
-    d = -(k + 2) * (k + 1) * eq.a3[3]
-    return a, b, c, d
+    return _recurrence_row((*eq.a3, *eq.a2, *eq.tau), k)
 
 
 @dataclass(frozen=True)
 class CriterionMatrix:
     """(n+1) x (n+1) banded matrix whose singularity is the second condition
-    for a degree-n polynomial solution."""
+    for a degree-n polynomial solution.
+
+    ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2,
+    the only columns where it can be nonzero; the entries of A_0, C_n, D_n
+    and D_(n-1) fall outside the square and are zero.  Entries are Fractions
+    for a numeric equation and degree <= 1 polynomials in t otherwise.
+    """
 
     n: int
-    rows: tuple[tuple[UPoly, ...], ...]
+    bands: tuple[tuple, ...]
 
-    def entry(self, k: int, j: int) -> UPoly:
-        return self.rows[k][j]
-
-    def as_lists(self) -> list[list[UPoly]]:
-        return [list(r) for r in self.rows]
+    def entry(self, k: int, j: int):
+        if not (0 <= k <= self.n and 0 <= j <= self.n):
+            raise IndexError(f"entry ({k}, {j}) outside the order-{self.n + 1} matrix")
+        band = self.bands[k]
+        return band[j - k + 1] if k - 1 <= j <= k + 2 else band[1] * 0
 
 
 def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
-    """Assemble rows k = 0..n of the coefficient recurrence.
+    """Assemble the band of rows k = 0..n of the coefficient recurrence.
 
     The suppressed row k = n+1 would multiply c_n by exactly the degree
     condition polynomial; that closure is checked on every build and a
@@ -291,32 +297,28 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    size = n + 1
-    zero = UPoly()
-    rows = []
-    for k in range(size):
-        a, b, c, d = row_entries(eq, k)
-        row = [zero] * size
-        if k >= 1:
-            row[k - 1] = a
-        row[k] = b
-        if k + 1 < size:
-            row[k + 1] = c
-        if k + 2 < size:
-            row[k + 2] = d
-        rows.append(tuple(row))
-    truncated_sub, _, _, _ = row_entries(eq, n + 1)
+    coefficients = (*eq.a3, *eq.a2, *eq.tau)
+    if eq.is_numeric:
+        coefficients = tuple(s.constant_value() for s in coefficients)
+    zero = coefficients[0] * 0
+    bands = []
+    for k in range(n + 1):
+        a, b, c, d = _recurrence_row(coefficients, k)
+        bands.append((a if k >= 1 else zero, b,
+                      c if k + 1 <= n else zero, d if k + 2 <= n else zero))
+    truncated_sub = _recurrence_row(coefficients, n + 1)[0]
     if truncated_sub != degree_condition(eq, n):
         raise ArithmeticError(
             "row n+1 closure does not reproduce the degree condition")
-    return CriterionMatrix(n=n, rows=tuple(rows))
+    return CriterionMatrix(n=n, bands=tuple(bands))
 
 
 def delta_determinant(eq: EquationSpec, n: int) -> UPoly:
     """Exact determinant of the degree-n criterion matrix, as a polynomial in
     the unknown parameter (a constant when the equation is numeric), by the
     O(n) leading-minor recurrence of its band."""
-    return banded_determinant(build_criterion_matrix(eq, n).rows)
+    det = banded_determinant(build_criterion_matrix(eq, n).bands)
+    return UPoly.constant(det) if eq.is_numeric else det
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +355,9 @@ def band_nullspace(bands: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the nullspace of a square rational matrix with the criterion
     band, by exact row-echelon band elimination and back-substitution.
 
-    Row k of the matrix vanishes outside columns k-1..k+2; ``bands[k]``
-    lists its entries from column max(k-1, 0) through at most k+2.  The
-    basis is the reduced-echelon one: vector f has 1 at the f-th free
+    ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2, as
+    in ``CriterionMatrix.bands``; entries outside the square are ignored.
+    The basis is the reduced-echelon one: vector f has 1 at the f-th free
     column and 0 at every other free column, so it equals the Gauss-Jordan
     basis of ``rational_nullspace`` entry for entry.
 
@@ -378,7 +380,7 @@ def band_nullspace(bands: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     fed = 0
     for col in range(size):
         while fed < size and fed - 1 <= col:
-            enqueue(max(fed - 1, 0), [Fraction(v) for v in bands[fed]])
+            enqueue(max(fed - 1, 0), list(bands[fed][max(1 - fed, 0):size - fed + 1]))
             fed += 1
         candidates = waiting.pop(col, None)
         if candidates is None:
@@ -466,12 +468,7 @@ def construct_solution(eq: EquationSpec, n: int) -> PolySolution:
     """
     if not eq.is_numeric:
         raise ValueError("construct_solution requires a numeric equation")
-    matrix = build_criterion_matrix(eq, n)
-    bands = [
-        [entry.constant_value() for entry in row[max(k - 1, 0):k + 3]]
-        for k, row in enumerate(matrix.rows)
-    ]
-    basis = band_nullspace(bands)
+    basis = band_nullspace(build_criterion_matrix(eq, n).bands)
     if not basis:
         raise NoNullspaceError(
             f"criterion matrix at degree {n} is nonsingular"

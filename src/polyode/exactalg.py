@@ -30,8 +30,33 @@ Scalar = Union[int, Fraction]
 Coefficient = Union[Fraction, "UPoly"]
 
 
+#: Most digits a parsed numerator or denominator may have: Python converts
+#: no longer integer to or from a string.
+MAX_DIGITS = 4300
+
+
 class NotDivisibleError(ArithmeticError):
     """Exact polynomial division was requested but the remainder is nonzero."""
+
+
+def parse_rational(text) -> Fraction:
+    """The exact rational a string spells: "p/q", a decimal, or exponent
+    notation.  Anything else, a zero denominator, or a numerator or
+    denominator over ``MAX_DIGITS`` digits raises ValueError; the size is
+    bounded from the text before the value is built."""
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact rational: {text!r}")
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    digits = [sum(c.isdigit() for c in part) for part in (*whole.split("/"), decimals)]
+    shift = int(exponent or 0)  # raises ValueError on a malformed exponent
+    if max(*digits, digits[0] + digits[-1] + max(shift, 0),
+           digits[-1] - min(shift, 0) + 1) > MAX_DIGITS:
+        raise ValueError(f"a rational exceeds {MAX_DIGITS} digits: {text[:40]!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def _coerce(value) -> Coefficient:
@@ -342,27 +367,23 @@ def bareiss_determinant(rows: Sequence[Sequence]) -> UPoly:
     return det if sign > 0 else -det
 
 
-def banded_determinant(rows: Sequence[Sequence]) -> UPoly:
+def banded_determinant(bands: Sequence[Sequence]):
     """Determinant of a matrix with one subdiagonal and two superdiagonals.
 
-    Uses the order-3 recurrence on leading principal minors implied by the
-    band (expansion along the last column), so it needs only ring operations.
-    Entries outside the band are assumed zero and never read.
+    ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2;
+    entries outside the square do not contribute.  Uses the order-3
+    recurrence on leading principal minors implied by the band (expansion
+    along the last column), so it needs only ring operations, and the result
+    lies in the ring of the entries.
     """
-    n = len(rows)
-    if n == 0:
+    if not bands:
         raise ValueError("empty matrix")
-    dets: list = []
-    for m in range(1, n + 1):
-        k = m - 1
-        term = rows[k][k] * dets[-1] if m >= 2 else rows[k][k]
-        if m >= 2:
-            p = rows[k][k - 1] * rows[k - 1][k]
-            term = term - (p * dets[-2] if m >= 3 else p)
-        if m >= 3:
-            p = rows[k][k - 1] * rows[k - 1][k - 2] * rows[k - 2][k]
-            term = term + (p * dets[-3] if m >= 4 else p)
-        dets.append(term)
+    dets: list = [0, 0, 1]  # leading minors of order -2, -1 and 0
+    up = up2 = (0, 0, 0, 0)  # zero rows above the matrix
+    for band in bands:
+        a, b = band[0], band[1]
+        dets.append(b * dets[-1] - a * up[2] * dets[-2] + a * up[0] * up2[3] * dets[-3])
+        up2, up = up, band
     return dets[-1]
 
 

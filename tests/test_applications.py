@@ -129,9 +129,9 @@ def test_coulomb_energy():
 def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
     def tampered(eq, n):
         matrix = build_criterion_matrix(eq, n)
-        rows = [list(row) for row in matrix.rows]
-        rows[0][0] = rows[0][0] + UPoly([1])
-        return CriterionMatrix(n=matrix.n, rows=tuple(map(tuple, rows)))
+        bands = [list(band) for band in matrix.bands]
+        bands[0][1] = bands[0][1] + 1  # B_0, the entry at (0, 0)
+        return CriterionMatrix(n=matrix.n, bands=tuple(map(tuple, bands)))
 
     monkeypatch.setattr(applications, "build_criterion_matrix", tampered)
     with pytest.raises(ArithmeticError, match="closed form"):

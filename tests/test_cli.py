@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,14 @@ def test_demo_unknown_name(capsys):
     assert "davidson" in err and "coulomb" in err
 
 
+def test_demo_max_n_is_a_usage_error(capsys):
+    # no demo sweeps degrees, so the flag is not accepted
+    code, report, err = run(capsys, "demo", "davidson", "--max-n", "5")
+    assert code == 1
+    assert report is None
+    assert "usage:" in err and "unrecognized arguments: --max-n 5" in err
+
+
 # ---------------------------------------------------------------------------
 # heun command
 
@@ -383,6 +392,55 @@ def test_params_scalar_shape_is_input_error(capsys):
     code, _, err = run(capsys, "heun", "biconfluent", "--params", params, "--n", "0")
     assert code == 1
     assert "polyode: error:" in err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check", "EQ", "--n", "2"],
+     json.dumps({"a3": ["0", "1e3000000", "0", "0"], "a2": ["0", "2", "2"],
+                 "tau": ["0", "6"]})),
+    (["check", "EQ", "--n", "2"],
+     '{"a3": [1' + "0" * 5000 + ', "1", "0", "0"], "a2": ["0", "2", "2"],'
+     ' "tau": ["0", "6"]}'),
+    (["demo", "krylov", "--n", "2", "--alpha", "1e9999"], None),
+    (["heun", "biconfluent", "--n", "0", "--params",
+      json.dumps({"alpha": "1e-9999", "beta": "4", "gamma": "4", "delta": "1"})],
+     None),
+    (["heun", "biconfluent", "--n", "0", "--params",
+      '{"alpha": 1' + "0" * 5000 + ', "beta": "4", "gamma": "4", "delta": "1"}'],
+     None),
+])
+def test_rationals_past_the_digit_limit_exit_1_promptly(argv, text, eq_file, capsys):
+    argv = [eq_file(text) if a == "EQ" else a for a in argv]
+    start = time.perf_counter()
+    code, report, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert report is None
+    assert "error:" in err and "4300 digits" in err  # argparse names the subcommand
+
+
+def test_report_value_past_the_digit_limit_exits_1(eq_file, capsys):
+    # every coefficient is inside the input limit, but the determinant is
+    # not, so the report cannot be written out
+    big = "1" + "0" * 4000
+    text = json.dumps({"a3": ["0", big, "1", "0"], "a2": ["0", "1", "1"],
+                       "tau": ["0", "3"]})
+    code, report, err = run(capsys, "check", eq_file(text), "--n", "3",
+                            "--method", "determinant")
+    assert code == 1
+    assert report is None
+    assert "polyode: error:" in err and "4300 digits" in err
+
+
+def test_other_value_errors_are_not_reported_as_input_errors(monkeypatch, eq_file):
+    from polyode import cli
+
+    def broken(eq, n, method):
+        raise ValueError("a defect")
+
+    monkeypatch.setattr(cli, "analyze_check", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        main(["check", eq_file(BESSEL6), "--n", "2"])
 
 
 @pytest.mark.parametrize("tolerance", ["0", "-1/2"])

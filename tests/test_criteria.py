@@ -34,6 +34,8 @@ from polyode.criteria import (
 )
 from polyode.exactalg import UPoly, banded_determinant, bareiss_determinant
 
+from bandforms import bands_of, dense
+
 T = UPoly([0, 1])  # the unknown parameter
 
 BESSEL_A2 = (1, 0, 0)   # x^2 y''
@@ -204,16 +206,24 @@ def test_matrix_chhajlany_rows():
 def test_matrix_krylov_n1():
     eq = krylov_eq(2, -2, T)  # beta = -alpha at n=1
     m = build_criterion_matrix(eq, 1)
-    assert m.rows == (
-        (UPoly([0, -1]), UPoly([2])),
-        (UPoly([2]), UPoly([0, -1])),
+    assert dense(m.bands) == [
+        [UPoly([0, -1]), UPoly([2])],
+        [UPoly([2]), UPoly([0, -1])],
+    ]
+    assert m.bands == (
+        (UPoly(), UPoly([0, -1]), UPoly([2]), UPoly()),
+        (UPoly([2]), UPoly([0, -1]), UPoly(), UPoly()),
     )
 
 
 def test_matrix_n0():
     eq = krylov_eq(1, 4, 9)
     m = build_criterion_matrix(eq, 0)
-    assert m.rows == ((UPoly([-9]),),)
+    assert dense(m.bands) == [[-9]]
+    assert m.bands == ((0, -9, 0, 0),)
+    assert isinstance(m.entry(0, 0), Fraction)  # numeric equation
+    with pytest.raises(IndexError):
+        m.entry(0, 1)
 
 
 def test_truncation_closure_symbolically():
@@ -276,7 +286,7 @@ def test_determinant_band_recurrence_agreement():
         if not any(eq.a3) and not any(eq.a2):
             continue
         m = build_criterion_matrix(eq, n)
-        assert delta_determinant(eq, n) == bareiss_determinant(m.as_lists())
+        assert delta_determinant(eq, n) == bareiss_determinant(dense(m.bands))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +509,58 @@ def test_matrix_band_and_closure_properties(n, values, t_slot):
     assert sub == degree_condition(eq, n)
 
 
+X, T_SYM = sympy.symbols("x t")
+
+
+def sympy_of(entry):
+    """A UPoly in t (or a Fraction) as a sympy expression in T_SYM."""
+    coeffs = entry.coeffs if isinstance(entry, UPoly) else (entry,)
+    return sum(sympy.Rational(c.numerator, c.denominator) * T_SYM ** i
+               for i, c in enumerate(coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.tuples(*(small_fractions for _ in range(9))),
+    st.integers(0, 8),
+)
+def test_criterion_band_and_determinant_match_sympy(n, values, t_slot):
+    """An oracle that does not use the A..D formulas: entry (k, j) is minus
+    the x^k coefficient of the equation applied to y = x^j, built in sympy,
+    and the determinant is sympy's, as a polynomial in t."""
+    scalars = [Fraction(v) for v in values]
+    linear = [UPoly([c]) for c in scalars]
+    linear[t_slot] = UPoly([scalars[t_slot], 1])
+    a3, a2, tau = tuple(linear[:4]), tuple(linear[4:7]), tuple(linear[7:9])
+    if not any(a3) and not any(a2):
+        return
+    eq = EquationSpec(a3=a3, a2=a2, tau=tau)
+    sym = [sympy_of(c) for c in scalars]
+    sym[t_slot] += T_SYM
+    a30, a31, a32, a33, a20, a21, a22, t10, t11 = sym
+    size = n + 1
+    expected = sympy.zeros(size, size)
+    for j in range(size):
+        y = X ** j
+        residual = sympy.expand(
+            (a30 * X**3 + a31 * X**2 + a32 * X + a33) * sympy.diff(y, X, 2)
+            + (a20 * X**2 + a21 * X + a22) * sympy.diff(y, X)
+            - (t10 * X + t11) * y
+        )
+        for k in range(size):
+            expected[k, j] = -residual.coeff(X, k)
+    m = build_criterion_matrix(eq, n)
+    for k in range(size):
+        for j in range(size):
+            assert sympy.expand(sympy_of(m.entry(k, j)) - expected[k, j]) == 0, (k, j)
+    # the band's entries outside the square are zero
+    assert not any(m.bands[k][i] for k in range(size) for i in range(4)
+                   if not 0 <= k - 1 + i <= n)
+    det = delta_determinant(eq, n)
+    assert sympy.expand(sympy_of(det) - expected.det(method="berkowitz")) == 0
+
+
 # ---------------------------------------------------------------------------
 # symbolic determinant commutes with parameter substitution
 
@@ -562,7 +624,7 @@ def test_oracle_equivalence_random_instances():
         eq = EquationSpec(**eq_fields)
         det = delta_determinant(eq, n)
         matrix = build_criterion_matrix(eq, n)
-        rows = [[e.constant_value() for e in row] for row in matrix.rows]
+        rows = dense(matrix.bands)
         nullity = len(rational_nullspace(rows))
         assert (det == 0) == (nullity >= 1), (eq, n)
         seen += 1
@@ -570,11 +632,6 @@ def test_oracle_equivalence_random_instances():
 
 # ---------------------------------------------------------------------------
 # band-elimination nullspace against the dense oracles
-
-def bands_of(rows):
-    """Row k's entries from column max(k-1, 0) on, as band_nullspace reads them."""
-    return [row[max(k - 1, 0):k + 3] for k, row in enumerate(rows)]
-
 
 band_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 rarely = st.sampled_from([False, False, False, True])
@@ -602,14 +659,13 @@ def band_matrices(draw, max_size=9):
 
 def test_band_nullspace_upper_triangular_and_zero_diagonal():
     # Bessel at the wrong degree: upper triangular, one zero on the diagonal
-    rows = [[e.constant_value() for e in row]
-            for row in build_criterion_matrix(bessel_eq(2), 3).rows]
-    assert band_nullspace(bands_of(rows)) == rational_nullspace(rows)
+    bands = build_criterion_matrix(bessel_eq(2), 3).bands
+    assert band_nullspace(bands) == rational_nullspace(dense(bands))
     # Davidson at degree 2: zero diagonal, the pivots sit off it
-    rows = [[e.constant_value() for e in row]
-            for row in build_criterion_matrix(davidson_eq(0, 7), 2).rows]
+    bands = build_criterion_matrix(davidson_eq(0, 7), 2).bands
+    rows = dense(bands)
     assert rows[0][0] == rows[1][1] == rows[2][2] == 0
-    assert band_nullspace(bands_of(rows)) == rational_nullspace(rows)
+    assert band_nullspace(bands) == rational_nullspace(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -636,12 +692,13 @@ def test_band_nullspace_spans_the_sympy_nullspace(rows):
 @settings(max_examples=150, deadline=None)
 @given(band_matrices())
 def test_band_determinant_vanishes_exactly_with_the_nullspace(rows):
-    assert (banded_determinant(rows) == 0) == bool(band_nullspace(bands_of(rows)))
+    bands = bands_of(rows)
+    assert dense(bands) == rows
+    assert (banded_determinant(bands) == 0) == bool(band_nullspace(bands))
 
 
 def assert_construct_matches_oracle(eq, n):
-    rows = [[e.constant_value() for e in row]
-            for row in build_criterion_matrix(eq, n).rows]
+    rows = dense(build_criterion_matrix(eq, n).bands)
     expected = [primitive_vector(v) for v in rational_nullspace(rows)]
     if not expected:
         with pytest.raises(NoNullspaceError):

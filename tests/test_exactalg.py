@@ -5,15 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyode.exactalg import (
+    MAX_DIGITS,
     NEG_INFINITY,
     NotDivisibleError,
     UPoly,
     banded_determinant,
     bareiss_determinant,
+    parse_rational,
     poly_gcd,
     squarefree_part,
     tridiagonal_continuant,
 )
+
+from bandforms import bands_of
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -220,7 +224,7 @@ def test_banded_determinant_matches_bareiss():
         for k in range(n):
             for j in range(max(0, k - 1), min(n, k + 3)):
                 rows[k][j] = UPoly([rng.randint(-4, 4), rng.randint(-2, 2)])
-        assert banded_determinant(rows) == bareiss_determinant(rows)
+        assert banded_determinant(bands_of(rows)) == bareiss_determinant(rows)
 
 
 def test_tridiagonal_continuant_matches_bareiss():
@@ -334,3 +338,40 @@ def test_format():
     assert UPoly([1, 3, 3]).format(var="t") == "3*t^2 + 3*t + 1"
     assert UPoly([-4, 0, 1]).format() == "x^2 - 4"
     assert UPoly().format() == "0"
+
+
+# ---------------------------------------------------------------------------
+# rational input parsing
+
+@pytest.mark.parametrize("text, value", [
+    ("1/2", Fraction(1, 2)),
+    (" -3 ", Fraction(-3)),
+    ("1.25e-2", Fraction(1, 80)),
+    ("1_000", Fraction(1000)),
+    ("9" * MAX_DIGITS, Fraction(int("9" * MAX_DIGITS))),
+    ("1" * MAX_DIGITS + "/" + "3" * MAX_DIGITS,
+     Fraction(int("1" * MAX_DIGITS), int("3" * MAX_DIGITS))),
+    (f"1e{MAX_DIGITS - 1}", Fraction(10 ** (MAX_DIGITS - 1))),
+    (f"1e-{MAX_DIGITS - 1}", Fraction(1, 10 ** (MAX_DIGITS - 1))),
+])
+def test_parse_rational_accepts_up_to_the_digit_limit(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "9" * (MAX_DIGITS + 1),
+    "1/" + "3" * (MAX_DIGITS + 1),
+    f"1e{MAX_DIGITS}",
+    f"1e-{MAX_DIGITS}",
+    "1e3000000",
+    "0." + "1" * MAX_DIGITS,  # numerator of MAX_DIGITS digits over 10^MAX_DIGITS
+    "1e" + "9" * 5000,
+    "abc",
+    "1/0",
+    "",
+    5,
+    None,
+])
+def test_parse_rational_rejects_malformed_and_oversized_text(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)

@@ -358,6 +358,15 @@ def test_large_demo_roots_finish_and_match_sympy(argv, capsys):
     assert code == (0 if roots["intervals"] else 2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=50),
+       st.fractions(min_value=-50, max_value=50, max_denominator=50))
+def test_linear_polynomial_root_is_found_exactly(c0, c1):
+    # `constraints` takes a pinned parameter value from this report
+    assume(c1)
+    assert analyze_roots(UPoly([c0, c1])).exact_rational_roots == (-c0 / c1,)
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 
