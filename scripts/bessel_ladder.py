@@ -10,6 +10,7 @@ import argparse
 import time
 
 from polyode.criteria import (
+    build_criterion_matrix,
     classical_polynomials,
     classical_tau,
     construct_solution,
@@ -29,7 +30,7 @@ def main() -> None:
     for n, y in enumerate(ladder):
         tau = classical_tau(1, 2, n)
         eq = embed_classical((1, 0, 0), (2, 2), tau)
-        built = construct_solution(eq, n)
+        built = construct_solution(eq, build_criterion_matrix(eq, n))
         same = built.polynomial() * y.leading == y * built.polynomial().leading
         assert same, f"ladder and matrix constructions disagree at n={n}"
         index = aim_test_polynomial(eq, max(2 * n, 2))

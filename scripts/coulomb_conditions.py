@@ -17,7 +17,7 @@ from polyode.applications import (
     coulomb_energy,
     coulomb_spec,
 )
-from polyode.criteria import construct_solution
+from polyode.criteria import build_criterion_matrix, construct_solution
 from polyode.exactalg import UPoly
 from polyode.solve import analyze_roots
 
@@ -53,7 +53,8 @@ def main() -> None:
             if beta <= 0:
                 continue
             fixed = CoulombProblem(Z=args.Z, beta=beta, d=args.d, l=args.l)
-            sol = construct_solution(coulomb_spec(fixed, n), n)
+            eq = coulomb_spec(fixed, n)
+            sol = construct_solution(eq, build_criterion_matrix(eq, n))
             print(f"        beta={beta}: f(r) = {sol.polynomial().format(var='r')} "
                   f"(verified={sol.residual_is_zero})")
 

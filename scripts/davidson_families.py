@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from polyode.aim import aim_test_polynomial, default_iteration_cap
 from polyode.applications import davidson_eigenvalue, davidson_spec
-from polyode.criteria import construct_solution
+from polyode.criteria import build_criterion_matrix, construct_solution
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
             eps = davidson_eigenvalue(mu, nodes)
             eq = davidson_spec(mu, eps)
             degree = 2 * nodes
-            sol = construct_solution(eq, degree)
+            sol = construct_solution(eq, build_criterion_matrix(eq, degree))
             index = aim_test_polynomial(eq, default_iteration_cap(degree))
             print(f"  nodes={nodes} degree={degree} eps={eps} "
                   f"aim_index={index}: {sol.polynomial().format()}")

@@ -56,7 +56,9 @@ from .exactalg import (
     NotDivisibleError,
     Rational,
     UPoly,
+    as_rational,
     banded_determinant,
+    banded_minors,
     bareiss_determinant,
     poly_gcd,
     squarefree_part,

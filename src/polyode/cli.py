@@ -28,15 +28,18 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import Sequence
 
 from . import applications as apps
 from . import heun as heun_mod
 from .aim import NotSecondOrderError, aim_test_polynomial, default_iteration_cap
 from .criteria import (
     AmbiguousNullspaceError,
+    CriterionMatrix,
     EquationSpec,
     NoNullspaceError,
     PolySolution,
+    build_criterion_matrix,
     classical_polynomials,
     classical_tau,
     construct_solution,
@@ -45,7 +48,7 @@ from .criteria import (
     embed_classical,
     verify_solution,
 )
-from .exactalg import MAX_DIGITS, UPoly, parse_rational
+from .exactalg import MAX_DIGITS, UPoly, banded_minors, parse_rational
 from .solve import DEFAULT_TOLERANCE, RootReport, analyze_roots
 
 class CliError(Exception):
@@ -135,9 +138,10 @@ def _solution_dict(sol: PolySolution) -> dict:
     }
 
 
-def _construct_solutions(eq: EquationSpec, n: int, notes: list[str]) -> list[PolySolution]:
+def _construct_solutions(eq: EquationSpec, matrix: CriterionMatrix,
+                         notes: list[str]) -> list[PolySolution]:
     try:
-        return [construct_solution(eq, n)]
+        return [construct_solution(eq, matrix)]
     except AmbiguousNullspaceError as exc:
         notes.append("nullspace dimension exceeds one; reporting the whole basis")
         return list(exc.solutions)
@@ -156,58 +160,83 @@ def _solutions_at_roots(roots: RootReport, n: int, fix, notes: list[str]) -> lis
         if fixed is None:
             continue
         name, value, eq = fixed
-        for sol in _construct_solutions(eq, n, notes):
+        for sol in _construct_solutions(eq, build_criterion_matrix(eq, n), notes):
             entries.append({**_solution_dict(sol), name: str(value)})
     return entries
 
 
-def analyze_check(eq: EquationSpec, n: int, method: str) -> dict:
+def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list[dict]:
+    """One report per degree of the ascending ``degrees``.
+
+    Neither criterion depends on the target degree, so each runs once, for
+    the top degree, and serves them all.  AIM's first qualifying index f
+    answers degree n exactly when f <= cap(n), since no smaller index
+    qualifies.  The degree-n criterion matrix is the leading (n+1) x (n+1)
+    block of the top one, so its determinant is a running minor of the top
+    band.  A report's ``timing_seconds`` covers its own stages; the top
+    degree's report also carries the shared ones, which are its own.
+    """
     start = time.monotonic()
-    notes: list[str] = []
-    level, cond = degree_condition_effective(eq, n)
-    cond_holds = cond == 0
-    report: dict = {
-        "equation": eq.to_json_dict(),
-        "n": n,
-        "degree_condition": {
-            "level": level,
-            "polynomial": cond.to_strings(),
-            "holds": cond_holds,
-        },
-    }
-    solutions: list[PolySolution] = []
-    det_exists = False
-    if method in ("determinant", "both"):
-        det = delta_determinant(eq, n)
-        report["determinant"] = {
-            "coefficients": det.to_strings(),
-            "is_zero": not det,
-        }
-        if cond_holds and not det:
-            solutions = _construct_solutions(eq, n, notes)
-            det_exists = any(s.residual_is_zero for s in solutions)
-    aim_index = None
-    if method in ("aim", "both"):
-        cap = default_iteration_cap(n)
+    top = degrees[-1]
+    equation = eq.to_json_dict()
+    use_det = method in ("determinant", "both")
+    use_aim = method in ("aim", "both")
+    if use_det:
+        matrix = build_criterion_matrix(eq, top)
+        minors = banded_minors(matrix.bands)
+    if use_aim:
         try:
-            aim_index = aim_test_polynomial(eq, cap)
+            found = aim_test_polynomial(eq, default_iteration_cap(top))
         except NotSecondOrderError as exc:
             raise CliError(str(exc)) from exc
-        report["aim"] = {"found_index": aim_index, "cap": cap}
-    if method == "aim":
-        exists = aim_index is not None
-    else:
-        exists = det_exists
-        if method == "both" and det_exists != (aim_index is not None):
-            notes.append(
-                "criterion paths disagree at this degree; the iteration index "
-                "tracks the solution degree, not the requested one"
-            )
-    report["solutions"] = [_solution_dict(s) for s in solutions]
-    report["exists"] = exists
-    report["notes"] = notes
-    report["timing_seconds"] = time.monotonic() - start
-    return report
+    shared = time.monotonic() - start
+    reports = []
+    for n in degrees:
+        start = time.monotonic()
+        notes: list[str] = []
+        level, cond = degree_condition_effective(eq, n)
+        cond_holds = cond == 0
+        report: dict = {
+            "equation": equation,
+            "n": n,
+            "degree_condition": {
+                "level": level,
+                "polynomial": cond.to_strings(),
+                "holds": cond_holds,
+            },
+        }
+        solutions: list[PolySolution] = []
+        det_exists = False
+        if use_det:
+            det = minors[n]
+            report["determinant"] = {
+                "coefficients": UPoly.constant(det).to_strings(),
+                "is_zero": not det,
+            }
+            if cond_holds and not det:
+                solutions = _construct_solutions(eq, matrix.leading(n), notes)
+                det_exists = any(s.residual_is_zero for s in solutions)
+        aim_index = None
+        if use_aim:
+            cap = default_iteration_cap(n)
+            aim_index = found if found is not None and found <= cap else None
+            report["aim"] = {"found_index": aim_index, "cap": cap}
+        if method == "aim":
+            exists = aim_index is not None
+        else:
+            exists = det_exists
+            if method == "both" and det_exists != (aim_index is not None):
+                notes.append(
+                    "criterion paths disagree at this degree; the iteration index "
+                    "tracks the solution degree, not the requested one"
+                )
+        report["solutions"] = [_solution_dict(s) for s in solutions]
+        report["exists"] = exists
+        report["notes"] = notes
+        report["timing_seconds"] = time.monotonic() - start
+        reports.append(report)
+    reports[-1]["timing_seconds"] += shared
+    return reports
 
 
 def analyze_constraints(eq: EquationSpec, n: int,
@@ -337,10 +366,7 @@ def cmd_check(args) -> dict:
             "for the unknown parameter"
         )
     if args.max_n is not None:
-        reports = [
-            analyze_check(eq, n, args.method)
-            for n in range(args.max_n + 1)
-        ]
+        reports = analyze_check(eq, range(args.max_n + 1), args.method)
         return {
             "sweep": reports,
             "degrees_with_solutions": [r["n"] for r in reports if r["exists"]],
@@ -348,7 +374,7 @@ def cmd_check(args) -> dict:
         }
     if args.n is None:
         raise CliError("check needs --n or --max-n")
-    return analyze_check(eq, args.n, args.method)
+    return analyze_check(eq, [args.n], args.method)[0]
 
 
 def cmd_constraints(args) -> dict:
@@ -380,7 +406,7 @@ def _heun_equation(family: str, params: dict) -> EquationSpec:
 def cmd_heun(args) -> dict:
     eq = _heun_equation(args.family, _params_dict(args))
     if eq.is_numeric:
-        report = analyze_check(eq, args.n, "both")
+        report = analyze_check(eq, [args.n], "both")[0]
     else:
         report = analyze_constraints(eq, args.n, args.tolerance)
     report["family"] = args.family
@@ -404,7 +430,7 @@ def _demo_davidson(args) -> dict:
     eps = args.eps if args.eps is not None else apps.davidson_eigenvalue(mu, n)
     degree = 2 * n
     eq = apps.davidson_spec(mu, eps)
-    report = analyze_check(eq, degree, "both")
+    report = analyze_check(eq, [degree], "both")[0]
     report.update({
         "name": "davidson",
         "mu": str(mu),
@@ -516,7 +542,7 @@ def _demo_bessel(args) -> dict:
     n = args.n
     tau00 = args.tau00 if args.tau00 is not None else classical_tau(1, 2, n)
     eq = embed_classical((1, 0, 0), (2, 2), tau00)
-    report = analyze_check(eq, n, "both")
+    report = analyze_check(eq, [n], "both")[0]
     report.update({"name": "bessel", "tau00": str(tau00)})
     ladder = classical_polynomials((1, 0, 0), (2, 2), n + 1)
     ladder_poly = ladder[n]

@@ -49,7 +49,7 @@ from typing import Sequence, Union
 # bareiss_determinant is no longer called here; it stays bound so that
 # perfbench/tracing.py can count any call to it through this module
 from .exactalg import (  # noqa: F401
-    UPoly, banded_determinant, bareiss_determinant, parse_rational)
+    UPoly, as_rational, banded_determinant, bareiss_determinant, parse_rational)
 
 ScalarLike = Union[int, str, Fraction, UPoly, Sequence]
 
@@ -79,11 +79,11 @@ def as_scalar(value: ScalarLike) -> UPoly:
     if isinstance(value, UPoly):
         scalar = value
     elif isinstance(value, (int, Fraction, str)):
-        scalar = UPoly.constant(Fraction(value))
+        scalar = UPoly.constant(as_rational(value))
     elif isinstance(value, Sequence):
         if len(value) > 2:
             raise ValueError(f"scalar must have degree <= 1, got {value!r}")
-        scalar = UPoly(Fraction(v) for v in value)
+        scalar = UPoly(as_rational(v) for v in value)
     else:
         raise TypeError(f"cannot coerce {value!r} to an equation scalar")
     if isinstance(scalar.degree, int) and scalar.degree > 1:
@@ -138,7 +138,7 @@ class EquationSpec:
 
     def substitute(self, value) -> "EquationSpec":
         """Fix the unknown parameter to a rational value."""
-        v = Fraction(value)
+        v = as_rational(value)
         return EquationSpec(
             a3=tuple(UPoly.constant(s(v)) for s in self.a3),
             a2=tuple(UPoly.constant(s(v)) for s in self.a2),
@@ -242,9 +242,9 @@ def necessary_condition_general(
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    a_k2 = Fraction(leading_a_k2)
-    a_k1 = Fraction(leading_a_k1)
-    tau_k = Fraction(leading_tau_k)
+    a_k2 = as_rational(leading_a_k2)
+    a_k1 = as_rational(leading_a_k1)
+    tau_k = as_rational(leading_tau_k)
     return tau_k == n * (n - 1) * a_k2 + n * a_k1
 
 
@@ -286,6 +286,19 @@ class CriterionMatrix:
             raise IndexError(f"entry ({k}, {j}) outside the order-{self.n + 1} matrix")
         band = self.bands[k]
         return band[j - k + 1] if k - 1 <= j <= k + 2 else band[1] * 0
+
+    def leading(self, n: int) -> "CriterionMatrix":
+        """The degree-n criterion matrix, for 0 <= n <= self.n: no band entry
+        depends on the degree, so it is this matrix's leading (n+1) x (n+1)
+        block, with C_n, D_n and D_(n-1) now outside the square."""
+        if not 0 <= n <= self.n:
+            raise ValueError(f"degree {n} outside 0..{self.n}")
+        bands = list(self.bands[:n + 1])
+        zero = bands[0][1] * 0
+        bands[n] = (*bands[n][:2], zero, zero)
+        if n >= 1:
+            bands[n - 1] = (*bands[n - 1][:3], zero)
+        return CriterionMatrix(n=n, bands=tuple(bands))
 
 
 def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
@@ -458,8 +471,10 @@ def verify_solution(eq: EquationSpec, coefficients: Sequence[Fraction]) -> bool:
     return not residual
 
 
-def construct_solution(eq: EquationSpec, n: int) -> PolySolution:
-    """Primitive nullspace vector of the criterion matrix, residual-verified.
+def construct_solution(eq: EquationSpec, matrix: CriterionMatrix) -> PolySolution:
+    """Primitive nullspace vector of ``matrix``, the equation's degree-n
+    criterion matrix (``build_criterion_matrix(eq, n)`` or a leading block
+    of a larger one), residual-verified against the equation itself.
 
     Callers should have checked the degree condition and the determinant;
     ``NoNullspaceError`` signals that those preconditions were inconsistent.
@@ -468,10 +483,10 @@ def construct_solution(eq: EquationSpec, n: int) -> PolySolution:
     """
     if not eq.is_numeric:
         raise ValueError("construct_solution requires a numeric equation")
-    basis = band_nullspace(build_criterion_matrix(eq, n).bands)
+    basis = band_nullspace(matrix.bands)
     if not basis:
         raise NoNullspaceError(
-            f"criterion matrix at degree {n} is nonsingular"
+            f"criterion matrix at degree {matrix.n} is nonsingular"
         )
 
     def finish(vec) -> PolySolution:
@@ -498,12 +513,12 @@ def classical_tau(a20: ScalarLike, a10: ScalarLike, n: int) -> Fraction:
     """Eigencoefficient n(n-1) a20 + n a10 of the quadratic-coefficient class."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return n * (n - 1) * Fraction(a20) + n * Fraction(a10)
+    return n * (n - 1) * as_rational(a20) + n * as_rational(a10)
 
 
 def classical_seed(a1: Sequence[ScalarLike]) -> tuple[UPoly, UPoly]:
     """Ladder seeds y_0 = 1 and y_1 = a10 x + a11."""
-    a10, a11 = (Fraction(v) for v in a1)
+    a10, a11 = (as_rational(v) for v in a1)
     return UPoly.one(), UPoly([a11, a10])
 
 
@@ -520,8 +535,8 @@ def classical_recurrence_step(
     if either vanishes the ladder degenerates and the caller must fall back
     to the matrix construction.
     """
-    a20, a21, a22 = (Fraction(v) for v in a2)
-    a10, a11 = (Fraction(v) for v in a1)
+    a20, a21, a22 = (as_rational(v) for v in a2)
+    a10, a11 = (as_rational(v) for v in a1)
     d1 = n * a20 + a10
     d2 = 2 * n * a20 + a10
     if not d1 or not d2:

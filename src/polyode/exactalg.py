@@ -59,13 +59,19 @@ def parse_rational(text) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
+def as_rational(value) -> Fraction:
+    """``Fraction(value)``, except that a string is read by ``parse_rational``
+    and so keeps its digit bound."""
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+
+
 def _coerce(value) -> Coefficient:
     if isinstance(value, (Fraction, UPoly)):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"unsupported coefficient type: {type(value).__name__}")
 
 
@@ -105,7 +111,7 @@ class UPoly:
     @classmethod
     def from_strings(cls, strings: Sequence[str]) -> "UPoly":
         """Parse the serialized form: a list of rational strings, ascending."""
-        return cls(Fraction(s) for s in strings)
+        return cls(parse_rational(s) for s in strings)
 
     # -- inspection ---------------------------------------------------------
 
@@ -367,14 +373,16 @@ def bareiss_determinant(rows: Sequence[Sequence]) -> UPoly:
     return det if sign > 0 else -det
 
 
-def banded_determinant(bands: Sequence[Sequence]):
-    """Determinant of a matrix with one subdiagonal and two superdiagonals.
+def banded_minors(bands: Sequence[Sequence]) -> list:
+    """Leading principal minors, of orders 1..m, of an order-m matrix with
+    one subdiagonal and two superdiagonals.
 
     ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2;
     entries outside the square do not contribute.  Uses the order-3
     recurrence on leading principal minors implied by the band (expansion
-    along the last column), so it needs only ring operations, and the result
-    lies in the ring of the entries.
+    along the last column), so it needs only ring operations, and the minors
+    lie in the ring of the entries.  A zero subdiagonal entry A_k (every row
+    of an upper-triangular band) leaves one term, B_k times the last minor.
     """
     if not bands:
         raise ValueError("empty matrix")
@@ -382,9 +390,19 @@ def banded_determinant(bands: Sequence[Sequence]):
     up = up2 = (0, 0, 0, 0)  # zero rows above the matrix
     for band in bands:
         a, b = band[0], band[1]
-        dets.append(b * dets[-1] - a * up[2] * dets[-2] + a * up[0] * up2[3] * dets[-3])
+        if a:
+            dets.append(b * dets[-1] - a * up[2] * dets[-2]
+                        + a * up[0] * up2[3] * dets[-3])
+        else:
+            dets.append(b * dets[-1])
         up2, up = up, band
-    return dets[-1]
+    return dets[3:]
+
+
+def banded_determinant(bands: Sequence[Sequence]):
+    """Determinant of a band matrix: its last leading minor
+    (see ``banded_minors``)."""
+    return banded_minors(bands)[-1]
 
 
 def tridiagonal_continuant(diagonal: Sequence, offdiagonal_products: Sequence):

@@ -82,7 +82,7 @@ def test_criterion_1_bessel_reproduction():
     )
     for n, y in enumerate(ladder):
         eq = embed_classical((1, 0, 0), (2, 2), classical_tau(1, 2, n))
-        built = construct_solution(eq, n)
+        built = construct_solution(eq, build_criterion_matrix(eq, n))
         ok = ok and built.residual_is_zero
         ok = ok and proportional(built.polynomial(), y)
     elapsed = time.perf_counter() - start
@@ -158,7 +158,7 @@ def test_criterion_4_davidson_family():
     for mu in (Fraction(0), Fraction(1, 2), Fraction(1)):
         for n in range(4):
             eq = davidson_spec(mu, davidson_eigenvalue(mu, n))
-            sol = construct_solution(eq, 2 * n)
+            sol = construct_solution(eq, build_criterion_matrix(eq, 2 * n))
             ok = ok and sol.residual_is_zero
             ok = ok and proportional(sol.polynomial(), DAVIDSON_LISTED[n](mu))
     elapsed = time.perf_counter() - start
@@ -394,7 +394,7 @@ def _determinant_sweep(eq, max_degree):
         if delta_determinant(eq, n) != 0:
             continue
         try:
-            sol = construct_solution(eq, n)
+            sol = construct_solution(eq, build_criterion_matrix(eq, n))
             if sol.residual_is_zero:
                 return sol.reported_degree
         except AmbiguousNullspaceError as exc:

@@ -89,7 +89,7 @@ def test_davidson_listed_polynomials():
     for mu in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         for n in range(4):
             eq = davidson_spec(mu, davidson_eigenvalue(mu, n))
-            sol = construct_solution(eq, 2 * n)
+            sol = construct_solution(eq, build_criterion_matrix(eq, 2 * n))
             got = sol.polynomial()
             listed = DAVIDSON_LISTED[n](mu)
             assert got * listed.leading == listed * got.leading
@@ -228,7 +228,7 @@ def test_coulomb_constraint_consistent_with_generic_determinant():
     eq = coulomb_spec(p, n)
     assert degree_condition(eq, n) == 0
     assert delta_determinant(eq, n) == 0
-    sol = construct_solution(eq, n)
+    sol = construct_solution(eq, build_criterion_matrix(eq, n))
     assert sol.residual_is_zero
 
     off = CoulombProblem(1, 3, 3, 0)  # alpha*beta = 3/2, not a root
@@ -307,7 +307,7 @@ def test_krylov_robnik_rational_root_end_to_end():
     assert constraint(2) == 0 and constraint(-2) == 0
     for gamma in (2, -2, 0):
         eq = krylov_robnik_spec(alpha, beta, gamma)
-        sol = construct_solution(eq, 2)
+        sol = construct_solution(eq, build_criterion_matrix(eq, 2))
         assert sol.residual_is_zero
         assert verify_solution(eq, sol.coefficients)
 
@@ -351,7 +351,7 @@ def test_chhajlany_rational_root_end_to_end():
     assert constraint == UPoly([-4, 0, 1])
     for alpha in (2, -2):
         eq = chhajlany_spec(2, 2, alpha)
-        sol = construct_solution(eq, 1)
+        sol = construct_solution(eq, build_criterion_matrix(eq, 1))
         assert sol.residual_is_zero
 
 
@@ -414,6 +414,6 @@ def test_hyper_l2_generic_cross_check():
     N = n + m + 1
     assert degree_condition(eq, N) == 0
     assert verify_solution(eq, sol.polynomial().coeffs)
-    built = construct_solution(eq, N)
+    built = construct_solution(eq, build_criterion_matrix(eq, N))
     got, expected = built.polynomial(), sol.polynomial()
     assert got * expected.leading == expected * got.leading

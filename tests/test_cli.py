@@ -1,14 +1,29 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polyode.aim import aim_test_polynomial, default_iteration_cap
 from polyode.cli import build_parser, main
-from polyode.criteria import EquationSpec, verify_solution
+from polyode.criteria import (
+    EquationSpec,
+    build_criterion_matrix,
+    primitive_vector,
+    rational_nullspace,
+    verify_solution,
+)
+from polyode.exactalg import bareiss_determinant
+
+from bandforms import dense
 
 BESSEL6 = json.dumps(
     {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0", "6"]}
@@ -90,6 +105,104 @@ def test_check_sweep(eq_file, capsys):
     )
     assert code == 0
     assert report["degrees_with_solutions"] == [2]
+
+
+def check_sweep(equation: dict, max_n: int, method: str):
+    """``check --max-n`` in-process: (exit code, report, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "eq.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(equation, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", path, "--max-n", str(max_n), "--method", method])
+    text = out.getvalue()
+    return code, json.loads(text) if text else None, err.getvalue()
+
+
+def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: str):
+    """Every degree of one ``check --max-n`` pass against oracles run for
+    that degree alone: AIM to the degree's own cap, the Bareiss determinant
+    of the dense degree-n matrix and its Gauss-Jordan nullspace."""
+    code, report, _ = check_sweep(equation, max_n, method)
+    eq = EquationSpec.from_json_dict(equation)
+    assert [entry["n"] for entry in report["sweep"]] == list(range(max_n + 1))
+    degrees = []
+    for n, entry in enumerate(report["sweep"]):
+        index = None
+        if method == "determinant":
+            assert "aim" not in entry
+        else:
+            cap = default_iteration_cap(n)
+            index = aim_test_polynomial(eq, cap)
+            assert entry["aim"] == {"found_index": index, "cap": cap}
+        expected = []
+        if method == "aim":
+            assert "determinant" not in entry
+        else:
+            rows = dense(build_criterion_matrix(eq, n).bands)
+            det = bareiss_determinant(rows)
+            assert entry["determinant"] == {
+                "coefficients": [str(det)] if det else [], "is_zero": det == 0}
+            if entry["degree_condition"]["holds"] and det == 0:
+                expected = [[str(c) for c in primitive_vector(v)]
+                            for v in rational_nullspace(rows)]
+        assert [s["coefficients"] for s in entry["solutions"]] == expected
+        exists = index is not None if method == "aim" else bool(expected)
+        assert entry["exists"] is exists
+        if exists:
+            degrees.append(n)
+    assert report["degrees_with_solutions"] == degrees
+    assert code == (0 if degrees else 2)
+    return report
+
+
+coefficient = st.integers(-3, 3)
+
+
+@st.composite
+def cubic_equations(draw):
+    """Random equations with a nonzero y'' coefficient; half of them meet
+    the degree condition at some degree, so solutions get constructed."""
+    a3 = draw(st.tuples(*[coefficient] * 4).filter(any))
+    a2 = draw(st.tuples(*[coefficient] * 3))
+    tau = draw(st.tuples(coefficient, coefficient))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 4))
+        tau = (m * (m - 1) * a3[0] + m * a2[0], tau[1])
+    return {"a3": [str(v) for v in a3], "a2": [str(v) for v in a2],
+            "tau": [str(v) for v in tau]}
+
+
+# Bessel with its degree-6 solution: AIM first qualifies at index 6, past
+# cap(0) = 4, so degree 0 must report no index although degree 8's run finds it
+BESSEL_DEGREE_6 = {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0", "42"]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(cubic_equations(), st.integers(0, 5),
+       st.sampled_from(["both", "aim", "determinant"]))
+@example(BESSEL_DEGREE_6, 8, "both")
+@example(BESSEL_DEGREE_6, 8, "aim")
+def test_sweep_matches_per_degree_oracles(equation, max_n, method):
+    assert_sweep_matches_per_degree_oracles(equation, max_n, method)
+
+
+def test_sweep_reports_no_index_below_the_degrees_cap():
+    report = assert_sweep_matches_per_degree_oracles(BESSEL_DEGREE_6, 8, "both")
+    found = [entry["aim"]["found_index"] for entry in report["sweep"]]
+    assert default_iteration_cap(0) < 6 <= default_iteration_cap(1)
+    assert found == [None] + [6] * 8
+    assert report["degrees_with_solutions"] == [6]
+
+
+@pytest.mark.parametrize("method", ["both", "aim"])
+def test_sweep_without_a_second_order_term_is_an_input_error(method):
+    equation = {"a3": ["0", "0", "0", "0"], "a2": ["1", "2", "3"], "tau": ["2", "1"]}
+    code, report, err = check_sweep(equation, 4, method)
+    assert code == 1
+    assert report is None
+    assert "polyode: error: y'' coefficient is identically zero" in err
 
 
 def test_check_malformed_json(eq_file, capsys):

@@ -15,6 +15,7 @@ from polyode.criteria import (
     DegenerateDenominatorError,
     EquationSpec,
     NoNullspaceError,
+    as_scalar,
     band_nullspace,
     build_criterion_matrix,
     classical_polynomials,
@@ -32,7 +33,8 @@ from polyode.criteria import (
     row_entries,
     verify_solution,
 )
-from polyode.exactalg import UPoly, banded_determinant, bareiss_determinant
+from polyode.exactalg import (
+    MAX_DIGITS, UPoly, banded_determinant, banded_minors, bareiss_determinant)
 
 from bandforms import bands_of, dense
 
@@ -313,7 +315,7 @@ def test_primitive_vector():
 
 def test_construct_davidson_degree2():
     eq = davidson_eq(0, 7)
-    sol = construct_solution(eq, 2)
+    sol = construct_solution(eq, build_criterion_matrix(eq, 2))
     assert sol.coefficients == (-3, 0, 2)
     assert sol.reported_degree == 2
     assert sol.residual_is_zero
@@ -321,14 +323,14 @@ def test_construct_davidson_degree2():
 
 def test_construct_bessel_degree1():
     eq = bessel_eq(classical_tau(1, 2, 1))
-    sol = construct_solution(eq, 1)
+    sol = construct_solution(eq, build_criterion_matrix(eq, 1))
     # 2x + 2 up to scale
     assert sol.coefficients == (1, 1)
 
 
 def test_construct_constant_solution():
     eq = EquationSpec(a3=(0, 0, 1, 0), a2=(1, 0, 0), tau=(0, 0))
-    sol = construct_solution(eq, 0)
+    sol = construct_solution(eq, build_criterion_matrix(eq, 0))
     assert sol.coefficients == (1,)
     assert sol.reported_degree == 0
 
@@ -336,14 +338,14 @@ def test_construct_constant_solution():
 def test_construct_nonsingular_raises():
     eq = bessel_eq(5)
     with pytest.raises(NoNullspaceError):
-        construct_solution(eq, 2)
+        construct_solution(eq, build_criterion_matrix(eq, 2))
 
 
 def test_construct_ambiguous_nullspace():
     # y'' = 0 admits both 1 and x at degree 1
     eq = EquationSpec(a3=(0, 0, 0, 1), a2=(0, 0, 0), tau=(0, 0))
     with pytest.raises(AmbiguousNullspaceError) as excinfo:
-        construct_solution(eq, 1)
+        construct_solution(eq, build_criterion_matrix(eq, 1))
     sols = excinfo.value.solutions
     assert len(sols) == 2
     assert all(s.residual_is_zero for s in sols)
@@ -353,7 +355,7 @@ def test_reported_degree_below_requested():
     # Bessel tau00 = 2 targets degree 1; at requested n = 2 the nullspace
     # vector still has c_2 = 0 and the true degree is reported
     eq = bessel_eq(2)
-    sol = construct_solution(eq, 2)
+    sol = construct_solution(eq, build_criterion_matrix(eq, 2))
     assert sol.reported_degree == 1
     assert sol.coefficients == (1, 1, 0)
 
@@ -435,7 +437,7 @@ def test_bessel_ladder_matches_construction():
     ys = classical_polynomials(BESSEL_A2, BESSEL_A1, 11)
     for n, y in enumerate(ys):
         eq = bessel_eq(classical_tau(1, 2, n))
-        sol = construct_solution(eq, n)
+        sol = construct_solution(eq, build_criterion_matrix(eq, n))
         assert sol.polynomial() * y.leading == y * sol.polynomial().leading
 
 
@@ -697,17 +699,75 @@ def test_band_determinant_vanishes_exactly_with_the_nullspace(rows):
     assert (banded_determinant(bands) == 0) == bool(band_nullspace(bands))
 
 
+def without_subdiagonal(rows):
+    return [[Fraction(0) if j == k - 1 else v for j, v in enumerate(row)]
+            for k, row in enumerate(rows)]
+
+
+def leading_minors(rows):
+    return [bareiss_determinant([row[:m] for row in rows[:m]])
+            for m in range(1, len(rows) + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(band_matrices())
+def test_running_minors_are_the_leading_principal_minors(rows):
+    assert banded_minors(bands_of(rows)) == leading_minors(rows)
+    # an all-zero subdiagonal takes the recurrence's one-term branch on every row
+    upper = without_subdiagonal(rows)
+    assert banded_minors(bands_of(upper)) == leading_minors(upper)
+
+
+def test_running_minors_of_parametric_and_upper_triangular_bands():
+    # Bessel with tau00 = t is upper triangular with entries in Q[t]; the
+    # Krylov band has a nonzero subdiagonal
+    for eq in (bessel_eq(T), krylov_eq(1, T, 2)):
+        bands = build_criterion_matrix(eq, 7).bands
+        assert banded_minors(bands) == leading_minors(dense(bands))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.tuples(*(st.integers(-3, 3) for _ in range(9))),
+       st.integers(0, 9))
+def test_leading_block_is_the_lower_degree_matrix(top, values, slot):
+    # slot 0..8 carries the unknown parameter and 9 leaves the equation
+    # numeric, so both entry rings are covered
+    values = [UPoly([v, 1]) if i == slot else v for i, v in enumerate(values)]
+    if not any(values[:7]):
+        return
+    eq = EquationSpec(a3=tuple(values[:4]), a2=tuple(values[4:7]), tau=tuple(values[7:]))
+    matrix = build_criterion_matrix(eq, top)
+    for n in range(top + 1):
+        assert matrix.leading(n) == build_criterion_matrix(eq, n)
+    with pytest.raises(ValueError):
+        matrix.leading(top + 1)
+
+
+@pytest.mark.parametrize("build", [
+    as_scalar,
+    lambda text: UPoly.from_strings([text]),
+    lambda text: UPoly([1, text]),
+    lambda text: EquationSpec(a3=(0, 0, 0, 1), a2=((0, text), 0, 0), tau=(0, 0)),
+], ids=["as_scalar", "from_strings", "UPoly", "EquationSpec"])
+def test_library_string_input_keeps_the_digit_limit(build):
+    # the bound of CLI input: the value is never built
+    with pytest.raises(ValueError, match=f"exceeds {MAX_DIGITS} digits"):
+        build("1e5000")
+    build(f"1e{MAX_DIGITS - 1}")
+
+
 def assert_construct_matches_oracle(eq, n):
-    rows = dense(build_criterion_matrix(eq, n).bands)
+    matrix = build_criterion_matrix(eq, n)
+    rows = dense(matrix.bands)
     expected = [primitive_vector(v) for v in rational_nullspace(rows)]
     if not expected:
         with pytest.raises(NoNullspaceError):
-            construct_solution(eq, n)
+            construct_solution(eq, matrix)
     elif len(expected) == 1:
-        assert construct_solution(eq, n).coefficients == expected[0]
+        assert construct_solution(eq, matrix).coefficients == expected[0]
     else:
         with pytest.raises(AmbiguousNullspaceError) as excinfo:
-            construct_solution(eq, n)
+            construct_solution(eq, matrix)
         solutions = excinfo.value.solutions
         assert [s.coefficients for s in solutions] == expected
         assert all(s.residual_is_zero and verify_solution(eq, s.coefficients)

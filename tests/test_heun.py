@@ -114,7 +114,7 @@ def test_confluent_end_to_end_solution():
     )
     assert degree_condition(eq, 1) == 0
     assert delta_determinant(eq, 1) == 0
-    sol = construct_solution(eq, 1)
+    sol = construct_solution(eq, build_criterion_matrix(eq, 1))
     assert sol.residual_is_zero
     assert verify_solution(eq, sol.coefficients)
 
@@ -184,7 +184,7 @@ def test_biconfluent_end_to_end():
     eq = biconfluent_to_spec(
         BiconfluentHeunParams(alpha=a, beta=b, gamma=a + 2, delta=-(a + 1) * b)
     )
-    sol = construct_solution(eq, 0)
+    sol = construct_solution(eq, build_criterion_matrix(eq, 0))
     assert sol.coefficients == (1,)
 
 
@@ -279,5 +279,6 @@ def test_general_end_to_end_degree1():
     assert constraint == UPoly([4, 5, 1])
     for q0 in (Fraction(-1), Fraction(-4)):
         assert constraint(q0) == 0
-        sol = construct_solution(eq_sym.substitute(q0), 1)
+        eq = eq_sym.substitute(q0)
+        sol = construct_solution(eq, build_criterion_matrix(eq, 1))
         assert sol.residual_is_zero and sol.reported_degree == 1
