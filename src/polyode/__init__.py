@@ -62,7 +62,6 @@ from .exactalg import (
     bareiss_determinant,
     poly_gcd,
     squarefree_part,
-    tridiagonal_continuant,
 )
 from .heun import (
     BiconfluentHeunParams,

@@ -11,8 +11,7 @@ Covered here:
   alpha = Z/(n+k+1)) to
       r(r+beta) f'' + (-2 alpha r^2 + 2(k+1-alpha beta) r + 2 beta(k+1)) f'
         + ((2Z - 2 alpha(k+1)) r - 2 alpha beta (k+1)) f = 0,
-  whose criterion matrix is tridiagonal and yields constraint polynomials
-  in the product t = alpha beta;
+  which yields constraint polynomials in the product t = alpha beta;
 
 * two quartic/cubic oscillator equations from the literature,
       x^3 y'' + alpha (x^2 - 1) y' + (beta x + gamma) y = 0    (krylov_robnik)
@@ -35,13 +34,15 @@ from typing import Union
 from .criteria import (
     EquationSpec,
     ScalarLike,
+    _recurrence_row,
+    _square_band,
     as_scalar,
     build_criterion_matrix,
     degree_condition,
     delta_determinant,
     verify_solution,
 )
-from .exactalg import UPoly, poly_gcd, tridiagonal_continuant
+from .exactalg import UPoly, banded_determinant, poly_gcd
 
 
 class BadDegreeError(ValueError):
@@ -78,8 +79,9 @@ def davidson_eigenvalue(mu: ScalarLike, n: int):
 
 @dataclass(frozen=True)
 class CoulombProblem:
-    """Nonzero charge Z, positive shift beta, dimension d >= 2, angular
-    momentum l >= 0."""
+    """Positive charge Z, positive shift beta, dimension d >= 2, angular
+    momentum l >= 0.  A bound state needs Z > 0: alpha = Z/(n+k+1) then
+    is positive, so e^(-alpha r) decays."""
 
     Z: Fraction
     beta: Fraction
@@ -89,8 +91,8 @@ class CoulombProblem:
     def __post_init__(self):
         object.__setattr__(self, "Z", Fraction(self.Z))
         object.__setattr__(self, "beta", Fraction(self.beta))
-        if not self.Z:
-            raise ValueError("charge Z must be nonzero")
+        if self.Z <= 0:
+            raise ValueError("charge Z must be positive")
         if self.beta <= 0:
             raise ValueError("shift beta must be positive")
         if self.d < 2:
@@ -154,9 +156,12 @@ def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
 
     k may be a rational number or a polynomial (pass UPoly([0, 1]) to carry
     k symbolically; coefficients of the result are then polynomials in k).
-    The raw tridiagonal determinant always carries the inadmissible root
-    t = 0 and a k-dependent constant factor; both are stripped so the result
-    is the primitive constraint polynomial.
+    With s = r/beta the Coulomb equation loses Z and beta:
+        s(s+1) f'' + (-2t s^2 + 2(k+1-t) s + 2(k+1)) f' + (2nt s - 2t(k+1)) f = 0,
+    and the constraint is the determinant of its criterion band, whose
+    entries are polynomials in t over Q or Q[k].  That determinant always
+    carries the inadmissible root t = 0 and a k-dependent constant factor;
+    both are stripped so the result is the primitive constraint polynomial.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -167,18 +172,16 @@ def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
         const = UPoly.constant
     else:
         k = Fraction(k)
-        const = Fraction
-    diagonal = []
-    for j in range(n + 1):
-        c0 = -(const(j * (j + 1)) + (2 * j) * k)
-        c1 = const(2 * (j + 1)) + 2 * k
-        diagonal.append(UPoly([c0, c1]))
-    products = []
-    for j in range(n):
-        slope = (-2 * (j - n) * (j + 1)) * (const(j + 2) + 2 * k)
-        products.append(UPoly([const(0), slope]))
-    determinant = tridiagonal_continuant(diagonal, products)
-    return _reduce_constraint(determinant, symbolic)
+        const = int  # integers mix with Fractions, and cost less
+    k1 = 2 * (k + const(1))
+    # the nine coefficients a30..a33, a20..a22, t10, t11 are c + s t; the
+    # recurrence is linear in them, so row j is row_j(c) + row_j(s) t
+    constant = (*map(const, (0, 1, 1, 0, 0)), k1, k1, const(0), const(0))
+    slope = (*map(const, (0, 0, 0, 0, -2, -2, 0, -2 * n)), k1)
+    rows = [tuple(map(UPoly, zip(_recurrence_row(constant, j),
+                                 _recurrence_row(slope, j))))
+            for j in range(n + 1)]
+    return _reduce_constraint(banded_determinant(_square_band(rows)), symbolic)
 
 
 def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:

@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--Z", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--d", type=int, default=3)
     p_demo.add_argument("--l", type=int, default=0)
-    p_demo.add_argument("--beta", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--alpha", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--p", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--m", type=int, default=1)
@@ -327,8 +326,8 @@ def _parse_equation(text: str, unknown_flag) -> EquationSpec:
         raise CliError(str(exc)) from exc
 
 
-def _scalar_from_json(value, where: str):
-    if isinstance(value, bool) or isinstance(value, float):
+def _rational_from_json(value, where: str) -> Fraction:
+    if isinstance(value, (bool, float)):
         raise CliError(
             f"{where}: use exact strings like \"1/2\", not floats"
         )
@@ -339,13 +338,17 @@ def _scalar_from_json(value, where: str):
             return parse_rational(value)
         except ValueError as exc:
             raise CliError(f"{where}: {exc}") from exc
-    if isinstance(value, list):
-        return UPoly([_scalar_from_json(v, where) for v in value])
-    if isinstance(value, dict) and len(value) == 1:
-        (_, coeffs), = value.items()
-        if isinstance(coeffs, list):
-            return UPoly([_scalar_from_json(v, where) for v in coeffs])
     raise CliError(f"{where}: bad scalar {value!r}")
+
+
+def _scalar_from_json(value, where: str):
+    """A ``--params`` scalar: a rational (an int or an exact string), or the
+    coefficients c0 + c1 t of the unknown, as a list or as {"t": list}."""
+    if isinstance(value, dict) and list(value) == ["t"] and isinstance(value["t"], list):
+        value = value["t"]
+    if isinstance(value, list):
+        return UPoly([_rational_from_json(v, where) for v in value])
+    return _rational_from_json(value, where)
 
 
 def _params_dict(args) -> dict:
@@ -452,20 +455,24 @@ def _parametric_report(fields: dict, roots: RootReport, n: int, fix) -> dict:
 def _demo_coulomb(args) -> dict:
     n = args.n
     try:
-        problem = apps.CoulombProblem(Z=args.Z, beta=args.beta, d=args.d, l=args.l)
+        # k, alpha, the energy and the constraint do not depend on the shift,
+        # and each solution takes its own beta = root / alpha, so the problem
+        # behind the report's header takes the unit shift
+        problem = apps.CoulombProblem(Z=args.Z, beta=1, d=args.d, l=args.l)
         constraint = apps.coulomb_constraint(problem, n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     alpha = apps.coulomb_alpha(problem, n)
     roots = analyze_roots(constraint, tolerance=args.tolerance)
+    # the constraint is in t = alpha beta; only a positive shift is physical
+    shifts = {root: root / alpha for root in roots.exact_rational_roots
+              if root / alpha > 0}
 
     def fix(root):
-        # the constraint is in t = alpha beta; only a positive shift is physical
-        beta_value = root / alpha
-        if beta_value <= 0:
+        if root not in shifts:
             return None
-        fixed = apps.CoulombProblem(Z=args.Z, beta=beta_value, d=args.d, l=args.l)
-        return "beta", beta_value, apps.coulomb_spec(fixed, n)
+        fixed = apps.CoulombProblem(Z=args.Z, beta=shifts[root], d=args.d, l=args.l)
+        return "beta", shifts[root], apps.coulomb_spec(fixed, n)
 
     return _parametric_report({
         "name": "coulomb",
@@ -478,7 +485,7 @@ def _demo_coulomb(args) -> dict:
         "energy": str(apps.coulomb_energy(problem, n)),
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
-        "beta_values": [str(r / alpha) for r in roots.exact_rational_roots],
+        "beta_values": [str(beta) for beta in shifts.values()],
     }, roots, n, fix)
 
 

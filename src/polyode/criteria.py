@@ -267,6 +267,17 @@ def row_entries(eq: EquationSpec, k: int) -> tuple[UPoly, UPoly, UPoly, UPoly]:
     return _recurrence_row((*eq.a3, *eq.a2, *eq.tau), k)
 
 
+def _square_band(rows: Sequence[tuple]) -> tuple[tuple, ...]:
+    """Band tuples of the square matrix whose row k is the recurrence row
+    ``rows[k] = (A_k, B_k, C_k, D_k)``: the entries A_0, C_n, D_n and
+    D_(n-1) fall outside the square and become zero."""
+    n = len(rows) - 1
+    zero = rows[0][1] * 0
+    return tuple((a if k >= 1 else zero, b,
+                  c if k + 1 <= n else zero, d if k + 2 <= n else zero)
+                 for k, (a, b, c, d) in enumerate(rows))
+
+
 @dataclass(frozen=True)
 class CriterionMatrix:
     """(n+1) x (n+1) banded matrix whose singularity is the second condition
@@ -293,12 +304,7 @@ class CriterionMatrix:
         block, with C_n, D_n and D_(n-1) now outside the square."""
         if not 0 <= n <= self.n:
             raise ValueError(f"degree {n} outside 0..{self.n}")
-        bands = list(self.bands[:n + 1])
-        zero = bands[0][1] * 0
-        bands[n] = (*bands[n][:2], zero, zero)
-        if n >= 1:
-            bands[n - 1] = (*bands[n - 1][:3], zero)
-        return CriterionMatrix(n=n, bands=tuple(bands))
+        return CriterionMatrix(n=n, bands=_square_band(self.bands[:n + 1]))
 
 
 def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
@@ -313,17 +319,12 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
     coefficients = (*eq.a3, *eq.a2, *eq.tau)
     if eq.is_numeric:
         coefficients = tuple(s.constant_value() for s in coefficients)
-    zero = coefficients[0] * 0
-    bands = []
-    for k in range(n + 1):
-        a, b, c, d = _recurrence_row(coefficients, k)
-        bands.append((a if k >= 1 else zero, b,
-                      c if k + 1 <= n else zero, d if k + 2 <= n else zero))
+    bands = _square_band([_recurrence_row(coefficients, k) for k in range(n + 1)])
     truncated_sub = _recurrence_row(coefficients, n + 1)[0]
     if truncated_sub != degree_condition(eq, n):
         raise ArithmeticError(
             "row n+1 closure does not reproduce the degree condition")
-    return CriterionMatrix(n=n, bands=tuple(bands))
+    return CriterionMatrix(n=n, bands=bands)
 
 
 def delta_determinant(eq: EquationSpec, n: int) -> UPoly:

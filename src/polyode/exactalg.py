@@ -382,7 +382,8 @@ def banded_minors(bands: Sequence[Sequence]) -> list:
     recurrence on leading principal minors implied by the band (expansion
     along the last column), so it needs only ring operations, and the minors
     lie in the ring of the entries.  A zero subdiagonal entry A_k (every row
-    of an upper-triangular band) leaves one term, B_k times the last minor.
+    of an upper-triangular band) leaves one term, B_k times the last minor,
+    and a zero D_(k-2) (every row of a tridiagonal band) drops the third.
     """
     if not bands:
         raise ValueError("empty matrix")
@@ -390,11 +391,12 @@ def banded_minors(bands: Sequence[Sequence]) -> list:
     up = up2 = (0, 0, 0, 0)  # zero rows above the matrix
     for band in bands:
         a, b = band[0], band[1]
+        det = b * dets[-1]
         if a:
-            dets.append(b * dets[-1] - a * up[2] * dets[-2]
-                        + a * up[0] * up2[3] * dets[-3])
-        else:
-            dets.append(b * dets[-1])
+            det = det - a * up[2] * dets[-2]
+            if up2[3]:
+                det = det + a * up[0] * up2[3] * dets[-3]
+        dets.append(det)
         up2, up = up, band
     return dets[3:]
 
@@ -403,28 +405,3 @@ def banded_determinant(bands: Sequence[Sequence]):
     """Determinant of a band matrix: its last leading minor
     (see ``banded_minors``)."""
     return banded_minors(bands)[-1]
-
-
-def tridiagonal_continuant(diagonal: Sequence, offdiagonal_products: Sequence):
-    """Determinant of a tridiagonal matrix from its diagonal entries and the
-    products of paired off-diagonal entries.
-
-    ``offdiagonal_products[i]`` must equal (row i+1, col i) * (row i, col i+1).
-    Only products of off-diagonal pairs enter a tridiagonal determinant, so
-    this works even when the individual factors live outside the coefficient
-    ring of the result.
-    """
-    n = len(diagonal)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if len(offdiagonal_products) != n - 1:
-        raise ValueError("need exactly n-1 off-diagonal products")
-    prev2 = None
-    prev = diagonal[0]
-    for i in range(1, n):
-        cross = offdiagonal_products[i - 1]
-        if prev2 is not None:
-            cross = cross * prev2
-        cur = diagonal[i] * prev - cross
-        prev2, prev = prev, cur
-    return prev

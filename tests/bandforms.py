@@ -1,6 +1,7 @@
 """Conversion between the criterion band and dense square matrices, so the
 dense oracles (Bareiss, Gauss-Jordan, sympy) read the same matrices as the
-band kernels."""
+band kernels; and the tridiagonal continuant, the independent oracle for
+the Coulomb constraint."""
 
 
 def dense(bands):
@@ -24,3 +25,28 @@ def bands_of(rows):
     zero = rows[0][0] * 0
     return [tuple(rows[k][j] if 0 <= j < size else zero for j in range(k - 1, k + 3))
             for k in range(size)]
+
+
+def tridiagonal_continuant(diagonal, offdiagonal_products):
+    """Determinant of a tridiagonal matrix from its diagonal entries and the
+    products of paired off-diagonal entries.
+
+    ``offdiagonal_products[i]`` must equal (row i+1, col i) * (row i, col i+1).
+    Only products of off-diagonal pairs enter a tridiagonal determinant, so
+    this works even when the individual factors live outside the coefficient
+    ring of the result.
+    """
+    n = len(diagonal)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if len(offdiagonal_products) != n - 1:
+        raise ValueError("need exactly n-1 off-diagonal products")
+    prev2 = None
+    prev = diagonal[0]
+    for i in range(1, n):
+        cross = offdiagonal_products[i - 1]
+        if prev2 is not None:
+            cross = cross * prev2
+        cur = diagonal[i] * prev - cross
+        prev2, prev = prev, cur
+    return prev

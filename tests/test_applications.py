@@ -32,6 +32,8 @@ from polyode.criteria import (
 )
 from polyode.exactalg import UPoly
 
+from bandforms import tridiagonal_continuant
+
 T = UPoly([0, 1])
 K = UPoly([0, 1])
 
@@ -116,6 +118,10 @@ def test_coulomb_problem_k():
         CoulombProblem(1, 0, 3, 0)
     with pytest.raises(ValueError):
         CoulombProblem(1, 1, 1, 0)
+    # Z <= 0 makes alpha = Z/(n+k+1) nonpositive, so e^(-alpha r) does not decay
+    for Z in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="charge Z must be positive"):
+            CoulombProblem(Z, 1, 3, 0)
 
 
 def test_coulomb_energy():
@@ -209,6 +215,33 @@ def test_coulomb_constraints_symbolic_k():
     for n, expected in COULOMB_CONSTRAINTS.items():
         got = coulomb_constraint_for_k(K, n)
         assert got == normalize_nested(expected), f"n={n}"
+
+
+def continuant_constraint(k, n):
+    """The Coulomb constraint from the closed-form tridiagonal entries of
+    the unscaled equation, in t = alpha beta: diagonal
+    -(j(j+1) + 2jk) + (2(j+1) + 2k) t, and off-diagonal products
+    -2(j-n)(j+1)(j+2+2k) t, whose continuant is reduced as the library
+    reduces its band determinant."""
+    symbolic = isinstance(k, UPoly)
+    const = UPoly.constant if symbolic else Fraction
+    diagonal = [UPoly([-(const(j * (j + 1)) + (2 * j) * k), const(2 * (j + 1)) + 2 * k])
+                for j in range(n + 1)]
+    products = [UPoly([const(0), (-2 * (j - n) * (j + 1)) * (const(j + 2) + 2 * k)])
+                for j in range(n)]
+    return applications._reduce_constraint(
+        tridiagonal_continuant(diagonal, products), symbolic)
+
+
+@pytest.mark.parametrize("k", [Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 5])
+def test_coulomb_constraint_matches_the_continuant_oracle(k):
+    for n in range(1, 21):
+        assert coulomb_constraint_for_k(k, n) == continuant_constraint(Fraction(k), n), n
+
+
+def test_coulomb_symbolic_constraint_matches_the_continuant_oracle():
+    for n in range(1, 9):
+        assert coulomb_constraint_for_k(K, n) == continuant_constraint(K, n), n
 
 
 def test_coulomb_constraint_numeric_k():

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -417,6 +419,14 @@ def test_demo_max_n_is_a_usage_error(capsys):
     assert "usage:" in err and "unrecognized arguments: --max-n 5" in err
 
 
+def test_demo_beta_is_a_usage_error(capsys):
+    # each Coulomb solution takes its own shift beta = root / alpha
+    code, report, err = run(capsys, "demo", "coulomb", "--beta", "2")
+    assert code == 1
+    assert report is None
+    assert "usage:" in err and "unrecognized arguments: --beta 2" in err
+
+
 # ---------------------------------------------------------------------------
 # heun command
 
@@ -466,6 +476,46 @@ def test_stdout_is_one_compact_json_line(eq_file, capsys):
     assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_cli_examples():
+    """The files that the heredocs of the README's ``sh`` blocks write, and
+    the arguments of every ``polyode`` line there, continuations joined and
+    any pipe dropped."""
+    with open(README, encoding="utf-8") as handle:
+        blocks = re.findall(r"```sh\n(.*?)```", handle.read(), re.S)
+    files, commands = {}, []
+    for block in blocks:
+        lines = iter(block.replace("\\\n", " ").splitlines())
+        for line in lines:
+            heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+            if heredoc:
+                body = []
+                for inner in lines:
+                    if inner == "EOF":
+                        break
+                    body.append(inner)
+                files[heredoc[1]] = "\n".join(body)
+            elif line.startswith("polyode "):
+                commands.append(shlex.split(line.split(" | ")[0], comments=True)[1:])
+    return files, commands
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    files, commands = readme_cli_examples()
+    assert sorted(files) == ["bessel.json", "krylov.json"]
+    assert len(commands) >= 12
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for argv in commands:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code in (0, 2), argv
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "EQ", "--n", "-1"],
     ["check", "EQ", "--max-n", "-1"],
@@ -473,6 +523,7 @@ def test_stdout_is_one_compact_json_line(eq_file, capsys):
     ["demo", "krylov", "--n", "-1"],
     ["demo", "krylov", "--n", "0"],
     ["demo", "coulomb", "--n", "1", "--Z", "0"],
+    ["demo", "coulomb", "--n", "1", "--Z", "-1"],
 ])
 def test_out_of_range_numbers_are_input_errors(argv, eq_file, capsys):
     argv = [eq_file(BESSEL6) if a == "EQ" else a for a in argv]
@@ -500,11 +551,17 @@ def test_malformed_equation_shapes_are_input_errors(command, text, eq_file, caps
 
 
 def test_params_scalar_shape_is_input_error(capsys):
-    params = json.dumps({"alpha": "2", "beta": "4", "gamma": "4",
-                         "delta": {"t": True}})
-    code, _, err = run(capsys, "heun", "biconfluent", "--params", params, "--n", "0")
-    assert code == 1
-    assert "polyode: error:" in err
+    # a --params scalar is an int, an exact string, or a list of those,
+    # bare or under the key "t"
+    for delta in ({"t": True}, {"t": "12"}, {"s": ["0", "1"]},
+                  {"t": ["0", "1"], "s": ["1"]}, [["1", "2"]], [{"t": ["1"]}],
+                  ["1", 0.5], None):
+        params = json.dumps({"alpha": "2", "beta": "4", "gamma": "4", "delta": delta})
+        code, report, err = run(capsys, "heun", "biconfluent", "--params", params,
+                                "--n", "0")
+        assert code == 1, delta
+        assert report is None
+        assert "polyode: error: params['delta']" in err, delta
 
 
 @pytest.mark.parametrize("argv, text", [

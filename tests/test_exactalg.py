@@ -14,10 +14,9 @@ from polyode.exactalg import (
     parse_rational,
     poly_gcd,
     squarefree_part,
-    tridiagonal_continuant,
 )
 
-from bandforms import bands_of
+from bandforms import bands_of, tridiagonal_continuant
 
 # ---------------------------------------------------------------------------
 # strategies
