@@ -7,7 +7,6 @@ the exact energy for a chosen (Z, d, l).
 """
 
 import argparse
-from fractions import Fraction
 
 from polyode.applications import (
     CoulombProblem,
@@ -15,20 +14,31 @@ from polyode.applications import (
     coulomb_constraint,
     coulomb_constraint_for_k,
     coulomb_energy,
-    coulomb_spec,
+    coulomb_system,
 )
-from polyode.criteria import build_criterion_matrix, construct_solution
-from polyode.exactalg import UPoly
+from polyode.criteria import construct_solution
+from polyode.exactalg import UPoly, parse_rational
 from polyode.solve import analyze_roots
+
+
+def rational(text: str):
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--Z", type=Fraction, default=Fraction(1))
+    parser.add_argument("--Z", type=rational, default="1")
     parser.add_argument("--d", type=int, default=3)
     parser.add_argument("--l", type=int, default=0)
     parser.add_argument("--max-n", type=int, default=4)
     args = parser.parse_args()
+    try:
+        problem = CoulombProblem(Z=args.Z, beta=1, d=args.d, l=args.l)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print("symbolic constraints in t = alpha*beta (coefficients in k):")
     for n in range(1, args.max_n + 1):
@@ -38,7 +48,6 @@ def main() -> None:
         )
         print(f"  n={n}: {terms}")
 
-    problem = CoulombProblem(Z=args.Z, beta=1, d=args.d, l=args.l)
     print(f"\nnumeric case Z={args.Z} d={args.d} l={args.l} (k={problem.k}):")
     for n in range(1, args.max_n + 1):
         alpha = coulomb_alpha(problem, n)
@@ -53,8 +62,7 @@ def main() -> None:
             if beta <= 0:
                 continue
             fixed = CoulombProblem(Z=args.Z, beta=beta, d=args.d, l=args.l)
-            eq = coulomb_spec(fixed, n)
-            sol = construct_solution(eq, build_criterion_matrix(eq, n))
+            sol = construct_solution(*coulomb_system(fixed, n))
             print(f"        beta={beta}: f(r) = {sol.polynomial().format(var='r')} "
                   f"(verified={sol.residual_is_zero})")
 

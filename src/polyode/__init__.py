@@ -23,6 +23,7 @@ from .applications import (
     coulomb_constraint_for_k,
     coulomb_energy,
     coulomb_spec,
+    coulomb_system,
     davidson_eigenvalue,
     davidson_spec,
     hyper_build,

@@ -32,6 +32,7 @@ from math import gcd, lcm
 from typing import Union
 
 from .criteria import (
+    CriterionMatrix,
     EquationSpec,
     ScalarLike,
     _recurrence_row,
@@ -119,10 +120,16 @@ def coulomb_energy(p: CoulombProblem, n: int) -> Fraction:
 
 
 def coulomb_spec(p: CoulombProblem, n: int) -> EquationSpec:
-    """Equation for the polynomial factor, with alpha = Z/(n+k+1) applied.
+    """Equation for the polynomial factor, with alpha = Z/(n+k+1) applied
+    (see ``coulomb_system``)."""
+    return coulomb_system(p, n)[0]
 
-    The criterion matrix of the result is tridiagonal; its entries are
-    checked against the closed forms
+
+def coulomb_system(p: CoulombProblem, n: int) -> tuple[EquationSpec, CriterionMatrix]:
+    """``coulomb_spec``'s equation with its degree-n criterion matrix.
+
+    The matrix is tridiagonal; its entries are checked against the closed
+    forms
         diagonal       2 alpha beta (k+j+1) - j (j+2k+1)
         subdiagonal    2 alpha (j-n-1)
         superdiagonal  -(j+1) beta (j+2k+2)
@@ -148,7 +155,7 @@ def coulomb_spec(p: CoulombProblem, n: int) -> EquationSpec:
             if matrix.entry(j, col) != value:
                 raise ArithmeticError(
                     f"Coulomb matrix entry ({j}, {col}) differs from its closed form")
-    return eq
+    return eq, matrix
 
 
 def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:

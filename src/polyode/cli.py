@@ -48,7 +48,7 @@ from .criteria import (
     embed_classical,
     verify_solution,
 )
-from .exactalg import MAX_DIGITS, UPoly, banded_minors, parse_rational
+from .exactalg import MAX_DIGITS, UPoly, parse_rational
 from .solve import DEFAULT_TOLERANCE, RootReport, analyze_roots
 
 class CliError(Exception):
@@ -149,17 +149,23 @@ def _construct_solutions(eq: EquationSpec, matrix: CriterionMatrix,
         return []
 
 
+def _with_band(eq: EquationSpec, n: int) -> tuple[EquationSpec, CriterionMatrix]:
+    """``eq`` and its degree-n criterion matrix."""
+    return eq, build_criterion_matrix(eq, n)
+
+
 def _solutions_at_roots(roots: RootReport, n: int, fix, notes: list[str]) -> list[dict]:
     """Verified degree-n solutions at each exact rational root of a
     constraint.  ``fix`` maps a root to (parameter name, parameter value,
-    numeric equation), or to None where the root admits no solution."""
+    numeric equation, its degree-n criterion matrix), or to None where the
+    root admits no solution."""
     entries = []
     for root in roots.exact_rational_roots:
         fixed = fix(root)
         if fixed is None:
             continue
-        name, value, eq = fixed
-        for sol in _construct_solutions(eq, build_criterion_matrix(eq, n), notes):
+        name, value, eq, matrix = fixed
+        for sol in _construct_solutions(eq, matrix, notes):
             entries.append({**_solution_dict(sol), name: str(value)})
     return entries
 
@@ -182,7 +188,7 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     use_aim = method in ("aim", "both")
     if use_det:
         matrix = build_criterion_matrix(eq, top)
-        minors = banded_minors(matrix.bands)
+        minors = matrix.leading_minors()
     if use_aim:
         try:
             found = aim_test_polynomial(eq, default_iteration_cap(top))
@@ -281,7 +287,8 @@ def analyze_constraints(eq: EquationSpec, n: int,
     if root_report is not None:
         report["roots"] = root_report.to_json_dict()
         report["solutions"] = _solutions_at_roots(
-            root_report, n, lambda root: (eq.unknown, root, eq.substitute(root)), notes)
+            root_report, n,
+            lambda root: (eq.unknown, root, *_with_band(eq.substitute(root), n)), notes)
     report["exists"] = exists
     report["notes"] = notes
     report["timing_seconds"] = time.monotonic() - start
@@ -472,7 +479,7 @@ def _demo_coulomb(args) -> dict:
         if root not in shifts:
             return None
         fixed = apps.CoulombProblem(Z=args.Z, beta=shifts[root], d=args.d, l=args.l)
-        return "beta", shifts[root], apps.coulomb_spec(fixed, n)
+        return "beta", shifts[root], *apps.coulomb_system(fixed, n)
 
     return _parametric_report({
         "name": "coulomb",
@@ -503,7 +510,7 @@ def _demo_krylov(args) -> dict:
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
     }, roots, args.n, lambda root: (
-        "gamma", root, apps.krylov_robnik_spec(args.alpha, beta, root)))
+        "gamma", root, *_with_band(apps.krylov_robnik_spec(args.alpha, beta, root), args.n)))
 
 
 def _demo_chhajlany(args) -> dict:
@@ -520,7 +527,7 @@ def _demo_chhajlany(args) -> dict:
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
     }, roots, args.n, lambda root: (
-        "alpha", root, apps.chhajlany_spec(args.p, 2 * args.n, root)))
+        "alpha", root, *_with_band(apps.chhajlany_spec(args.p, 2 * args.n, root), args.n)))
 
 
 def _demo_hyper(args) -> dict:

@@ -43,13 +43,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence, Union
 
 # bareiss_determinant is no longer called here; it stays bound so that
 # perfbench/tracing.py can count any call to it through this module
 from .exactalg import (  # noqa: F401
-    UPoly, as_rational, banded_determinant, bareiss_determinant, parse_rational)
+    UPoly, as_rational, banded_minors, bareiss_determinant, parse_rational)
 
 ScalarLike = Union[int, str, Fraction, UPoly, Sequence]
 
@@ -278,6 +279,19 @@ def _square_band(rows: Sequence[tuple]) -> tuple[tuple, ...]:
                  for k, (a, b, c, d) in enumerate(rows))
 
 
+def _integers(values: Sequence) -> tuple[int, list[int]]:
+    """(D, D * values): rationals (ints or Fractions) times the least common
+    denominator D of them all, which makes every one an integer."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _integer_equation(eq: EquationSpec) -> tuple[int, list[int]]:
+    """(D, D a30, ..., D t11) for a numeric equation: multiplied by D, the
+    equation has integer coefficients and still the same solutions."""
+    return _integers(eq._numeric((*eq.a3, *eq.a2, *eq.tau)))
+
+
 @dataclass(frozen=True)
 class CriterionMatrix:
     """(n+1) x (n+1) banded matrix whose singularity is the second condition
@@ -285,18 +299,27 @@ class CriterionMatrix:
 
     ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2,
     the only columns where it can be nonzero; the entries of A_0, C_n, D_n
-    and D_(n-1) fall outside the square and are zero.  Entries are Fractions
-    for a numeric equation and degree <= 1 polynomials in t otherwise.
+    and D_(n-1) fall outside the square and are zero.  For a numeric
+    equation the bands are ints: the rows of the equation multiplied by
+    ``scale``, the least common denominator D of its nine coefficients.  The
+    scaled equation has the same solutions and its matrix the same
+    nullspace; the matrix itself is the band divided by D, which ``entry``
+    and ``leading_minors`` undo.  For an equation with an unknown the
+    entries are degree <= 1 polynomials in t and ``scale`` is 1.
     """
 
     n: int
     bands: tuple[tuple, ...]
+    scale: int = 1
 
     def entry(self, k: int, j: int):
+        """Entry (k, j) of the criterion matrix: a Fraction for a numeric
+        equation (the band entry over ``scale``), else a polynomial in t."""
         if not (0 <= k <= self.n and 0 <= j <= self.n):
             raise IndexError(f"entry ({k}, {j}) outside the order-{self.n + 1} matrix")
         band = self.bands[k]
-        return band[j - k + 1] if k - 1 <= j <= k + 2 else band[1] * 0
+        value = band[j - k + 1] if k - 1 <= j <= k + 2 else band[1] * 0
+        return Fraction(value, self.scale) if isinstance(value, int) else value
 
     def leading(self, n: int) -> "CriterionMatrix":
         """The degree-n criterion matrix, for 0 <= n <= self.n: no band entry
@@ -304,34 +327,52 @@ class CriterionMatrix:
         block, with C_n, D_n and D_(n-1) now outside the square."""
         if not 0 <= n <= self.n:
             raise ValueError(f"degree {n} outside 0..{self.n}")
-        return CriterionMatrix(n=n, bands=_square_band(self.bands[:n + 1]))
+        return CriterionMatrix(n=n, bands=_square_band(self.bands[:n + 1]),
+                               scale=self.scale)
+
+    def leading_minors(self) -> list:
+        """Leading principal minors of orders 1..n+1 of the criterion matrix,
+        so entry n is the degree-n determinant.  They are the running minors
+        of the band (``banded_minors``); the order-m minor of the band is
+        scale^m times the matrix's own, and is divided back."""
+        minors = banded_minors(self.bands)
+        if self.scale == 1:
+            return minors
+        unscaled = []
+        power = 1
+        for minor in minors:
+            power *= self.scale
+            unscaled.append(Fraction(minor, power))
+        return unscaled
 
 
 def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
-    """Assemble the band of rows k = 0..n of the coefficient recurrence.
+    """Assemble the band of rows k = 0..n of the coefficient recurrence; for
+    a numeric equation, of the equation scaled to integer coefficients (see
+    ``CriterionMatrix``).
 
     The suppressed row k = n+1 would multiply c_n by exactly the degree
-    condition polynomial; that closure is checked on every build and a
-    mismatch raises ``ArithmeticError``.
+    condition polynomial (times the scale); that closure is checked on every
+    build and a mismatch raises ``ArithmeticError``.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    coefficients = (*eq.a3, *eq.a2, *eq.tau)
+    scale, coefficients = 1, (*eq.a3, *eq.a2, *eq.tau)
     if eq.is_numeric:
-        coefficients = tuple(s.constant_value() for s in coefficients)
+        scale, coefficients = _integer_equation(eq)
     bands = _square_band([_recurrence_row(coefficients, k) for k in range(n + 1)])
     truncated_sub = _recurrence_row(coefficients, n + 1)[0]
-    if truncated_sub != degree_condition(eq, n):
+    if truncated_sub != scale * degree_condition(eq, n):
         raise ArithmeticError(
             "row n+1 closure does not reproduce the degree condition")
-    return CriterionMatrix(n=n, bands=bands)
+    return CriterionMatrix(n=n, bands=bands, scale=scale)
 
 
 def delta_determinant(eq: EquationSpec, n: int) -> UPoly:
     """Exact determinant of the degree-n criterion matrix, as a polynomial in
     the unknown parameter (a constant when the equation is numeric), by the
     O(n) leading-minor recurrence of its band."""
-    det = banded_determinant(build_criterion_matrix(eq, n).bands)
+    det = build_criterion_matrix(eq, n).leading_minors()[-1]
     return UPoly.constant(det) if eq.is_numeric else det
 
 
@@ -343,7 +384,7 @@ class PolySolution:
     """Exact polynomial solution: a primitive integer coefficient vector
     c_0..c_N with positive leading entry and a residual certificate."""
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]
     reported_degree: int
     residual_is_zero: bool
 
@@ -351,18 +392,17 @@ class PolySolution:
         return UPoly(self.coefficients)
 
 
-def primitive_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def primitive_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers with the highest
     order nonzero entry positive."""
     nonzero = [c for c in vec if c]
     if not nonzero:
         raise ValueError("zero vector has no primitive form")
     num = gcd(*(c.numerator for c in nonzero))
-    den = lcm(*(c.denominator for c in nonzero))
-    scale = Fraction(den, num)
     if nonzero[-1] < 0:
-        scale = -scale
-    return tuple(c * scale for c in vec)
+        num = -num
+    den = lcm(*(c.denominator for c in nonzero))
+    return tuple(c.numerator * (den // c.denominator) // num for c in vec)
 
 
 def band_nullspace(bands: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -380,45 +420,62 @@ def band_nullspace(bands: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     upper-triangular matrix, a zero diagonal, a zero row) need no special
     case.  The rows leading at column j all come from rows 0..j+1, which end
     by column j+3, so every update touches at most four entries.
+
+    The elimination is fraction-free (Bareiss 1968), on ints: each row is
+    scaled to integers as it enters, which keeps its nullspace; an updated
+    row is pivot[0] * row - row[0] * pivot divided by its content; and each
+    basis vector is back-substituted as integers over the common
+    denominator at its free column, which the last step divides out.
     """
     size = len(bands)
-    waiting: dict[int, list[list[Fraction]]] = {}
+    waiting: dict[int, list[list[int]]] = {}
 
-    def enqueue(start: int, entries: list[Fraction]) -> None:
+    def enqueue(start: int, entries: list[int]) -> None:
         for offset, value in enumerate(entries):
             if value:
                 waiting.setdefault(start + offset, []).append(entries[offset:])
                 return
 
-    pivot_rows: dict[int, list[Fraction]] = {}
+    pivot_rows: dict[int, list[int]] = {}
     fed = 0
     for col in range(size):
         while fed < size and fed - 1 <= col:
-            enqueue(max(fed - 1, 0), list(bands[fed][max(1 - fed, 0):size - fed + 1]))
+            _, row = _integers(bands[fed][max(1 - fed, 0):size - fed + 1])
+            enqueue(max(fed - 1, 0), row)
             fed += 1
         candidates = waiting.pop(col, None)
         if candidates is None:
             continue
         pivot, *others = candidates
+        lead = pivot[0]
         for row in others:
-            factor = row[0] / pivot[0]
-            reduced = row[1:] + [Fraction(0)] * (len(pivot) - len(row))
-            for i, value in enumerate(pivot[1:]):
-                reduced[i] -= factor * value
+            factor = row[0]
+            reduced = [lead * a - factor * b
+                       for a, b in zip_longest(row[1:], pivot[1:], fillvalue=0)]
+            content = gcd(*reduced)
+            if content > 1:
+                reduced = [value // content for value in reduced]
             enqueue(col + 1, reduced)
         pivot_rows[col] = pivot
     basis = []
     for free in range(size):
         if free in pivot_rows:
             continue
-        vec = [Fraction(0)] * size
-        vec[free] = Fraction(1)
+        vec = [0] * size
+        vec[free] = 1
         for col in range(free - 1, -1, -1):
             pivot = pivot_rows.get(col)
-            if pivot is not None:
-                total = sum(pivot[i] * vec[col + i] for i in range(1, len(pivot)))
-                vec[col] = -total / pivot[0]
-        basis.append(vec)
+            if pivot is None:
+                continue
+            total = sum(pivot[i] * vec[col + i] for i in range(1, len(pivot)))
+            if total:
+                common = gcd(total, pivot[0])
+                multiplier = pivot[0] // common
+                if multiplier != 1:
+                    for i in range(col + 1, free + 1):
+                        vec[i] *= multiplier
+                vec[col] = -total // common
+        basis.append([Fraction(value, vec[free]) for value in vec])
     return basis
 
 
@@ -462,14 +519,22 @@ def rational_nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction
 def verify_solution(eq: EquationSpec, coefficients: Sequence[Fraction]) -> bool:
     """Substitute y = sum c_k x^k into the equation and test the residual
     for identical vanishing.  Exact, and independent of how the coefficients
-    were produced."""
-    y = UPoly(coefficients)
-    residual = (
-        eq.p3() * y.derivative().derivative()
-        + eq.p2() * y.derivative()
-        - eq.p1() * y
-    )
-    return not residual
+    were produced: it reads the equation, never its band.  The equation and
+    y are each scaled to integers by the lcm of their denominators, which
+    leaves the residual's vanishing unchanged, so the residual is a list of
+    ints."""
+    _, (a30, a31, a32, a33, a20, a21, a22, t10, t11) = _integer_equation(eq)
+    _, y = _integers(coefficients)
+    y1 = [k * c for k, c in enumerate(y)][1:]
+    y2 = [k * c for k, c in enumerate(y1)][1:]
+    residual = [0] * (len(y) + 1)
+    for factors, series in (((a33, a32, a31, a30), y2), ((a22, a21, a20), y1),
+                            ((-t11, -t10), y)):
+        for shift, factor in enumerate(factors):
+            if factor:
+                for power, c in enumerate(series, start=shift):
+                    residual[power] += factor * c
+    return not any(residual)
 
 
 def construct_solution(eq: EquationSpec, matrix: CriterionMatrix) -> PolySolution:

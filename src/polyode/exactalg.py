@@ -341,13 +341,26 @@ def squarefree_part(p: UPoly) -> UPoly:
     return p / g
 
 
+def _exact_quotient(value, divisor):
+    """value / divisor in the ring of the entries, where it must be exact:
+    an int stays an int (a remainder raises ``ArithmeticError``), and
+    Fractions and polynomials divide as themselves."""
+    if isinstance(value, int) and isinstance(divisor, int):
+        quotient, remainder = divmod(value, divisor)
+        if remainder:
+            raise ArithmeticError(f"{value} is not divisible by {divisor}")
+        return quotient
+    return value / divisor
+
+
 def bareiss_determinant(rows: Sequence[Sequence]) -> UPoly:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Every intermediate division is exact in the entry ring, so the result is
-    exact for polynomial entries without any rational-function arithmetic.
-    Row swaps are tracked with a sign flip; a fully zero pivot column short
-    circuits to the zero result.
+    exact for integer or polynomial entries without any rational or
+    rational-function arithmetic; integer entries give an int.  Row swaps
+    are tracked with a sign flip; a fully zero pivot column short circuits
+    to the zero result.
     """
     n = len(rows)
     if n == 0:
@@ -367,7 +380,7 @@ def bareiss_determinant(rows: Sequence[Sequence]) -> UPoly:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
+                a[i][j] = _exact_quotient(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det if sign > 0 else -det

@@ -1,7 +1,10 @@
 """Conversion between the criterion band and dense square matrices, so the
 dense oracles (Bareiss, Gauss-Jordan, sympy) read the same matrices as the
-band kernels; and the tridiagonal continuant, the independent oracle for
-the Coulomb constraint."""
+band kernels; the tridiagonal continuant, the independent oracle for the
+Coulomb constraint; and the rational residual, the independent oracle for
+the integer residual certificate."""
+
+from polyode.exactalg import UPoly
 
 
 def dense(bands):
@@ -16,6 +19,21 @@ def dense(bands):
             if 0 <= j < size:
                 rows[k][j] = value
     return rows
+
+
+def entries(matrix):
+    """Dense rows of a ``CriterionMatrix`` itself, read through ``entry``:
+    for a numeric equation its rational entries, not the integer band of
+    the scaled equation."""
+    size = matrix.n + 1
+    return [[matrix.entry(k, j) for j in range(size)] for k in range(size)]
+
+
+def residual(eq, coefficients):
+    """P3 y'' + P2 y' - P1 y for y = sum c_k x^k, as a polynomial over the
+    rationals, from the equation's own coefficients."""
+    y = UPoly(coefficients)
+    return eq.p3() * y.derivative().derivative() + eq.p2() * y.derivative() - eq.p1() * y
 
 
 def bands_of(rows):

@@ -137,7 +137,8 @@ def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
         matrix = build_criterion_matrix(eq, n)
         bands = [list(band) for band in matrix.bands]
         bands[0][1] = bands[0][1] + 1  # B_0, the entry at (0, 0)
-        return CriterionMatrix(n=matrix.n, bands=tuple(map(tuple, bands)))
+        return CriterionMatrix(n=matrix.n, bands=tuple(map(tuple, bands)),
+                               scale=matrix.scale)
 
     monkeypatch.setattr(applications, "build_criterion_matrix", tampered)
     with pytest.raises(ArithmeticError, match="closed form"):

@@ -25,7 +25,7 @@ from polyode.criteria import (
 )
 from polyode.exactalg import bareiss_determinant
 
-from bandforms import dense
+from bandforms import entries
 
 BESSEL6 = json.dumps(
     {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0", "6"]}
@@ -125,7 +125,8 @@ def check_sweep(equation: dict, max_n: int, method: str):
 def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: str):
     """Every degree of one ``check --max-n`` pass against oracles run for
     that degree alone: AIM to the degree's own cap, the Bareiss determinant
-    of the dense degree-n matrix and its Gauss-Jordan nullspace."""
+    of the dense degree-n matrix (its rational entries) and its Gauss-Jordan
+    nullspace."""
     code, report, _ = check_sweep(equation, max_n, method)
     eq = EquationSpec.from_json_dict(equation)
     assert [entry["n"] for entry in report["sweep"]] == list(range(max_n + 1))
@@ -142,7 +143,7 @@ def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: 
         if method == "aim":
             assert "determinant" not in entry
         else:
-            rows = dense(build_criterion_matrix(eq, n).bands)
+            rows = entries(build_criterion_matrix(eq, n))
             det = bareiss_determinant(rows)
             assert entry["determinant"] == {
                 "coefficients": [str(det)] if det else [], "is_zero": det == 0}
@@ -160,10 +161,11 @@ def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: 
 
 
 coefficient = st.integers(-3, 3)
+rational_coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
 @st.composite
-def cubic_equations(draw):
+def cubic_equations(draw, coefficient=coefficient):
     """Random equations with a nonzero y'' coefficient; half of them meet
     the degree condition at some degree, so solutions get constructed."""
     a3 = draw(st.tuples(*[coefficient] * 4).filter(any))
@@ -188,6 +190,41 @@ BESSEL_DEGREE_6 = {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0
 @example(BESSEL_DEGREE_6, 8, "aim")
 def test_sweep_matches_per_degree_oracles(equation, max_n, method):
     assert_sweep_matches_per_degree_oracles(equation, max_n, method)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cubic_equations(rational_coefficient), st.integers(0, 5),
+       st.sampled_from(["both", "determinant"]))
+@example({"a3": ["0", "1/2", "0", "0"], "a2": ["0", "1", "1/3"], "tau": ["0", "5/6"]},
+         4, "determinant")  # D = 6
+@example({"a3": ["1/4", "0", "-2/7", "1"], "a2": ["3/5", "1", "0"], "tau": ["-1/2", "9"]},
+         4, "determinant")  # D = 140
+def test_sweep_of_rational_equations_matches_per_degree_oracles(equation, max_n, method):
+    # unlike denominators: the band is the integer band of the equation
+    # times D, and the reported minors must be the unscaled ones
+    assert_sweep_matches_per_degree_oracles(equation, max_n, method)
+
+
+def test_demo_coulomb_builds_each_band_once(monkeypatch, capsys):
+    builds = []
+
+    def counting(build):
+        def wrapper(eq, n):
+            builds.append(n)
+            return build(eq, n)
+        return wrapper
+
+    from polyode import applications, cli
+    for module in (applications, cli):
+        monkeypatch.setattr(module, "build_criterion_matrix",
+                            counting(module.build_criterion_matrix))
+    code, report, _ = run(capsys, "demo", "coulomb", "--Z", "1", "--d", "3",
+                          "--l", "0", "--n", "1")
+    assert code == 0 and report["solutions"][0]["verified"]
+    # one admissible shift, one band: its closed-form check and its
+    # solution read the same build
+    assert report["beta_values"] == ["2"]
+    assert builds == [1]
 
 
 def test_sweep_reports_no_index_below_the_degrees_cap():

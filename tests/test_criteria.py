@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -36,7 +37,7 @@ from polyode.criteria import (
 from polyode.exactalg import (
     MAX_DIGITS, UPoly, banded_determinant, banded_minors, bareiss_determinant)
 
-from bandforms import bands_of, dense
+from bandforms import bands_of, dense, entries, residual
 
 T = UPoly([0, 1])  # the unknown parameter
 
@@ -228,6 +229,40 @@ def test_matrix_n0():
         m.entry(0, 1)
 
 
+SCALED_EQUATIONS = [
+    davidson_eq(Fraction(1, 3), Fraction(2, 3) + 3 + 8),  # D = 3
+    krylov_eq(Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)),  # D = 12
+    chhajlany_eq(Fraction(-3, 5), 6, Fraction(1, 7)),  # D = 35
+    bessel_eq(Fraction(6)),  # D = 1
+]
+
+
+@pytest.mark.parametrize("eq", SCALED_EQUATIONS)
+def test_numeric_band_is_the_integer_band_of_the_scaled_equation(eq):
+    scale = lcm(*(s.constant_value().denominator for s in (*eq.a3, *eq.a2, *eq.tau)))
+    matrix = build_criterion_matrix(eq, 6)
+    assert matrix.scale == scale
+    assert all(type(v) is int for band in matrix.bands for v in band)
+    assert dense(matrix.bands) == [[scale * v for v in row] for row in entries(matrix)]
+    for k in range(7):
+        for j, value in enumerate(row_entries(eq, k), start=k - 1):
+            if 0 <= j <= 6:
+                assert value == matrix.entry(k, j)
+    assert matrix.leading(3).scale == scale
+    assert matrix.leading(3).bands == build_criterion_matrix(eq, 3).bands
+
+
+@pytest.mark.parametrize("eq", SCALED_EQUATIONS)
+def test_leading_minors_are_the_unscaled_minors(eq):
+    matrix = build_criterion_matrix(eq, 6)
+    rows = entries(matrix)
+    expected = [bareiss_determinant([row[:m] for row in rows[:m]]) for m in range(1, 8)]
+    assert matrix.leading_minors() == expected
+    assert matrix.leading(4).leading_minors() == expected[:5]
+    for n in range(7):
+        assert delta_determinant(eq, n) == UPoly.constant(expected[n])
+
+
 def test_truncation_closure_symbolically():
     eq = krylov_eq(3, T, 1)
     for n in range(7):
@@ -240,6 +275,22 @@ def test_broken_closure_raises_even_without_asserts(monkeypatch):
     monkeypatch.setattr(criteria, "degree_condition", lambda eq, n: UPoly([1]))
     with pytest.raises(ArithmeticError, match="closure"):
         build_criterion_matrix(krylov_eq(1, 4, 9), 2)
+
+
+def test_broken_closure_row_raises_for_a_scaled_equation(monkeypatch):
+    # D = 6 here; a wrong A_(n+1) must not pass as D times the degree condition
+    eq = krylov_eq(Fraction(1, 2), Fraction(-5, 3), 2)
+    n = 2
+    assert build_criterion_matrix(eq, n).scale == 6
+    original = criteria._recurrence_row
+
+    def broken(coefficients, k):
+        a, b, c, d = original(coefficients, k)
+        return (a + 1 if k == n + 1 else a), b, c, d
+
+    monkeypatch.setattr(criteria, "_recurrence_row", broken)
+    with pytest.raises(ArithmeticError, match="closure"):
+        build_criterion_matrix(eq, n)
 
 
 def test_library_has_no_assert_statements():
@@ -484,6 +535,30 @@ def test_verify_solution_matches_pointwise_samples(data):
     assert verify_solution(eq, list(y.coeffs)) == pointwise_zero
 
 
+wide_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*(wide_fractions for _ in range(9))),
+       st.lists(wide_fractions, max_size=8), st.booleans())
+def test_integer_residual_agrees_with_the_rational_residual(values, coeffs, solve):
+    a3, a2, tau = values[:4], values[4:7], values[7:]
+    if not any(a3) and not any(a2):
+        return
+    eq = EquationSpec(a3=a3, a2=a2, tau=tau)
+    if solve:
+        # a nullspace vector where the degree condition holds, so that
+        # true verdicts occur as well as false ones
+        n = len(coeffs)
+        eq = EquationSpec(a3=a3, a2=a2, tau=(n * (n - 1) * a3[0] + n * a2[0], tau[1]))
+        basis = rational_nullspace(entries(build_criterion_matrix(eq, n)))
+        if len(basis) == 1:
+            coeffs = basis[0]
+    assert verify_solution(eq, coeffs) == (not residual(eq, coeffs))
+    assert verify_solution(eq, [int(c) if c.denominator == 1 else c for c in coeffs]) \
+        == (not residual(eq, coeffs))
+
+
 # ---------------------------------------------------------------------------
 # matrix band structure on random symbolic equations
 
@@ -626,7 +701,7 @@ def test_oracle_equivalence_random_instances():
         eq = EquationSpec(**eq_fields)
         det = delta_determinant(eq, n)
         matrix = build_criterion_matrix(eq, n)
-        rows = dense(matrix.bands)
+        rows = entries(matrix)
         nullity = len(rational_nullspace(rows))
         assert (det == 0) == (nullity >= 1), (eq, n)
         seen += 1
@@ -674,6 +749,27 @@ def test_band_nullspace_upper_triangular_and_zero_diagonal():
 @given(band_matrices())
 def test_band_nullspace_equals_gauss_jordan(rows):
     assert band_nullspace(bands_of(rows)) == rational_nullspace(rows)
+
+
+row_scales = st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(band_matrices(), st.data())
+def test_band_nullspace_of_rational_rows_with_nullity_two(rows, data):
+    # two zero rows force nullity >= 2; scaling each other row by its own
+    # rational gives rows of unlike denominators, and entries that are a mix
+    # of ints and Fractions, which the elimination brings to integers
+    size = len(rows)
+    if size < 2:
+        return
+    zeroed = data.draw(st.sets(st.integers(0, size - 1), min_size=2, max_size=2))
+    for k in range(size):
+        scale = 0 if k in zeroed else data.draw(row_scales)
+        rows[k] = [int(w) if w.denominator == 1 else w for w in (v * scale for v in rows[k])]
+    basis = band_nullspace(bands_of(rows))
+    assert len(basis) >= 2
+    assert basis == rational_nullspace(rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -758,7 +854,7 @@ def test_library_string_input_keeps_the_digit_limit(build):
 
 def assert_construct_matches_oracle(eq, n):
     matrix = build_criterion_matrix(eq, n)
-    rows = dense(matrix.bands)
+    rows = entries(matrix)
     expected = [primitive_vector(v) for v in rational_nullspace(rows)]
     if not expected:
         with pytest.raises(NoNullspaceError):

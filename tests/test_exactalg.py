@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyode import exactalg
 from polyode.exactalg import (
     MAX_DIGITS,
     NEG_INFINITY,
@@ -212,6 +213,38 @@ def test_bareiss_matches_cofactor_on_5x5():
             for _ in range(5)
         ]
         assert bareiss_determinant(rows) == cofactor_determinant(rows)
+
+
+def test_bareiss_keeps_integer_entries_integers():
+    assert bareiss_determinant([[1, 2], [3, 4]]) == -2
+    assert type(bareiss_determinant([[1, 2], [3, 4]])) is int
+    assert type(bareiss_determinant([[0, 1], [0, 2]])) is int
+
+
+def test_bareiss_is_exact_past_float_precision():
+    # a float quotient would round this to 1e+51
+    big = 10 ** 17 + 1
+    rows = [[big, 1, 0], [1, big, 1], [0, 1, big]]
+    det = bareiss_determinant(rows)
+    assert det == big ** 3 - 2 * big
+    assert type(det) is int
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_bareiss_on_integers_matches_the_fraction_result(rows):
+    det = bareiss_determinant(rows)
+    assert type(det) is int
+    assert det == bareiss_determinant([[Fraction(v) for v in row] for row in rows])
+    assert det == cofactor_determinant(rows)
+
+
+def test_inexact_integer_quotient_raises():
+    assert exactalg._exact_quotient(-12, 4) == -3
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        exactalg._exact_quotient(7, 2)
 
 
 def test_banded_determinant_matches_bareiss():
