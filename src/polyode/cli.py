@@ -48,8 +48,17 @@ from .criteria import (
     embed_classical,
     verify_solution,
 )
-from .exactalg import MAX_DIGITS, UPoly, parse_rational
+from .exactalg import MAX_DIGITS, UPoly, format_polynomial, parse_rational
 from .solve import DEFAULT_TOLERANCE, RootReport, analyze_roots
+
+
+#: Largest value of ``--n`` and ``--max-n``, in every command.  Exact cost
+#: grows steeply with the degree: at 30 the slowest small-integer inputs
+#: measured (``check --max-n 30`` on a dense cubic, ``constraints --n 30``,
+#: ``demo davidson --n 30``, whose degree is 60) take 3 to 4 s on one 2.1 GHz
+#: Xeon vCPU under Python 3.11, and ``check --max-n 40`` takes about 10 s.
+MAX_DEGREE = 30
+
 
 class CliError(Exception):
     """Input problem; maps to exit code 1."""
@@ -133,7 +142,7 @@ def _solution_dict(sol: PolySolution) -> dict:
         "coefficients": [str(c) for c in sol.coefficients],
         "degree": sol.reported_degree,
         "verified": sol.residual_is_zero,
-        "polynomial": sol.polynomial().format(),
+        "polynomial": format_polynomial(sol.coefficients),
     }
 
 
@@ -215,7 +224,7 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
         if use_det:
             det = minors[n]
             report["determinant"] = {
-                "coefficients": UPoly.constant(det).to_strings(),
+                "coefficients": [str(det)] if det else [],
                 "is_zero": not det,
             }
             if cond_holds and not det:
@@ -623,9 +632,13 @@ def _check_ranges(args) -> None:
     """Range checks that the argument types leave to the commands."""
     for name in ("n", "max_n"):
         value = getattr(args, name, None)
-        if value is not None and value < 0:
-            flag = name.replace("_", "-")
+        if value is None:
+            continue
+        flag = name.replace("_", "-")
+        if value < 0:
             raise CliError(f"--{flag} must be nonnegative, got {value}")
+        if value > MAX_DEGREE:
+            raise CliError(f"--{flag} is at most {MAX_DEGREE}, got {value}")
     if args.tolerance <= 0:
         raise CliError(f"--tolerance must be positive, got {args.tolerance}")
 

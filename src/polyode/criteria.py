@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence, Union
@@ -116,9 +117,19 @@ class EquationSpec:
         if not any(self.a3) and not any(self.a2):
             raise ValueError("equation has no second-order or first-order part")
 
-    @property
+    # the two views below are computed once per equation, on first use; the
+    # equation is immutable, so they never go stale
+
+    @cached_property
     def is_numeric(self) -> bool:
         return all(s.is_constant for s in (*self.a3, *self.a2, *self.tau))
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(D, (D a30, ..., D t11)) for a numeric equation, D the least common
+        denominator of its nine coefficients: multiplied by D, the equation
+        has integer coefficients and still the same solutions."""
+        return _integers(self._numeric((*self.a3, *self.a2, *self.tau)))
 
     def _numeric(self, which) -> list[Fraction]:
         if not self.is_numeric:
@@ -279,17 +290,11 @@ def _square_band(rows: Sequence[tuple]) -> tuple[tuple, ...]:
                  for k, (a, b, c, d) in enumerate(rows))
 
 
-def _integers(values: Sequence) -> tuple[int, list[int]]:
+def _integers(values: Sequence) -> tuple[int, tuple[int, ...]]:
     """(D, D * values): rationals (ints or Fractions) times the least common
     denominator D of them all, which makes every one an integer."""
     scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _integer_equation(eq: EquationSpec) -> tuple[int, list[int]]:
-    """(D, D a30, ..., D t11) for a numeric equation: multiplied by D, the
-    equation has integer coefficients and still the same solutions."""
-    return _integers(eq._numeric((*eq.a3, *eq.a2, *eq.tau)))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 @dataclass(frozen=True)
@@ -300,12 +305,14 @@ class CriterionMatrix:
     ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2,
     the only columns where it can be nonzero; the entries of A_0, C_n, D_n
     and D_(n-1) fall outside the square and are zero.  For a numeric
-    equation the bands are ints: the rows of the equation multiplied by
-    ``scale``, the least common denominator D of its nine coefficients.  The
-    scaled equation has the same solutions and its matrix the same
-    nullspace; the matrix itself is the band divided by D, which ``entry``
-    and ``leading_minors`` undo.  For an equation with an unknown the
-    entries are degree <= 1 polynomials in t and ``scale`` is 1.
+    equation every band entry is an int: the rows of the equation
+    multiplied by ``scale``, the least common denominator D of its nine
+    coefficients (``EquationSpec.integer_form``).  The scaled equation has
+    the same solutions and its matrix the same nullspace, so
+    ``band_nullspace`` takes the int bands as they are; the matrix itself
+    is the band divided by D, which ``entry`` and ``leading_minors`` undo.
+    For an equation with an unknown the entries are degree <= 1 polynomials
+    in t and ``scale`` is 1.
     """
 
     n: int
@@ -359,7 +366,7 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
         raise ValueError("degree must be nonnegative")
     scale, coefficients = 1, (*eq.a3, *eq.a2, *eq.tau)
     if eq.is_numeric:
-        scale, coefficients = _integer_equation(eq)
+        scale, coefficients = eq.integer_form
     bands = _square_band([_recurrence_row(coefficients, k) for k in range(n + 1)])
     truncated_sub = _recurrence_row(coefficients, n + 1)[0]
     if truncated_sub != scale * degree_condition(eq, n):
@@ -392,28 +399,17 @@ class PolySolution:
         return UPoly(self.coefficients)
 
 
-def primitive_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers with the highest
-    order nonzero entry positive."""
-    nonzero = [c for c in vec if c]
-    if not nonzero:
-        raise ValueError("zero vector has no primitive form")
-    num = gcd(*(c.numerator for c in nonzero))
-    if nonzero[-1] < 0:
-        num = -num
-    den = lcm(*(c.denominator for c in nonzero))
-    return tuple(c.numerator * (den // c.denominator) // num for c in vec)
-
-
-def band_nullspace(bands: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the nullspace of a square rational matrix with the criterion
+def band_nullspace(bands: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of the nullspace of a square integer matrix with the criterion
     band, by exact row-echelon band elimination and back-substitution.
 
     ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2, as
-    in ``CriterionMatrix.bands``; entries outside the square are ignored.
-    The basis is the reduced-echelon one: vector f has 1 at the f-th free
-    column and 0 at every other free column, so it equals the Gauss-Jordan
-    basis of ``rational_nullspace`` entry for entry.
+    in ``CriterionMatrix.bands`` of a numeric equation, and every entry is
+    an int; entries outside the square are ignored.  The basis is the
+    reduced-echelon one, each vector as a primitive integer vector: vector f
+    is nonzero at the f-th free column, its last nonzero entry, which is
+    positive, and 0 at every other free column.  Divided by that entry it
+    equals the Gauss-Jordan basis of ``rational_nullspace`` entry for entry.
 
     A row enters elimination at the column where its band starts and waits
     under its actual leading column, so zero leading entries (an
@@ -421,27 +417,27 @@ def band_nullspace(bands: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     case.  The rows leading at column j all come from rows 0..j+1, which end
     by column j+3, so every update touches at most four entries.
 
-    The elimination is fraction-free (Bareiss 1968), on ints: each row is
-    scaled to integers as it enters, which keeps its nullspace; an updated
-    row is pivot[0] * row - row[0] * pivot divided by its content; and each
-    basis vector is back-substituted as integers over the common
-    denominator at its free column, which the last step divides out.
+    The elimination is fraction-free (Bareiss 1968): an updated row is
+    pivot[0] * row - row[0] * pivot divided by its content.  Each basis
+    vector is back-substituted as integers over the common denominator at
+    its free column, and stays primitive throughout: a step that scales it
+    by m = pivot[0] / g, g = gcd(total, pivot[0]), writes the new entry
+    -total / g, which is coprime to m.  Only its sign is left to fix.
     """
     size = len(bands)
-    waiting: dict[int, list[list[int]]] = {}
+    waiting: dict[int, list[Sequence[int]]] = {}
 
-    def enqueue(start: int, entries: list[int]) -> None:
+    def enqueue(start: int, entries: Sequence[int]) -> None:
         for offset, value in enumerate(entries):
             if value:
                 waiting.setdefault(start + offset, []).append(entries[offset:])
                 return
 
-    pivot_rows: dict[int, list[int]] = {}
+    pivot_rows: dict[int, Sequence[int]] = {}
     fed = 0
     for col in range(size):
         while fed < size and fed - 1 <= col:
-            _, row = _integers(bands[fed][max(1 - fed, 0):size - fed + 1])
-            enqueue(max(fed - 1, 0), row)
+            enqueue(max(fed - 1, 0), bands[fed][max(1 - fed, 0):size - fed + 1])
             fed += 1
         candidates = waiting.pop(col, None)
         if candidates is None:
@@ -475,7 +471,7 @@ def band_nullspace(bands: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
                     for i in range(col + 1, free + 1):
                         vec[i] *= multiplier
                 vec[col] = -total // common
-        basis.append([Fraction(value, vec[free]) for value in vec])
+        basis.append(vec if vec[free] > 0 else [-value for value in vec])
     return basis
 
 
@@ -523,7 +519,7 @@ def verify_solution(eq: EquationSpec, coefficients: Sequence[Fraction]) -> bool:
     y are each scaled to integers by the lcm of their denominators, which
     leaves the residual's vanishing unchanged, so the residual is a list of
     ints."""
-    _, (a30, a31, a32, a33, a20, a21, a22, t10, t11) = _integer_equation(eq)
+    _, (a30, a31, a32, a33, a20, a21, a22, t10, t11) = eq.integer_form
     _, y = _integers(coefficients)
     y1 = [k * c for k, c in enumerate(y)][1:]
     y2 = [k * c for k, c in enumerate(y1)][1:]
@@ -556,7 +552,7 @@ def construct_solution(eq: EquationSpec, matrix: CriterionMatrix) -> PolySolutio
         )
 
     def finish(vec) -> PolySolution:
-        coeffs = primitive_vector(vec)
+        coeffs = tuple(vec)
         top = max(i for i, c in enumerate(coeffs) if c)
         verified = verify_solution(eq, coeffs)
         if not verified:

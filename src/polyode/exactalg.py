@@ -17,6 +17,7 @@ of immutable values, so all types here are safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -39,6 +40,15 @@ class NotDivisibleError(ArithmeticError):
     """Exact polynomial division was requested but the remainder is nonzero."""
 
 
+#: An integer or a "p/q" in plain ASCII digits, the common case, which
+#: ``parse_rational`` reads without ``Fraction``'s general parser.
+_PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def _too_long(text: str) -> ValueError:
+    return ValueError(f"a rational exceeds {MAX_DIGITS} digits: {text[:40]!r}")
+
+
 def parse_rational(text) -> Fraction:
     """The exact rational a string spells: "p/q", a decimal, or exponent
     notation.  Anything else, a zero denominator, or a numerator or
@@ -46,13 +56,21 @@ def parse_rational(text) -> Fraction:
     bounded from the text before the value is built."""
     if not isinstance(text, str):
         raise ValueError(f"not an exact rational: {text!r}")
+    plain = _PLAIN_RATIONAL.fullmatch(text)
+    if plain is not None:
+        sign, numerator, denominator = plain.groups("1")  # "p" is "p/1"
+        if max(len(numerator), len(denominator)) > MAX_DIGITS:
+            raise _too_long(text)
+        if not denominator.strip("0"):
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(sign + numerator), int(denominator))
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, decimals = mantissa.partition(".")
     digits = [sum(c.isdigit() for c in part) for part in (*whole.split("/"), decimals)]
     shift = int(exponent or 0)  # raises ValueError on a malformed exponent
     if max(*digits, digits[0] + digits[-1] + max(shift, 0),
            digits[-1] - min(shift, 0) + 1) > MAX_DIGITS:
-        raise ValueError(f"a rational exceeds {MAX_DIGITS} digits: {text[:40]!r}")
+        raise _too_long(text)
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
@@ -295,32 +313,38 @@ class UPoly:
 
     def format(self, var: str = "x") -> str:
         """Human-readable rendering, highest power first."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if isinstance(c, UPoly):
-                body = f"({c.format(var='k')})"
-                sign = "+"
-            else:
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
-                body = "" if (mag == 1 and i > 0) else str(mag)
-            if i == 0:
-                term = body or "1"
-            elif i == 1:
-                term = f"{body}*{var}" if body else var
-            else:
-                term = f"{body}*{var}^{i}" if body else f"{var}^{i}"
-            parts.append((sign, term))
-        first_sign, first_term = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
+        return format_polynomial(self.coeffs, var)
+
+
+def format_polynomial(coefficients: Sequence, var: str = "x") -> str:
+    """Human-readable rendering of the polynomial with the given ascending
+    coefficients (ints, Fractions or ``UPoly``), highest power first."""
+    parts = []
+    for i in range(len(coefficients) - 1, -1, -1):
+        c = coefficients[i]
+        if not c:
+            continue
+        if isinstance(c, UPoly):
+            body = f"({c.format(var='k')})"
+            sign = "+"
+        else:
+            sign = "-" if c < 0 else "+"
+            mag = abs(c)
+            body = "" if (mag == 1 and i > 0) else str(mag)
+        if i == 0:
+            term = body or "1"
+        elif i == 1:
+            term = f"{body}*{var}" if body else var
+        else:
+            term = f"{body}*{var}^{i}" if body else f"{var}^{i}"
+        parts.append((sign, term))
+    if not parts:
+        return "0"
+    first_sign, first_term = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_term
+    for sign, term in parts[1:]:
+        text += f" {sign} {term}"
+    return text
 
 
 def poly_gcd(p: UPoly, q: UPoly) -> UPoly:

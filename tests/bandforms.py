@@ -1,8 +1,12 @@
 """Conversion between the criterion band and dense square matrices, so the
 dense oracles (Bareiss, Gauss-Jordan, sympy) read the same matrices as the
 band kernels; the tridiagonal continuant, the independent oracle for the
-Coulomb constraint; and the rational residual, the independent oracle for
-the integer residual certificate."""
+Coulomb constraint; the rational residual, the independent oracle for the
+integer residual certificate; and the primitive form of a rational vector,
+which turns the Gauss-Jordan nullspace into the integer basis that
+``band_nullspace`` returns."""
+
+from math import gcd, lcm
 
 from polyode.exactalg import UPoly
 
@@ -68,3 +72,27 @@ def tridiagonal_continuant(diagonal, offdiagonal_products):
         cur = diagonal[i] * prev - cross
         prev2, prev = prev, cur
     return prev
+
+
+def primitive_vector(vec):
+    """Scale a nonzero rational vector to coprime integers with the highest
+    order nonzero entry positive."""
+    nonzero = [c for c in vec if c]
+    if not nonzero:
+        raise ValueError("zero vector has no primitive form")
+    num = gcd(*(c.numerator for c in nonzero))
+    if nonzero[-1] < 0:
+        num = -num
+    den = lcm(*(c.denominator for c in nonzero))
+    return tuple(c.numerator * (den // c.denominator) // num for c in vec)
+
+
+def integer_rows(rows):
+    """Each row of a rational matrix times the least common denominator of
+    its entries, as ints: the matrix that ``band_nullspace`` takes, with the
+    same nullspace."""
+    out = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        out.append([int(v * scale) for v in row])
+    return out

@@ -15,17 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyode.aim import aim_test_polynomial, default_iteration_cap
-from polyode.cli import build_parser, main
+from polyode.cli import MAX_DEGREE, build_parser, main
 from polyode.criteria import (
     EquationSpec,
     build_criterion_matrix,
-    primitive_vector,
     rational_nullspace,
     verify_solution,
 )
 from polyode.exactalg import bareiss_determinant
 
-from bandforms import entries
+from bandforms import entries, primitive_vector
 
 BESSEL6 = json.dumps(
     {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0", "6"]}
@@ -568,6 +567,39 @@ def test_out_of_range_numbers_are_input_errors(argv, eq_file, capsys):
     assert code == 1
     assert report is None
     assert "polyode: error:" in err and "Traceback" not in err
+
+
+def test_the_degree_ceiling_covers_every_documented_degree():
+    # degree 25 is the largest that the tests, the benchmark workloads and
+    # the README ask of the command line
+    assert MAX_DEGREE >= 25
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "EQ", "--n"],
+    ["check", "EQ", "--max-n"],
+    ["constraints", "KRYLOV", "--n"],
+    ["demo", "davidson", "--n"],
+    ["demo", "coulomb", "--n"],
+    ["heun", "confluent", "--params",
+     '{"alpha": 1, "beta": 0, "gamma": 0, "mu": 0, "nu": -1}', "--n"],
+])
+def test_degrees_above_the_ceiling_are_input_errors(argv, eq_file, capsys):
+    files = {"EQ": BESSEL6, "KRYLOV": KRYLOV_GAMMA_UNKNOWN}
+    argv = [eq_file(files[a]) if a in files else a for a in argv]
+    code, report, err = run(capsys, *argv, str(MAX_DEGREE + 1))
+    assert code == 1
+    assert report is None
+    assert f"is at most {MAX_DEGREE}, got {MAX_DEGREE + 1}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--max-n"])
+def test_the_ceiling_itself_is_accepted(flag, eq_file, capsys):
+    code, report, _ = run(capsys, "check", eq_file(BESSEL6), flag, str(MAX_DEGREE),
+                          "--method", "determinant")
+    assert code == (0 if flag == "--max-n" else 2)
+    assert report is not None
 
 
 @pytest.mark.parametrize("command, text", [

@@ -3,7 +3,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -29,7 +29,6 @@ from polyode.criteria import (
     delta_determinant,
     embed_classical,
     necessary_condition_general,
-    primitive_vector,
     rational_nullspace,
     row_entries,
     verify_solution,
@@ -37,7 +36,8 @@ from polyode.criteria import (
 from polyode.exactalg import (
     MAX_DIGITS, UPoly, banded_determinant, banded_minors, bareiss_determinant)
 
-from bandforms import bands_of, dense, entries, residual
+from bandforms import (
+    bands_of, dense, entries, integer_rows, primitive_vector, residual)
 
 T = UPoly([0, 1])  # the unknown parameter
 
@@ -734,21 +734,37 @@ def band_matrices(draw, max_size=9):
     return rows
 
 
+def gauss_jordan_form(basis):
+    """The integer basis of ``band_nullspace`` as rationals, each vector
+    divided by its entry at its free column, its last nonzero entry: the
+    form in which ``rational_nullspace`` returns the same basis.  Every
+    vector must be a primitive int vector with that entry positive."""
+    out = []
+    for vec in basis:
+        assert all(type(v) is int for v in vec)
+        free = max(i for i, v in enumerate(vec) if v)
+        assert vec[free] > 0 and gcd(*vec) == 1
+        out.append([Fraction(v, vec[free]) for v in vec])
+    return out
+
+
 def test_band_nullspace_upper_triangular_and_zero_diagonal():
     # Bessel at the wrong degree: upper triangular, one zero on the diagonal
     bands = build_criterion_matrix(bessel_eq(2), 3).bands
-    assert band_nullspace(bands) == rational_nullspace(dense(bands))
+    assert gauss_jordan_form(band_nullspace(bands)) == rational_nullspace(dense(bands))
     # Davidson at degree 2: zero diagonal, the pivots sit off it
     bands = build_criterion_matrix(davidson_eq(0, 7), 2).bands
     rows = dense(bands)
     assert rows[0][0] == rows[1][1] == rows[2][2] == 0
-    assert band_nullspace(bands) == rational_nullspace(rows)
+    assert band_nullspace(bands) == [[-3, 0, 2]]
+    assert gauss_jordan_form(band_nullspace(bands)) == rational_nullspace(rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(band_matrices())
 def test_band_nullspace_equals_gauss_jordan(rows):
-    assert band_nullspace(bands_of(rows)) == rational_nullspace(rows)
+    basis = band_nullspace(bands_of(integer_rows(rows)))
+    assert gauss_jordan_form(basis) == rational_nullspace(rows)
 
 
 row_scales = st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(bool)
@@ -758,24 +774,24 @@ row_scales = st.fractions(min_value=-50, max_value=50, max_denominator=60).filte
 @given(band_matrices(), st.data())
 def test_band_nullspace_of_rational_rows_with_nullity_two(rows, data):
     # two zero rows force nullity >= 2; scaling each other row by its own
-    # rational gives rows of unlike denominators, and entries that are a mix
-    # of ints and Fractions, which the elimination brings to integers
+    # rational gives rows of unlike denominators, so the integer rows the
+    # elimination takes differ widely in size from row to row
     size = len(rows)
     if size < 2:
         return
     zeroed = data.draw(st.sets(st.integers(0, size - 1), min_size=2, max_size=2))
     for k in range(size):
         scale = 0 if k in zeroed else data.draw(row_scales)
-        rows[k] = [int(w) if w.denominator == 1 else w for w in (v * scale for v in rows[k])]
-    basis = band_nullspace(bands_of(rows))
+        rows[k] = [v * scale for v in rows[k]]
+    basis = band_nullspace(bands_of(integer_rows(rows)))
     assert len(basis) >= 2
-    assert basis == rational_nullspace(rows)
+    assert gauss_jordan_form(basis) == rational_nullspace(rows)
 
 
 @settings(max_examples=80, deadline=None)
 @given(band_matrices())
 def test_band_nullspace_spans_the_sympy_nullspace(rows):
-    basis = band_nullspace(bands_of(rows))
+    basis = band_nullspace(bands_of(integer_rows(rows)))
     matrix = sympy.Matrix(rows)
     reference = matrix.nullspace()
     assert len(basis) == len(reference)
@@ -792,7 +808,8 @@ def test_band_nullspace_spans_the_sympy_nullspace(rows):
 def test_band_determinant_vanishes_exactly_with_the_nullspace(rows):
     bands = bands_of(rows)
     assert dense(bands) == rows
-    assert (banded_determinant(bands) == 0) == bool(band_nullspace(bands))
+    nullspace = band_nullspace(bands_of(integer_rows(rows)))
+    assert (banded_determinant(bands) == 0) == bool(nullspace)
 
 
 def without_subdiagonal(rows):

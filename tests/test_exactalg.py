@@ -1,3 +1,5 @@
+import contextlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -406,4 +408,123 @@ def test_parse_rational_accepts_up_to_the_digit_limit(text, value):
 ])
 def test_parse_rational_rejects_malformed_and_oversized_text(text):
     with pytest.raises(ValueError):
+        parse_rational(text)
+
+
+# ---------------------------------------------------------------------------
+# parse_rational against its general path
+
+def parse_rational_oracle(text) -> Fraction:
+    """``parse_rational`` without its fast path for plain ASCII "p" and
+    "p/q": every string takes the general parse, digit bound included."""
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact rational: {text!r}")
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    digits = [sum(c.isdigit() for c in part) for part in (*whole.split("/"), decimals)]
+    shift = int(exponent or 0)
+    if max(*digits, digits[0] + digits[-1] + max(shift, 0),
+           digits[-1] - min(shift, 0) + 1) > MAX_DIGITS:
+        raise ValueError(f"a rational exceeds {MAX_DIGITS} digits: {text[:40]!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def parse_outcome(parse, text):
+    """The value ``parse`` returns for ``text``, or ValueError if it raises
+    one; any other exception propagates."""
+    try:
+        value = parse(text)
+    except ValueError:
+        return ValueError
+    assert type(value) is Fraction
+    return value
+
+
+# non-ASCII digits (Arabic-Indic, Devanagari, fullwidth, ...), which
+# ``Fraction`` reads as digits, and look-alike signs
+OTHER_DIGITS = "٠٣۵०৭੦௯๒０９"
+rational_soup = st.text(alphabet="0123456789" + "0123456789" + "+-/._eE \t\n"
+                        + OTHER_DIGITS + "−", max_size=14)
+
+
+@st.composite
+def rational_like(draw):
+    """Strings close to the plain "p" and "p/q" forms: signs, leading zeros,
+    whitespace, underscores, non-ASCII digits, zero denominators, decimals
+    and exponents."""
+    digits = st.text(alphabet="0123456789", min_size=1, max_size=6)
+    text = draw(st.sampled_from(["", "-", "+", "--", "-+", " -", "−"]))
+    text += "0" * draw(st.integers(0, 3)) + draw(digits)
+    tail = draw(st.sampled_from(["", "/", "/0", "/00", "/-", ".", "e", "e-", "_"]))
+    if tail:
+        text += tail + draw(st.sampled_from(["", "0", "00"])) + draw(
+            st.one_of(st.just(""), digits))
+    if draw(st.booleans()):
+        position = draw(st.integers(0, len(text)))
+        text = (text[:position] + draw(st.sampled_from([" ", "\n", "_", "٣", "０"]))
+                + text[position:])
+    return text
+
+
+@st.composite
+def rationals_at_the_digit_limit(draw):
+    """A numerator and maybe a denominator of MAX_DIGITS - 1, MAX_DIGITS or
+    MAX_DIGITS + 1 digits, leading zeros counted."""
+    def part():
+        size = draw(st.sampled_from([MAX_DIGITS - 1, MAX_DIGITS, MAX_DIGITS + 1]))
+        zeros = draw(st.sampled_from([0, 1, size]))
+        return "0" * zeros + draw(st.sampled_from("123456789")) * (size - zeros)
+
+    text = draw(st.sampled_from(["", "-", "+"])) + part()
+    if draw(st.booleans()):
+        text += "/" + (part() if draw(st.booleans())
+                       else draw(st.sampled_from(["1", "7", "0"])))
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(rational_soup, rational_like()))
+def test_parse_rational_agrees_with_the_general_parse(text):
+    assert parse_outcome(parse_rational, text) == parse_outcome(parse_rational_oracle, text)
+
+
+@contextlib.contextmanager
+def unlimited_int_strings():
+    """Lift the interpreter's own limit on int <-> str conversion, so that
+    only the parser's bound can reject a number past MAX_DIGITS digits."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals_at_the_digit_limit())
+def test_parse_rational_agrees_with_the_general_parse_at_the_digit_limit(text):
+    with unlimited_int_strings():
+        assert (parse_outcome(parse_rational, text)
+                == parse_outcome(parse_rational_oracle, text))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-0", Fraction(0)),
+    ("007/014", Fraction(1, 2)),
+    ("-12/8", Fraction(-3, 2)),
+    ("0" * MAX_DIGITS, Fraction(0)),
+    ("-" + "1" * MAX_DIGITS, -Fraction("1" * MAX_DIGITS)),
+])
+def test_parse_rational_reads_plain_text_exactly(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1/000", "0/0", "-7/0", "0" * (MAX_DIGITS + 1), "-1/" + "0" * MAX_DIGITS + "1",
+])
+def test_parse_rational_rejects_plain_text_out_of_bounds(text):
+    with unlimited_int_strings(), pytest.raises(ValueError):
         parse_rational(text)

@@ -1,0 +1,99 @@
+"""Golden outputs: fixed command lines whose JSON report (without
+``timing_seconds``) and exit code must not change.
+
+The cases cover the kinds of band the numeric path meets (upper-triangular,
+zero diagonal, nonzero subdiagonal, rational coefficients, nullity two)
+and the parametric reports.  Each case's expected output is a file under
+``tests/golden``; after a deliberate change of output, rewrite them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from polyode.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+BESSEL_24 = {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0", "600"]}
+# Davidson at mu = 1/4, degree 6: a zero diagonal, and D = 2
+DAVIDSON_QUARTER = {"a3": ["0", "0", "1", "0"], "a2": ["-2", "0", "5/2"],
+                    "tau": ["-12", "0"]}
+# Euler equation x^2 y'' - 3 x y' + 3 y = 0: solutions x and x^3
+EULER_1_3 = {"a3": ["0", "1", "0", "0"], "a2": ["0", "-3", "0"], "tau": ["0", "-3"]}
+DENSE_CUBIC = {"a3": ["3", "-2", "5", "1"], "a2": ["-4", "7", "2"], "tau": ["-2", "3"]}
+# the dense cubic with t11 = t, the degree condition holding at n = 2, and
+# a22 = a33 = 0, which makes t = 0 a rational root
+PARAMETRIC_CUBIC = {"a3": ["3", "-2", "5", "0"], "a2": ["-4", "7", "0"],
+                    "tau": ["-2", {"t": ["0", "1"]}], "unknown": "t"}
+HEUN_GENERAL = json.dumps({"a": 2, "alpha": -3, "beta": 1, "gamma": 0,
+                           "delta": 1, "epsilon": -2, "q": 0})
+HEUN_GENERAL_Q = json.dumps({"a": 2, "alpha": -3, "beta": 1, "gamma": 1,
+                             "delta": 1, "epsilon": -3, "q": {"t": ["0", "1"]}})
+
+# name -> (argv, equation written to the file that "{file}" stands for)
+CASES = {
+    "bessel-n24": (["check", "{file}", "--n", "24"], BESSEL_24),
+    "bessel-n24-wrong-degree": (
+        ["check", "{file}", "--n", "23", "--method", "determinant"], BESSEL_24),
+    "davidson-zero-diagonal": (
+        ["check", "{file}", "--n", "6", "--method", "determinant"], DAVIDSON_QUARTER),
+    "demo-davidson": (["demo", "davidson", "--mu", "1/2", "--n", "3"], None),
+    "heun-general": (["heun", "general", "--params", HEUN_GENERAL, "--n", "3"], None),
+    "heun-general-q": (["heun", "general", "--params", HEUN_GENERAL_Q, "--n", "3"], None),
+    "nullity-two-whole-basis": (["check", "{file}", "--n", "3"], EULER_1_3),
+    "sweep-dense-cubic": (["check", "{file}", "--max-n", "5"], DENSE_CUBIC),
+    "constraints-rational-roots": (["constraints", "{file}", "--n", "2"], PARAMETRIC_CUBIC),
+    "demo-krylov": (["demo", "krylov", "--alpha", "1", "--n", "4"], None),
+    "demo-chhajlany": (["demo", "chhajlany", "--p", "2", "--n", "3"], None),
+    "demo-coulomb": (["demo", "coulomb", "--Z", "1", "--d", "3", "--l", "0", "--n", "3"],
+                     None),
+    "demo-bessel": (["demo", "bessel", "--n", "5"], None),
+    "demo-hyper": (["demo", "hyper", "--m", "1", "--n", "2", "--l", "2"], None),
+}
+
+
+def without_timing(value):
+    if isinstance(value, dict):
+        return {k: without_timing(v) for k, v in value.items() if k != "timing_seconds"}
+    if isinstance(value, list):
+        return [without_timing(v) for v in value]
+    return value
+
+
+def run_case(name: str, directory: pathlib.Path) -> dict:
+    argv, equation = CASES[name]
+    if equation is not None:
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(equation))
+        argv = [str(path) if a == "{file}" else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--json"])
+    return {"exit_code": code, "report": without_timing(json.loads(out.getvalue()))}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_the_golden_file(name, tmp_path):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert run_case(name, tmp_path) == expected
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        for case in sorted(CASES):
+            result = run_case(case, pathlib.Path(scratch))
+            (GOLDEN / f"{case}.json").write_text(json.dumps(result, indent=1) + "\n")
+            print(case, result["exit_code"], file=sys.stderr)
