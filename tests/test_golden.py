@@ -32,6 +32,10 @@ DENSE_CUBIC = {"a3": ["3", "-2", "5", "1"], "a2": ["-4", "7", "2"], "tau": ["-2"
 # a22 = a33 = 0, which makes t = 0 a rational root
 PARAMETRIC_CUBIC = {"a3": ["3", "-2", "5", "0"], "a2": ["-4", "7", "0"],
                     "tau": ["-2", {"t": ["0", "1"]}], "unknown": "t"}
+# determinant (t - 1)^2 at n = 1: the root report takes the repeated-root
+# branch, where the square-free part differs from the constraint
+REPEATED_ROOT = {"a3": ["0", "1", "0", "0"], "a2": ["1", "2", "1"],
+                 "tau": ["1", {"t": ["0", "1"]}], "unknown": "t"}
 HEUN_GENERAL = json.dumps({"a": 2, "alpha": -3, "beta": 1, "gamma": 0,
                            "delta": 1, "epsilon": -2, "q": 0})
 HEUN_GENERAL_Q = json.dumps({"a": 2, "alpha": -3, "beta": 1, "gamma": 1,
@@ -50,6 +54,7 @@ CASES = {
     "nullity-two-whole-basis": (["check", "{file}", "--n", "3"], EULER_1_3),
     "sweep-dense-cubic": (["check", "{file}", "--max-n", "5"], DENSE_CUBIC),
     "constraints-rational-roots": (["constraints", "{file}", "--n", "2"], PARAMETRIC_CUBIC),
+    "constraints-repeated-root": (["constraints", "{file}", "--n", "1"], REPEATED_ROOT),
     "demo-krylov": (["demo", "krylov", "--alpha", "1", "--n", "4"], None),
     "demo-chhajlany": (["demo", "chhajlany", "--p", "2", "--n", "3"], None),
     "demo-coulomb": (["demo", "coulomb", "--Z", "1", "--d", "3", "--l", "0", "--n", "3"],
