@@ -35,6 +35,7 @@ from .criteria import (
     CriterionMatrix,
     EquationSpec,
     ScalarLike,
+    _integer_linear,
     _recurrence_row,
     _square_band,
     as_scalar,
@@ -165,10 +166,13 @@ def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
     k symbolically; coefficients of the result are then polynomials in k).
     With s = r/beta the Coulomb equation loses Z and beta:
         s(s+1) f'' + (-2t s^2 + 2(k+1-t) s + 2(k+1)) f' + (2nt s - 2t(k+1)) f = 0,
-    and the constraint is the determinant of its criterion band, whose
-    entries are polynomials in t over Q or Q[k].  That determinant always
-    carries the inadmissible root t = 0 and a k-dependent constant factor;
-    both are stripped so the result is the primitive constraint polynomial.
+    and the constraint is the determinant of its criterion band.  For a
+    rational k the band is scaled into Z[t], as ``build_criterion_matrix``
+    scales a parametric equation; for a symbolic k its entries are
+    polynomials in t over Q[k].  That determinant always carries the
+    inadmissible root t = 0 and a k-dependent constant factor (and, in
+    Z[t], a power of the scale); both are stripped so the result is the
+    primitive constraint polynomial.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -181,13 +185,15 @@ def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
         k = Fraction(k)
         const = int  # integers mix with Fractions, and cost less
     k1 = 2 * (k + const(1))
-    # the nine coefficients a30..a33, a20..a22, t10, t11 are c + s t; the
-    # recurrence is linear in them, so row j is row_j(c) + row_j(s) t
+    # the nine coefficients a30..a33, a20..a22, t10, t11 are c + s t
     constant = (*map(const, (0, 1, 1, 0, 0)), k1, k1, const(0), const(0))
     slope = (*map(const, (0, 0, 0, 0, -2, -2, 0, -2 * n)), k1)
-    rows = [tuple(map(UPoly, zip(_recurrence_row(constant, j),
-                                 _recurrence_row(slope, j))))
-            for j in range(n + 1)]
+    pairs = list(zip(constant, slope))
+    if symbolic:
+        coefficients = tuple(map(UPoly, pairs))
+    else:
+        _, coefficients = _integer_linear(pairs)
+    rows = [_recurrence_row(coefficients, j) for j in range(n + 1)]
     return _reduce_constraint(banded_determinant(_square_band(rows)), symbolic)
 
 
@@ -197,7 +203,11 @@ def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:
     return coulomb_constraint_for_k(p.k, n)
 
 
-def _reduce_constraint(det: UPoly, symbolic: bool) -> UPoly:
+def _reduce_constraint(det, symbolic: bool) -> UPoly:
+    """The primitive constraint polynomial from a Coulomb band determinant
+    (a UPoly, or its ``_IntPoly`` in Z[t]): the factor t^j and the content
+    (in k, for a symbolic k) are stripped, and the leading coefficient is
+    made positive."""
     coeffs = list(det.coeffs)
     low = 0
     while low < len(coeffs) and not coeffs[low]:

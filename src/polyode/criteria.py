@@ -125,11 +125,16 @@ class EquationSpec:
         return all(s.is_constant for s in (*self.a3, *self.a2, *self.tau))
 
     @cached_property
-    def integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """(D, (D a30, ..., D t11)) for a numeric equation, D the least common
-        denominator of its nine coefficients: multiplied by D, the equation
-        has integer coefficients and still the same solutions."""
-        return _integers(self._numeric((*self.a3, *self.a2, *self.tau)))
+    def integer_form(self) -> tuple[int, tuple]:
+        """(D, (D a30, ..., D t11)), D the least common denominator of the
+        rationals in the nine coefficients (c0 and c1 of each c0 + c1 t):
+        multiplied by D, the equation has integer coefficients and still the
+        same solutions.  For a numeric equation the nine are ints, for a
+        parametric one polynomials in t over Z (``_IntPoly``)."""
+        scalars = (*self.a3, *self.a2, *self.tau)
+        if self.is_numeric:
+            return _integers([s.constant_value() for s in scalars])
+        return _integer_linear([(s.coefficient(0), s.coefficient(1)) for s in scalars])
 
     def _numeric(self, which) -> list[Fraction]:
         if not self.is_numeric:
@@ -218,12 +223,19 @@ class EquationSpec:
 # ---------------------------------------------------------------------------
 # degree condition
 
+def _degree_condition(coefficients: Sequence, n: int):
+    """t10 - n(n-1) a30 - n a20 from the nine coefficients a30..a33,
+    a20..a22, t10, t11, in the ring of those coefficients."""
+    a30, _, _, _, a20, _, _, t10, _ = coefficients
+    return t10 - n * (n - 1) * a30 - n * a20
+
+
 def degree_condition(eq: EquationSpec, n: int) -> UPoly:
     """t10 - n(n-1) a30 - n a20, zero exactly when a degree-n solution can
     close its leading coefficient."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return eq.tau[0] - n * (n - 1) * eq.a3[0] - n * eq.a2[0]
+    return _degree_condition((*eq.a3, *eq.a2, *eq.tau), n)
 
 
 def degree_condition_effective(eq: EquationSpec, n: int) -> tuple[int, UPoly]:
@@ -297,6 +309,80 @@ def _integers(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
+class _IntPoly:
+    """A polynomial in the unknown t with int coefficients, ascending and
+    without trailing zeros: an entry of a parametric band scaled into Z[t].
+
+    It has just what ``_recurrence_row``, ``_square_band`` and
+    ``banded_minors`` use: +, -, * (by an int or another ``_IntPoly``) and
+    truthiness; and value equality, so that two criterion matrices compare
+    by their entries."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[int]) -> None:
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _IntPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other: "_IntPoly") -> "_IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _IntPoly(out)
+
+    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+        a, b = self.coeffs, other.coeffs
+        out = [*a, *[0] * (len(b) - len(a))]
+        for i, c in enumerate(b):
+            out[i] -= c
+        return _IntPoly(out)
+
+    def __mul__(self, other) -> "_IntPoly":
+        if isinstance(other, int):
+            return _IntPoly([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _IntPoly(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _IntPoly(out)
+
+    __rmul__ = __mul__
+
+
+def _integer_linear(pairs: Sequence[tuple]) -> tuple[int, tuple[_IntPoly, ...]]:
+    """(D, D * scalars) for scalars c0 + c1 t given as pairs (c0, c1) of
+    rationals, D the least common denominator of all of them: each scaled
+    scalar is an ``_IntPoly``."""
+    scale, flat = _integers([c for pair in pairs for c in pair])
+    return scale, tuple(_IntPoly(flat[i:i + 2]) for i in range(0, len(flat), 2))
+
+
+def _unscale(value, divisor: int):
+    """A band value (an int or an ``_IntPoly``) divided by the positive
+    ``divisor``: a Fraction, or a UPoly in t with Fraction coefficients."""
+    if isinstance(value, _IntPoly):
+        return UPoly(Fraction(c, divisor) for c in value.coeffs)
+    return Fraction(value, divisor)
+
+
 @dataclass(frozen=True)
 class CriterionMatrix:
     """(n+1) x (n+1) banded matrix whose singularity is the second condition
@@ -304,15 +390,15 @@ class CriterionMatrix:
 
     ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2,
     the only columns where it can be nonzero; the entries of A_0, C_n, D_n
-    and D_(n-1) fall outside the square and are zero.  For a numeric
-    equation every band entry is an int: the rows of the equation
-    multiplied by ``scale``, the least common denominator D of its nine
-    coefficients (``EquationSpec.integer_form``).  The scaled equation has
-    the same solutions and its matrix the same nullspace, so
-    ``band_nullspace`` takes the int bands as they are; the matrix itself
-    is the band divided by D, which ``entry`` and ``leading_minors`` undo.
-    For an equation with an unknown the entries are degree <= 1 polynomials
-    in t and ``scale`` is 1.
+    and D_(n-1) fall outside the square and are zero.  The band is the
+    recurrence of the equation multiplied by ``scale``, the least common
+    denominator D of the rationals in its nine coefficients
+    (``EquationSpec.integer_form``), so its entries are integral: ints for
+    a numeric equation, degree <= 1 polynomials in t over Z (``_IntPoly``)
+    for an equation with an unknown.  The scaled equation has the same
+    solutions and its matrix the same nullspace, so ``band_nullspace``
+    takes the int bands as they are; the matrix itself is the band divided
+    by D, which ``entry`` and ``leading_minors`` undo.
     """
 
     n: int
@@ -320,13 +406,13 @@ class CriterionMatrix:
     scale: int = 1
 
     def entry(self, k: int, j: int):
-        """Entry (k, j) of the criterion matrix: a Fraction for a numeric
-        equation (the band entry over ``scale``), else a polynomial in t."""
+        """Entry (k, j) of the criterion matrix, the band entry over
+        ``scale``: a Fraction for a numeric equation, else a UPoly in t."""
         if not (0 <= k <= self.n and 0 <= j <= self.n):
             raise IndexError(f"entry ({k}, {j}) outside the order-{self.n + 1} matrix")
         band = self.bands[k]
         value = band[j - k + 1] if k - 1 <= j <= k + 2 else band[1] * 0
-        return Fraction(value, self.scale) if isinstance(value, int) else value
+        return _unscale(value, self.scale)
 
     def leading(self, n: int) -> "CriterionMatrix":
         """The degree-n criterion matrix, for 0 <= n <= self.n: no band entry
@@ -339,37 +425,38 @@ class CriterionMatrix:
 
     def leading_minors(self) -> list:
         """Leading principal minors of orders 1..n+1 of the criterion matrix,
-        so entry n is the degree-n determinant.  They are the running minors
-        of the band (``banded_minors``); the order-m minor of the band is
-        scale^m times the matrix's own, and is divided back."""
+        so entry n is the degree-n determinant: rationals for a numeric
+        equation, UPolys in t otherwise.  They are the running minors of
+        the band (``banded_minors``), computed in Z or Z[t]; the order-m
+        minor of the band is scale^m times the matrix's own, and is divided
+        back.  It need not be divisible by scale^m, since the matrix's
+        entries are rationals."""
         minors = banded_minors(self.bands)
-        if self.scale == 1:
+        if self.scale == 1 and not isinstance(minors[0], _IntPoly):
             return minors
         unscaled = []
         power = 1
         for minor in minors:
             power *= self.scale
-            unscaled.append(Fraction(minor, power))
+            unscaled.append(_unscale(minor, power))
         return unscaled
 
 
 def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
-    """Assemble the band of rows k = 0..n of the coefficient recurrence; for
-    a numeric equation, of the equation scaled to integer coefficients (see
-    ``CriterionMatrix``).
+    """Assemble the band of rows k = 0..n of the coefficient recurrence of
+    the equation scaled to integer coefficients (see ``CriterionMatrix``).
 
     The suppressed row k = n+1 would multiply c_n by exactly the degree
-    condition polynomial (times the scale); that closure is checked on every
-    build and a mismatch raises ``ArithmeticError``.
+    condition times the scale, which is the degree condition of the scaled
+    coefficients; that closure is checked on every build, in Z or Z[t], and
+    a mismatch raises ``ArithmeticError``.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    scale, coefficients = 1, (*eq.a3, *eq.a2, *eq.tau)
-    if eq.is_numeric:
-        scale, coefficients = eq.integer_form
+    scale, coefficients = eq.integer_form
     bands = _square_band([_recurrence_row(coefficients, k) for k in range(n + 1)])
     truncated_sub = _recurrence_row(coefficients, n + 1)[0]
-    if truncated_sub != scale * degree_condition(eq, n):
+    if truncated_sub != _degree_condition(coefficients, n):
         raise ArithmeticError(
             "row n+1 closure does not reproduce the degree condition")
     return CriterionMatrix(n=n, bands=bands, scale=scale)
@@ -519,6 +606,8 @@ def verify_solution(eq: EquationSpec, coefficients: Sequence[Fraction]) -> bool:
     y are each scaled to integers by the lcm of their denominators, which
     leaves the residual's vanishing unchanged, so the residual is a list of
     ints."""
+    if not eq.is_numeric:
+        raise ValueError("equation carries an unknown parameter")
     _, (a30, a31, a32, a33, a20, a21, a22, t10, t11) = eq.integer_form
     _, y = _integers(coefficients)
     y1 = [k * c for k, c in enumerate(y)][1:]

@@ -2,21 +2,28 @@
 
 The workflow is Sturm-chain counting plus interval bisection, so every step
 is exact; floating point appears only in the final refined output values.
-Each Sturm chain is computed once per polynomial and kept as primitive
-integer coefficient lists (scaling by the positive content keeps every
-sign), and every sign test is homogenised integer Horner: for x = a/b with
-b > 0 the sign of f(x) is the sign of sum c_i a^i b^(d-i).  Complex roots
-are out of scope; their number is reported as the square-free degree minus
-the count of distinct real roots.
+Each polynomial gets one Sturm remainder sequence, computed in Z[x] as a
+primitive pseudo-remainder sequence (Collins 1967; Brown & Traub 1971):
+every remainder is scaled by a positive integer and divided by its positive
+content, which keeps every sign.  Its last element is gcd(p, p'), and the
+sequence divided through by it is the Sturm sequence of the square-free
+part, so no Euclid over the rationals runs.  Every sign test is
+homogenised integer Horner: for x = a/b with b > 0 the sign of f(x) is the
+sign of sum c_i a^i b^(d-i).  Complex roots are out of scope; their number
+is reported as the square-free degree minus the count of distinct real
+roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
-from .exactalg import UPoly, squarefree_part
+# squarefree_part is no longer called here; it stays bound so that
+# perfbench/tracing.py can count any call to it through this module
+from .exactalg import UPoly, squarefree_part  # noqa: F401
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_RANGE = Fraction(10**6)
@@ -57,23 +64,11 @@ class RootReport:
         }
 
 
-def sturm_chain(p: UPoly) -> list[UPoly]:
-    """Sturm sequence p, p', then negated remainders until termination.
-
-    Remainders are rescaled by their (positive) content to tame coefficient
-    growth; positive scaling preserves every sign and hence all counts.
-    """
-    if not p:
-        raise ZeroPolynomialError("zero polynomial")
-    chain = [p]
-    if len(p.coeffs) > 1:
-        chain.append(p.derivative())
-        while chain[-1]:
-            rem = -(chain[-2] % chain[-1])
-            if not rem:
-                break
-            chain.append(rem / rem.content())
-    return chain
+def _primitive(f: Sequence[int]) -> IntPoly:
+    """f over its positive content: coprime ints, and the sign of f at
+    every point."""
+    content = gcd(*f)
+    return tuple(c // content for c in f) if content > 1 else tuple(f)
 
 
 def _integer_form(f: UPoly) -> IntPoly:
@@ -83,8 +78,95 @@ def _integer_form(f: UPoly) -> IntPoly:
     return tuple((c / content).numerator for c in f.coeffs)
 
 
-def _integer_chain(chain: Sequence[UPoly]) -> list[IntPoly]:
-    return [_integer_form(f) for f in chain]
+def _negated_remainder(f: IntPoly, g: IntPoly) -> IntPoly:
+    """-(f mod g) as a primitive integer polynomial, () when g divides f.
+
+    A sign-safe pseudo-remainder: each step scales the running remainder by
+    |lc(g)| (or not at all when lc(g) divides its leading coefficient), so
+    the result is a positive multiple of the rational remainder and keeps
+    every sign that a Sturm count reads."""
+    rem = list(f)
+    lead = g[-1]
+    scale = abs(lead)
+    top_g = len(g) - 1
+    while len(rem) > top_g:
+        top = rem[-1]
+        shift = len(rem) - 1 - top_g
+        factor, remainder = divmod(top, lead)
+        if remainder:
+            rem = [scale * c for c in rem]
+            factor = top if lead > 0 else -top
+        for i, c in enumerate(g):
+            rem[shift + i] -= factor * c
+        while rem and not rem[-1]:
+            rem.pop()
+    return _primitive([-c for c in rem]) if rem else ()
+
+
+def _remainder_sequence(p: UPoly) -> list[IntPoly]:
+    """The Sturm sequence of p as primitive integer polynomials: p, p', then
+    negated remainders until one vanishes.  Each element has the sign of the
+    rational Sturm sequence's element at every point, so every count is the
+    same; the last element is a greatest common divisor of p and p'."""
+    if not p:
+        raise ZeroPolynomialError("zero polynomial")
+    chain = [_integer_form(p)]
+    if len(p.coeffs) > 1:
+        chain.append(_integer_form(p.derivative()))
+        while len(chain[-1]) > 1:
+            rem = _negated_remainder(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append(rem)
+    return chain
+
+
+def _exact_division(f: IntPoly, g: IntPoly) -> IntPoly:
+    """f / g in Z[x]; a nonzero remainder raises ``ArithmeticError``."""
+    rem = list(f)
+    lead = g[-1]
+    top_g = len(g) - 1
+    quotient = [0] * (len(f) - top_g)
+    for shift in range(len(quotient) - 1, -1, -1):
+        factor, inexact = divmod(rem[shift + top_g], lead)
+        if inexact:
+            raise ArithmeticError(f"{f} is not divisible by {g} in Z[x]")
+        quotient[shift] = factor
+        if factor:
+            for i, c in enumerate(g):
+                rem[shift + i] -= factor * c
+    if any(rem[:top_g]):
+        raise ArithmeticError(f"{f} is not divisible by {g} in Z[x]")
+    return tuple(quotient)
+
+
+def _squarefree_sequence(chain: list[IntPoly]) -> list[IntPoly]:
+    """The Sturm sequence of the square-free part of chain[0], from the
+    remainder sequence ``chain``.
+
+    Its last element g is a primitive greatest common divisor of p and p'.
+    Every element is a multiple of g, so by Gauss's lemma it divides by g in
+    Z[x]; with g's leading coefficient made positive, chain[0] / g is the
+    square-free part with the sign of p.  The quotients form a Sturm
+    sequence of that part: dividing by g flips every sign or none where
+    g(x) != 0, and the last quotient is the constant 1."""
+    g = chain[-1]
+    if len(g) == 1:
+        return chain
+    if g[-1] < 0:
+        g = tuple(-c for c in g)
+    return [_exact_division(f, g) for f in chain]
+
+
+def sturm_chain(p: UPoly) -> list[UPoly]:
+    """Sturm sequence p, p', then negated remainders until termination.
+
+    Remainders are rescaled by their (positive) content to tame coefficient
+    growth; positive scaling preserves every sign and hence all counts.
+    A view of the integer remainder sequence that the root reports use.
+    """
+    chain = _remainder_sequence(p)
+    return [p, p.derivative(), *map(UPoly, chain[2:])][:len(chain)]
 
 
 def _sign_at(f: IntPoly, a: int, b: int) -> int:
@@ -142,7 +224,13 @@ def _count(chain: Sequence[IntPoly], lo: Optional[Fraction],
 def count_real_roots(p: UPoly, lo: Optional[Fraction] = None,
                      hi: Optional[Fraction] = None) -> int:
     """Number of distinct real roots in (lo, hi]; whole line by default."""
-    return _count(_integer_chain(sturm_chain(p)), lo, hi)
+    return _count(_remainder_sequence(p), lo, hi)
+
+
+def _nonreal_count(chain: Sequence[IntPoly]) -> int:
+    """Nonreal roots of the square-free chain[0], each counted once: its
+    degree less its real roots."""
+    return len(chain[0]) - 1 - _count(chain, None, None)
 
 
 def root_bound(p: UPoly) -> Fraction:
@@ -189,19 +277,23 @@ def _isolate(chain: Sequence[IntPoly], lo: Fraction,
         hi += nudge
 
     intervals: list[tuple[Fraction, Fraction]] = []
-    total = _variations_at(chain, lo) - _variations_at(chain, hi)
-    stack = [(lo, hi, total)]
+    # each entry carries the variation counts at both of its ends, so a
+    # split evaluates the chain once, at the new point
+    v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
+    total = v_lo - v_hi
+    stack = [(lo, hi, v_lo, v_hi)]
     while stack:
-        a, b, count = stack.pop()
+        a, b, v_a, v_b = stack.pop()
+        count = v_a - v_b
         if count == 0:
             continue
         if count == 1:
             intervals.append((a, b))
             continue
         mid = _nonzero_split(f, a, b)
-        left = _variations_at(chain, a) - _variations_at(chain, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, count - left))
+        v_mid = _variations_at(chain, mid)
+        stack.append((a, mid, v_a, v_mid))
+        stack.append((mid, b, v_mid, v_b))
     intervals.sort()
     if len(intervals) != total:
         raise ArithmeticError(
@@ -223,13 +315,13 @@ def isolate_real_roots(
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
     lo, hi = _search_range(p, lo, hi)
-    chain = _integer_chain(sturm_chain(p))
+    chain = _squarefree_sequence(_remainder_sequence(p))
     return RootReport(
         polynomial=p,
         intervals=_isolate(chain, lo, hi),
         refined=(),
         exact_rational_roots=(),
-        nonreal_count=int(squarefree_part(p).degree) - _count(chain, None, None),
+        nonreal_count=_nonreal_count(chain),
     )
 
 
@@ -246,7 +338,8 @@ def _refine(
     hi: Fraction,
     tolerance: Fraction,
 ) -> tuple[float, Optional[Fraction]]:
-    """Bisect (lo, hi] around the one root of the square-free chain[0].
+    """Bisect (lo, hi], which isolates one root of the square-free
+    chain[0].
 
     Returns the midpoint float once the width is below ``tolerance`` (or
     the root itself when a bisection point hits it) and the root when it
@@ -259,8 +352,6 @@ def _refine(
     fraction to the midpoint lies in the interval and is a root.
     """
     f = chain[0]
-    if _count(chain, lo, hi) != 1:
-        raise NotIsolatingError(f"interval ({lo}, {hi}] does not isolate one root")
     if _sign_at(f, hi.numerator, hi.denominator) == 0:
         return float(hi), hi
     if _sign_at(f, lo.numerator, lo.denominator) == 0:
@@ -326,8 +417,10 @@ def refine_root(
     if not p:
         raise ZeroPolynomialError("zero polynomial")
     _check_tolerance(tolerance)
-    chain = _integer_chain(sturm_chain(squarefree_part(p)))
+    chain = _squarefree_sequence(_remainder_sequence(p))
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    if _count(chain, lo, hi) != 1:
+        raise NotIsolatingError(f"interval ({lo}, {hi}] does not isolate one root")
     return _refine(chain, lo, hi, tolerance)[0]
 
 
@@ -347,9 +440,10 @@ def analyze_roots(
 ) -> RootReport:
     """Isolate, refine, and detect exact rational roots in one report.
 
-    The square-free part and the Sturm chains of p and of that part are
-    computed once and shared by isolation, refinement and the rational-root
-    test of every interval.
+    One integer remainder sequence of p, divided through by its last
+    element, is the Sturm sequence of the square-free part; it serves
+    isolation (the two parts have the same roots), refinement and the
+    rational-root test of every interval.
     """
     if not p:
         raise ZeroPolynomialError("zero polynomial")
@@ -357,15 +451,13 @@ def analyze_roots(
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
     lo, hi = _search_range(p, lo, hi)
-    chain = _integer_chain(sturm_chain(p))
-    sf = squarefree_part(p)
-    sf_chain = chain if sf is p else _integer_chain(sturm_chain(sf))
+    chain = _squarefree_sequence(_remainder_sequence(p))
     intervals = _isolate(chain, lo, hi)
-    results = [_refine(sf_chain, a, b, tolerance) for a, b in intervals]
+    results = [_refine(chain, a, b, tolerance) for a, b in intervals]
     return RootReport(
         polynomial=p,
         intervals=intervals,
         refined=tuple(value for value, _ in results),
         exact_rational_roots=tuple(r for _, r in results if r is not None),
-        nonreal_count=int(sf.degree) - _count(chain, None, None),
+        nonreal_count=_nonreal_count(chain),
     )

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyode import applications
 from polyode.applications import (
@@ -238,6 +240,13 @@ def continuant_constraint(k, n):
 def test_coulomb_constraint_matches_the_continuant_oracle(k):
     for n in range(1, 21):
         assert coulomb_constraint_for_k(k, n) == continuant_constraint(Fraction(k), n), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(min_value=-3, max_value=6, max_denominator=12), st.integers(1, 12))
+def test_coulomb_constraint_for_rational_k_matches_the_continuant_oracle(k, n):
+    # any rational k, so the Z[t] band is scaled by the denominator of 2(k+1)
+    assert coulomb_constraint_for_k(k, n) == continuant_constraint(k, n)
 
 
 def test_coulomb_symbolic_constraint_matches_the_continuant_oracle():

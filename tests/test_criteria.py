@@ -209,14 +209,16 @@ def test_matrix_chhajlany_rows():
 def test_matrix_krylov_n1():
     eq = krylov_eq(2, -2, T)  # beta = -alpha at n=1
     m = build_criterion_matrix(eq, 1)
-    assert dense(m.bands) == [
+    assert entries(m) == [
         [UPoly([0, -1]), UPoly([2])],
         [UPoly([2]), UPoly([0, -1])],
     ]
-    assert m.bands == (
-        (UPoly(), UPoly([0, -1]), UPoly([2]), UPoly()),
-        (UPoly([2]), UPoly([0, -1]), UPoly(), UPoly()),
-    )
+    # the band itself is in Z[t] (here D = 1), zero outside the square
+    assert m.scale == 1
+    assert [[v.coeffs for v in band] for band in m.bands] == [
+        [(), (0, -1), (2,), ()],
+        [(2,), (0, -1), (), ()],
+    ]
 
 
 def test_matrix_n0():
@@ -271,8 +273,11 @@ def test_truncation_closure_symbolically():
 
 
 def test_broken_closure_raises_even_without_asserts(monkeypatch):
-    # the check must not be an assert, which python -O removes
-    monkeypatch.setattr(criteria, "degree_condition", lambda eq, n: UPoly([1]))
+    # the check must not be an assert, which python -O removes; it compares
+    # row n+1 with the degree condition of the scaled coefficients
+    original = criteria._degree_condition
+    monkeypatch.setattr(criteria, "_degree_condition",
+                        lambda coefficients, n: original(coefficients, n) + 1)
     with pytest.raises(ArithmeticError, match="closure"):
         build_criterion_matrix(krylov_eq(1, 4, 9), 2)
 
@@ -339,7 +344,7 @@ def test_determinant_band_recurrence_agreement():
         if not any(eq.a3) and not any(eq.a2):
             continue
         m = build_criterion_matrix(eq, n)
-        assert delta_determinant(eq, n) == bareiss_determinant(dense(m.bands))
+        assert delta_determinant(eq, n) == bareiss_determinant(entries(m))
 
 
 # ---------------------------------------------------------------------------
@@ -835,8 +840,35 @@ def test_running_minors_of_parametric_and_upper_triangular_bands():
     # Bessel with tau00 = t is upper triangular with entries in Q[t]; the
     # Krylov band has a nonzero subdiagonal
     for eq in (bessel_eq(T), krylov_eq(1, T, 2)):
-        bands = build_criterion_matrix(eq, 7).bands
-        assert banded_minors(bands) == leading_minors(dense(bands))
+        matrix = build_criterion_matrix(eq, 7)
+        assert matrix.leading_minors() == leading_minors(entries(matrix))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.tuples(*(small_fractions for _ in range(9))),
+       st.tuples(*(small_fractions for _ in range(9))), st.integers(0, 8),
+       st.integers(2, 6))
+def test_integer_band_minors_match_the_rational_band(n, constants, slopes, slot,
+                                                     denominator):
+    # a parametric cubic c0 + c1 t with rational coefficients; slot's slope
+    # 1/denominator makes D > 1 and the equation parametric.  The oracle is
+    # the band over Q[t] that the unscaled recurrence gives, with UPoly
+    # entries: its running minors and its dense Bareiss determinant.
+    slopes = [Fraction(1, denominator) if i == slot else c for i, c in enumerate(slopes)]
+    scalars = [UPoly([c, s]) for c, s in zip(constants, slopes)]
+    if not any(scalars[:7]):
+        return
+    eq = EquationSpec(a3=tuple(scalars[:4]), a2=tuple(scalars[4:7]),
+                      tau=tuple(scalars[7:]))
+    matrix = build_criterion_matrix(eq, n)
+    assert matrix.scale == lcm(*(c.denominator for c in (*constants, *slopes)))
+    assert matrix.scale > 1
+    rational_band = criteria._square_band([row_entries(eq, k) for k in range(n + 1)])
+    expected = banded_minors(rational_band)
+    assert matrix.leading_minors() == expected
+    assert expected[-1] == bareiss_determinant(dense(rational_band))
+    assert delta_determinant(eq, n) == expected[-1]
+    assert entries(matrix) == dense(rational_band)
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,6 +15,10 @@ from polyode.exactalg import UPoly
 from polyode.solve import (
     NotIsolatingError,
     ZeroPolynomialError,
+    _count,
+    _exact_division,
+    _remainder_sequence,
+    _squarefree_sequence,
     analyze_roots,
     count_real_roots,
     isolate_real_roots,
@@ -334,6 +338,64 @@ def test_analyze_roots_matches_divisor_oracle_and_sympy(p):
         assert bool(root > sympy.Rational(lo.numerator, lo.denominator))
         assert bool(root <= sympy.Rational(hi.numerator, hi.denominator))
         assert abs(value - float(root)) <= 1e-12 + 1e-15 * abs(value)
+
+
+def euclid_sturm_chain(p: UPoly) -> list[UPoly]:
+    """The Sturm sequence by Euclid over Q, each remainder divided by its
+    positive content: the values ``sturm_chain`` must return."""
+    chain = [p]
+    if p.degree >= 1:
+        chain.append(p.derivative())
+        while chain[-1]:
+            rem = -(chain[-2] % chain[-1])
+            if not rem:
+                break
+            chain.append(rem / rem.content())
+    return chain
+
+
+def sympy_sturm_count(poly: sympy.Poly, lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots in (lo, hi] from the sign variations of sympy's own
+    Sturm sequence, which it builds from the monic square-free part."""
+    def variations(x):
+        signs = [sympy.sign(f.eval(sympy.Rational(x.numerator, x.denominator)))
+                 for f in sympy.sturm(poly)]
+        signs = [s for s in signs if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return variations(lo) - variations(hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_polynomials(),
+       st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=9),
+                min_size=2, max_size=2, unique=True))
+def test_integer_sturm_sequences_match_sympy(p, ends):
+    lo, hi = sorted(ends)
+    poly = sympy_poly(p.coeffs)
+    sqf = poly.sqf_part()
+    assume(all(sqf.eval(sympy.Rational(x.numerator, x.denominator)) for x in ends))
+    chain = _remainder_sequence(p)
+    sf_chain = _squarefree_sequence(chain)
+    assert sturm_chain(p) == euclid_sturm_chain(p)
+    assert [UPoly(f) for f in chain[2:]] == euclid_sturm_chain(p)[2:]
+    # the square-free part, primitive, with the sign of p's leading term
+    sf = sf_chain[0]
+    assert math.gcd(*sf) == 1 and (sf[-1] > 0) == (p.leading > 0)
+    assert sympy_poly(sf).monic() == sqf.monic()
+    expected = sqf.count_roots(lo, hi)
+    assert _count(chain, lo, hi) == _count(sf_chain, lo, hi) == expected
+    assert expected == sympy_sturm_count(poly, lo, hi)
+    assert _count(sf_chain, None, None) == sqf.count_roots()
+    assert analyze_roots(p).nonreal_count == sqf.degree() - sqf.count_roots()
+
+
+def test_inexact_division_by_the_gcd_raises_even_without_asserts():
+    # the invariant must not be an assert, which python -O removes
+    with pytest.raises(ArithmeticError):
+        _exact_division((1, 0, 1), (1, 1))  # x^2 + 1 by x + 1
+    with pytest.raises(ArithmeticError):
+        _exact_division((1, 3), (1, 2))  # 3x + 1 by 2x + 1: not in Z[x]
+    assert _exact_division((-1, 0, 4), (1, 2)) == (-1, 2)
 
 
 @pytest.mark.parametrize("argv", [
