@@ -166,7 +166,9 @@ def sturm_chain(p: UPoly) -> list[UPoly]:
     A view of the integer remainder sequence that the root reports use.
     """
     chain = _remainder_sequence(p)
-    return [p, p.derivative(), *map(UPoly, chain[2:])][:len(chain)]
+    if len(chain) == 1:
+        return [p]
+    return [p, p.derivative(), *map(UPoly, chain[2:])]
 
 
 def _sign_at(f: IntPoly, a: int, b: int) -> int:

@@ -377,7 +377,6 @@ def test_integer_sturm_sequences_match_sympy(p, ends):
     chain = _remainder_sequence(p)
     sf_chain = _squarefree_sequence(chain)
     assert sturm_chain(p) == euclid_sturm_chain(p)
-    assert [UPoly(f) for f in chain[2:]] == euclid_sturm_chain(p)[2:]
     # the square-free part, primitive, with the sign of p's leading term
     sf = sf_chain[0]
     assert math.gcd(*sf) == 1 and (sf[-1] > 0) == (p.leading > 0)
