@@ -1,7 +1,8 @@
 """Certified real-root isolation and refinement for constraint polynomials.
 
-The workflow is Sturm-chain counting plus interval bisection, so every step
-is exact; floating point appears only in the final refined output values.
+Isolation is bisection on Sturm counts and refinement is quadratic interval
+refinement on the same bisection grid, so every step is exact; floating
+point appears only in the final refined output values.
 Each polynomial gets one Sturm remainder sequence, computed in Z[x] as a
 primitive pseudo-remainder sequence (Collins 1967; Brown & Traub 1971):
 every remainder is scaled by a positive integer and divided by its positive
@@ -9,9 +10,14 @@ content, which keeps every sign.  Its last element is gcd(p, p'), and the
 sequence divided through by it is the Sturm sequence of the square-free
 part, so no Euclid over the rationals runs.  Every sign test is
 homogenised integer Horner: for x = a/b with b > 0 the sign of f(x) is the
-sign of sum c_i a^i b^(d-i).  Complex roots are out of scope; their number
-is reported as the square-free degree minus the count of distinct real
-roots.
+sign of sum c_i a^i b^(d-i).  Isolation keeps its points as int numerators
+over one denominator times a power of two, and a point past the Fujiwara
+bound of the whole divided sequence costs no evaluation.  Refinement finds
+the cell that bit-by-bit bisection would end on, with a number of sign
+tests that grows as the logarithm of the cell's depth rather than as the
+depth (Abbott 2006; Kerber & Sagraloff 2011), and reports what bisection
+would report.  Complex roots are out of scope; their number is reported
+as the square-free degree minus the count of distinct real roots.
 """
 
 from __future__ import annotations
@@ -171,13 +177,21 @@ def sturm_chain(p: UPoly) -> list[UPoly]:
     return [p, p.derivative(), *map(UPoly, chain[2:])]
 
 
-def _sign_at(f: IntPoly, a: int, b: int) -> int:
-    """Sign of f(a/b) for b > 0: homogenised Horner, sum c_i a^i b^(d-i)."""
+def _value_at(f: IntPoly, a: int, b: int) -> int:
+    """b^d f(a/b), homogenised Horner: sum c_i a^i b^(d-i).  For b > 0 it
+    has the sign of f(a/b); the same point written over b 2^s has the value
+    times 2^(d s)."""
     acc = 0
     scale = 1
     for c in reversed(f):
         acc = acc * a + c * scale
         scale *= b
+    return acc
+
+
+def _sign_at(f: IntPoly, a: int, b: int) -> int:
+    """Sign of f(a/b) for b > 0."""
+    acc = _value_at(f, a, b)
     return (acc > 0) - (acc < 0)
 
 
@@ -243,16 +257,6 @@ def root_bound(p: UPoly) -> Fraction:
     return 1 + max(abs(c) for c in p.coeffs) / lead
 
 
-def _nonzero_split(f: IntPoly, lo: Fraction, hi: Fraction) -> Fraction:
-    mid = (lo + hi) / 2
-    step = (hi - lo) / 4
-    candidate = mid
-    while _sign_at(f, candidate.numerator, candidate.denominator) == 0:
-        candidate = mid + step
-        step /= 2
-    return candidate
-
-
 def _search_range(p: UPoly, lo: Optional[Fraction],
                   hi: Optional[Fraction]) -> tuple[Fraction, Fraction]:
     """(lo, hi) defaulted to cover every real root of p."""
@@ -267,35 +271,85 @@ def _search_range(p: UPoly, lo: Optional[Fraction],
     return lo, hi
 
 
+def _root_bound_exponent(chain: Sequence[IntPoly]) -> int:
+    """e >= 1 with every real root of every element of chain strictly inside
+    (-2^e, 2^e).
+
+    Fujiwara's bound puts every root of f within 2 max_i |c_(d-i)/c_d|^(1/i);
+    with |c| < 2^bitlen(c) and |c_d| >= 2^(bitlen(c_d) - 1) each term is
+    below 2^ceil((bitlen(c_(d-i)) - bitlen(c_d) + 1) / i)."""
+    top = 0
+    for f in chain:
+        lead_bits = abs(f[-1]).bit_length()
+        degree = len(f) - 1
+        for i in range(1, degree + 1):
+            c = f[degree - i]
+            if c:
+                top = max(top, -((lead_bits - 1 - abs(c).bit_length()) // i))
+    return top + 1
+
+
 def _isolate(chain: Sequence[IntPoly], lo: Fraction,
              hi: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
     """Sorted disjoint intervals (a, b] each holding one distinct real root
-    of chain[0] in (lo, hi]; endpoints that are roots are nudged outward."""
+    of chain[0] in (lo, hi]; endpoints that are roots are nudged outward.
+
+    Bisection on Sturm counts.  A split point is the midpoint, or, where
+    chain[0] vanishes, the first of mid + w/4, mid + w/8, ... where it does
+    not (w the width).  Points are int numerators over den 2^k, so no
+    ``Fraction`` is normalised before the intervals are returned; each
+    stack entry carries the variation counts at both of its ends, and a
+    split evaluates the chain once, at the new point, reusing the sign of
+    chain[0] that the split test computed.  Past the Fujiwara bound 2^e of
+    the whole chain (``_root_bound_exponent``) every element has the sign
+    it has at infinity, so a point there costs no evaluation."""
     f = chain[0]
     nudge = (hi - lo) / 1024
     while _sign_at(f, lo.numerator, lo.denominator) == 0:
         lo -= nudge
     while _sign_at(f, hi.numerator, hi.denominator) == 0:
         hi += nudge
+    den = lo.denominator * hi.denominator
+    beyond = den << _root_bound_exponent(chain)
+    outer = (_variations_at_infinity(chain, positive=False),
+             _variations_at_infinity(chain, positive=True))
 
-    intervals: list[tuple[Fraction, Fraction]] = []
-    # each entry carries the variation counts at both of its ends, so a
-    # split evaluates the chain once, at the new point
-    v_lo, v_hi = _variations_at(chain, lo), _variations_at(chain, hi)
+    def variations(a: int, k: int) -> Optional[int]:
+        """Sign variations of the chain at a / (den 2^k); None where chain[0]
+        vanishes."""
+        if abs(a) >= beyond << k:
+            return outer[a > 0]
+        b = den << k
+        first = _sign_at(f, a, b)
+        if not first:
+            return None
+        return _variations([first, *[_sign_at(g, a, b) for g in chain[1:]]])
+
+    x0 = lo.numerator * hi.denominator
+    x1 = hi.numerator * lo.denominator
+    v_lo, v_hi = variations(x0, 0), variations(x1, 0)
     total = v_lo - v_hi
-    stack = [(lo, hi, v_lo, v_hi)]
+    # entries (a, b, k, v_a, v_b): the interval (a, b] over den 2^k
+    stack = [(x0, x1, 0, v_lo, v_hi)]
+    intervals: list[tuple[Fraction, Fraction]] = []
     while stack:
-        a, b, v_a, v_b = stack.pop()
+        a, b, k, v_a, v_b = stack.pop()
         count = v_a - v_b
-        if count == 0:
-            continue
         if count == 1:
-            intervals.append((a, b))
+            intervals.append((Fraction(a, den << k), Fraction(b, den << k)))
+        if count < 2:
             continue
-        mid = _nonzero_split(f, a, b)
-        v_mid = _variations_at(chain, mid)
-        stack.append((a, mid, v_a, v_mid))
-        stack.append((mid, b, v_mid, v_b))
+        shift = 0
+        split = a + b
+        v_split = variations(split, k + 1)
+        while v_split is None:
+            shift += 1
+            split = ((a + b) << shift) + b - a
+            v_split = variations(split, k + 1 + shift)
+        shift += 1
+        k += shift
+        stack.append((a << shift, split, k, v_a, v_split))
+        stack.append((split, b << shift, k, v_split, v_b))
     intervals.sort()
     if len(intervals) != total:
         raise ArithmeticError(
@@ -328,10 +382,19 @@ def isolate_real_roots(
 
 
 def _check_tolerance(tolerance) -> None:
-    """Refinement bisects until the width is below the tolerance, which a
-    non-positive tolerance never allows."""
+    """Refinement narrows its cell until the width is below the tolerance,
+    which a non-positive tolerance never allows."""
     if Fraction(tolerance) <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+
+
+def _first_level(width: int, den: int) -> int:
+    """The least k >= 0 with width < den 2^k, for positive ints, from
+    their bit lengths."""
+    k = width.bit_length() - den.bit_length()
+    if k < 0:
+        return 0
+    return k if width < den << k else k + 1
 
 
 def _refine(
@@ -340,68 +403,124 @@ def _refine(
     hi: Fraction,
     tolerance: Fraction,
 ) -> tuple[float, Optional[Fraction]]:
-    """Bisect (lo, hi], which isolates one root of the square-free
-    chain[0].
+    """Refine (lo, hi], which isolates one root of the square-free
+    chain[0], on its bisection grid.
 
-    Returns the midpoint float once the width is below ``tolerance`` (or
-    the root itself when a bisection point hits it) and the root when it
-    is rational, else None.
+    Returns the midpoint float of the first bisection cell narrower than
+    ``tolerance`` (or the root itself when it is a grid point of that
+    level or a coarser one) and the root when it is rational, else None.
 
     A rational root of the primitive integer chain[0] has a denominator
     dividing its leading coefficient L, and two distinct fractions with
-    denominators at most L lie at least 1/L^2 apart.  Once the width is
-    below 1/(2 L^2) the root is rational exactly when the closest such
-    fraction to the midpoint lies in the interval and is a root.
+    denominators at most L lie at least 1/L^2 apart.  In the first cell
+    narrower than 1/(2 L^2) the root is rational exactly when the closest
+    such fraction to the cell's midpoint lies in the cell and is a root.
+
+    The level-k cells are (x0 2^k + j w, x0 2^k + (j+1) w) over den 2^k,
+    with w = x1 - x0, and both results read off the cell that holds the
+    root at the deeper of the two levels.  That cell is found by quadratic
+    interval refinement (Abbott 2006; Kerber & Sagraloff 2011) rather than
+    one level at a time: the integer secant guess m = floor(N v_lo /
+    (v_lo - v_hi)) from the homogenised values at the cell's ends picks one
+    of its N = 2^s subcells, s = log_n levels down; when the subcell's ends
+    bracket the root it is kept and N squares, else one bisection step
+    follows and s halves.  A kept end value carries to the finer level
+    shifted left by d s bits.  A tested point that is a root is a grid point: at its
+    coarsest level k_min the bisection would have tested it too, and it is
+    reported as bisection reports it.
     """
     f = chain[0]
-    if _sign_at(f, hi.numerator, hi.denominator) == 0:
+    v_hi = _value_at(f, hi.numerator, hi.denominator)
+    if not v_hi:
         return float(hi), hi
-    if _sign_at(f, lo.numerator, lo.denominator) == 0:
+    v_lo = _value_at(f, lo.numerator, lo.denominator)
+    if not v_lo:
         # lo itself is an excluded root; move it inward without crossing
         # the isolated root (f is square-free, so no other root lies
         # between lo and the isolated one)
         step = (hi - lo) / 2
-        while True:
+        while not v_lo:
             candidate = lo + step
-            if (_sign_at(f, candidate.numerator, candidate.denominator) != 0
-                    and _count(chain, candidate, hi) == 1):
-                lo = candidate
-                break
+            v_lo = _value_at(f, candidate.numerator, candidate.denominator)
+            if v_lo and _count(chain, candidate, hi) != 1:
+                v_lo = 0
             step /= 2
+        lo = candidate
     tolerance = Fraction(tolerance)
     lead = abs(f[-1])
-    separation = 2 * lead * lead
-    # the interval is (x0/den, x1/den]; bisection doubles den, so no
-    # Fraction is normalised inside the loop
+    degree = len(f) - 1
     den = lo.denominator * hi.denominator
     x0 = lo.numerator * hi.denominator
-    x1 = hi.numerator * lo.denominator
-    sign_lo = _sign_at(f, x0, den)
-    refined: Optional[float] = None
-    exact: Optional[Fraction] = None
-    checked = False
-    while True:
-        width = x1 - x0
-        if refined is None and width * tolerance.denominator < tolerance.numerator * den:
-            refined = float(Fraction(x0 + x1, 2 * den))
-        if not checked and width * separation < den:
-            candidate = Fraction(x0 + x1, 2 * den).limit_denominator(lead)
-            a, b = candidate.numerator, candidate.denominator
-            if x0 * b < a * den <= x1 * b and _sign_at(f, a, b) == 0:
-                exact = candidate
-            checked = True
-        if refined is not None and checked:
-            return refined, exact
-        mid = x0 + x1
-        den *= 2
-        sign_mid = _sign_at(f, mid, den)
-        if sign_mid == 0:
-            root = Fraction(mid, den)
-            return (float(root) if refined is None else refined), root
-        if sign_mid == sign_lo:
-            x0, x1 = mid, 2 * x1
+    width = hi.numerator * lo.denominator - x0
+    k_ref = _first_level(width * tolerance.denominator, tolerance.numerator * den)
+    k_sep = _first_level(2 * lead * lead * width, den)
+    top = max(k_ref, k_sep)
+
+    def value(k: int, j: int) -> int:
+        """The homogenised value at grid point j of level k."""
+        return _value_at(f, (x0 << k) + j * width, den << k)
+
+    def midpoint(k: int, j: int) -> float:
+        return ((x0 << (k + 1)) + (2 * j + 1) * width) / (den << (k + 1))
+
+    def hit(k: int, j: int) -> tuple[float, Fraction]:
+        """The report for a root at grid point j of level k."""
+        while not j & 1:
+            j >>= 1
+            k -= 1
+        root = Fraction((x0 << k) + j * width, den << k)
+        if k <= k_ref:
+            return float(root), root
+        return midpoint(k_ref, j >> (k - k_ref)), root
+
+    # cell j of level k holds the root, and v_lo, v_hi are the values at
+    # its ends (lo and hi over den at level 0); a subcell of N = 2^log_n
+    # cells is log_n levels down
+    k = j = 0
+    v_lo *= hi.denominator ** degree
+    v_hi *= lo.denominator ** degree
+    log_n = 2
+    while k < top:
+        log_n = min(log_n, top - k)
+        if log_n > 1:
+            fine, base, carry = k + log_n, j << log_n, degree * log_n
+            m = (v_lo << log_n) // (v_lo - v_hi)
+            v_m = value(fine, base + m) if m else v_lo << carry
+            if not v_m:
+                return hit(fine, base + m)
+            if (v_m > 0) == (v_lo > 0):
+                last = m + 1 == 1 << log_n
+                v_next = v_hi << carry if last else value(fine, base + m + 1)
+                if not v_next:
+                    return hit(fine, base + m + 1)
+                if (v_next > 0) == (v_hi > 0):
+                    k, j, v_lo, v_hi = fine, base + m, v_m, v_next
+                    log_n *= 2
+                    continue
+            log_n //= 2
         else:
-            x0, x1 = 2 * x0, mid
+            # a subcell of N = 2 is a bisection step, which always succeeds
+            log_n = 2
+        k += 1
+        j *= 2
+        v_mid = value(k, j + 1)
+        if not v_mid:
+            return hit(k, j + 1)
+        if (v_mid > 0) == (v_lo > 0):
+            j += 1
+            v_lo, v_hi = v_mid, v_hi << degree
+        else:
+            v_lo, v_hi = v_lo << degree, v_mid
+    # the cell of level k_sep that holds the root: the rational-root test
+    j_sep = j >> (top - k_sep)
+    cell_lo = (x0 << k_sep) + j_sep * width
+    scale = den << k_sep
+    exact = None
+    candidate = Fraction(2 * cell_lo + width, 2 * scale).limit_denominator(lead)
+    a, b = candidate.numerator, candidate.denominator
+    if cell_lo * b < a * scale <= (cell_lo + width) * b and _sign_at(f, a, b) == 0:
+        exact = candidate
+    return midpoint(k_ref, j >> (top - k_ref)), exact
 
 
 def refine_root(
@@ -409,8 +528,8 @@ def refine_root(
     interval: tuple[Fraction, Fraction],
     tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> float:
-    """Bisect an isolating interval down to the tolerance; exact endpoint
-    arithmetic throughout, float conversion only at the end.
+    """Refine an isolating interval down to the tolerance (see ``_refine``);
+    exact arithmetic throughout, float conversion only at the end.
 
     Multiple roots are handled by deflating to the square-free part first;
     an interval whose Sturm count is not exactly one raises

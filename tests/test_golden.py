@@ -36,6 +36,17 @@ PARAMETRIC_CUBIC = {"a3": ["3", "-2", "5", "0"], "a2": ["-4", "7", "0"],
 # branch, where the square-free part differs from the constraint
 REPEATED_ROOT = {"a3": ["0", "1", "0", "0"], "a2": ["1", "2", "1"],
                  "tau": ["1", {"t": ["0", "1"]}], "unknown": "t"}
+# determinant 27t^3 - 126t^2 + 84t + 80 at n = 2: three irrational roots and
+# L = 27, so at tolerance 1/3 the refined cell is coarser than the cell of
+# the exact-root test
+COARSE = {"a3": ["0", "1", "-1", "0"], "a2": ["-2", "4", "2"],
+          "tau": ["-4", {"t": ["0", "3"]}], "unknown": "t"}
+# degree condition t - 15625/2^18 at n = 1, with a determinant that vanishes
+# identically: its root -10^6 + (2^24 + 1) 2 10^6 / 2^25 is a grid point of
+# level 25 of the search range (-10^6, 10^6], two levels finer than the
+# refined cell that tolerance 1/3 asks for
+GRID_ROOT = {"a3": ["0", "1", "0", "0"], "a2": ["15625/262144", "1", "0"],
+             "tau": [{"t": ["0", "1"]}, "0"], "unknown": "t"}
 HEUN_GENERAL = json.dumps({"a": 2, "alpha": -3, "beta": 1, "gamma": 0,
                            "delta": 1, "epsilon": -2, "q": 0})
 HEUN_GENERAL_Q = json.dumps({"a": 2, "alpha": -3, "beta": 1, "gamma": 1,
@@ -55,6 +66,10 @@ CASES = {
     "sweep-dense-cubic": (["check", "{file}", "--max-n", "5"], DENSE_CUBIC),
     "constraints-rational-roots": (["constraints", "{file}", "--n", "2"], PARAMETRIC_CUBIC),
     "constraints-repeated-root": (["constraints", "{file}", "--n", "1"], REPEATED_ROOT),
+    "constraints-coarse-tolerance": (
+        ["constraints", "{file}", "--n", "2", "--tolerance", "1/3"], COARSE),
+    "constraints-root-on-the-grid": (
+        ["constraints", "{file}", "--n", "1", "--tolerance", "1/3"], GRID_ROOT),
     "demo-krylov": (["demo", "krylov", "--alpha", "1", "--n", "4"], None),
     "demo-chhajlany": (["demo", "chhajlany", "--p", "2", "--n", "3"], None),
     "demo-coulomb": (["demo", "coulomb", "--Z", "1", "--d", "3", "--l", "0", "--n", "3"],

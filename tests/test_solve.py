@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import bisection
+from polyode import solve
 from polyode.applications import coulomb_constraint_for_k, krylov_robnik_analyze
 from polyode.cli import main
 from polyode.exactalg import UPoly
@@ -17,7 +19,11 @@ from polyode.solve import (
     ZeroPolynomialError,
     _count,
     _exact_division,
+    _isolate,
+    _refine,
     _remainder_sequence,
+    _root_bound_exponent,
+    _search_range,
     _squarefree_sequence,
     analyze_roots,
     count_real_roots,
@@ -417,6 +423,190 @@ def test_large_demo_roots_finish_and_match_sympy(argv, capsys):
     assert [Fraction(r) for r in roots["exact"]] == sorted(
         Fraction(int(r.p), int(r.q)) for r in poly.ground_roots())
     assert code == (0 if roots["intervals"] else 2)
+
+
+# ---------------------------------------------------------------------------
+# quadratic interval refinement and integer isolation against bisection
+
+DYADIC_ROOTS = st.builds(lambda k, e: Fraction(k, 2**e),
+                         st.integers(-64, 64), st.integers(0, 12))
+# coarse tolerances leave the refined cell above the cell of the
+# rational-root test; the finest is the cap that keeps the oracle fast
+TOLERANCES = st.sampled_from([Fraction(1, 3), Fraction(5), Fraction(1, 2**20),
+                              Fraction(1, 10**12), Fraction(7, 10**30)])
+
+
+@st.composite
+def refinement_cases(draw):
+    """(p, tolerance, lo, hi): products of dyadic and non-dyadic rational
+    linear factors, some repeated, and irreducible quadratics, of degree at
+    most 12, with the default search range, a custom one, or one whose
+    lower end is a root."""
+    p = UPoly([draw(st.integers(-9, 9).filter(bool))])
+    roots = draw(st.lists(st.one_of(ROOTS, DYADIC_ROOTS), max_size=4))
+    for root in roots:
+        p = p * UPoly([-root, 1]) ** draw(st.integers(1, 2))
+    for quadratic in draw(st.lists(IRREDUCIBLE_QUADRATICS, max_size=2)):
+        p = p * quadratic
+    assume(1 <= p.degree <= 12)
+    ends = draw(st.sampled_from(["default", "custom", "root"] if roots
+                                else ["default", "custom"]))
+    lo = hi = None
+    if ends == "custom":
+        lo = draw(st.fractions(min_value=-300, max_value=300,
+                               max_denominator=8))
+        hi = lo + draw(st.fractions(min_value=Fraction(1, 8), max_value=600,
+                                    max_denominator=8))
+    elif ends == "root":
+        lo = roots[0]
+    return p, draw(TOLERANCES), lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(refinement_cases())
+def test_isolation_and_refinement_match_the_bisection_oracle(case):
+    p, tolerance, lo, hi = case
+    lo, hi = _search_range(p, lo, hi)
+    chain = _squarefree_sequence(_remainder_sequence(p))
+    intervals = _isolate(chain, lo, hi)
+    assert intervals == bisection.isolate(chain, lo, hi)
+    for a, b in intervals:
+        value, exact = _refine(chain, a, b, tolerance)
+        assert type(value) is float
+        assert (value, exact) == bisection.refine(chain, a, b, tolerance)
+    # (r, b2] with r the rational root of one interval and b2 the right end
+    # of the next isolates the next root, with lo itself a root
+    for (a, b), (_, b2) in zip(intervals, intervals[1:]):
+        root = bisection.refine(chain, a, b, tolerance)[1]
+        if root is not None:
+            assert _refine(chain, root, b2, tolerance) == bisection.refine(
+                chain, root, b2, tolerance)
+
+
+def test_a_root_on_the_grid_is_reported_as_bisection_reports_it():
+    # 2^18 t - 15625 on (-10^6, 10^6]: the root 15625/2^18 is the grid point
+    # of level 25, and the rational-root test needs level 58; the
+    # tolerances put the refined cell at every level from 0 to 68
+    chain = [(-15625, 2**18), (1,)]
+    lo, hi = Fraction(-10**6), Fraction(10**6)
+    for e in range(-22, 48):
+        tolerance = Fraction(2) ** -e
+        assert _refine(chain, lo, hi, tolerance) == bisection.refine(
+            chain, lo, hi, tolerance)
+
+
+def counting_evaluations(monkeypatch, limit=None):
+    """Counts of ``_refine`` calls ("roots") and of the polynomial
+    evaluations made inside them, which stop the test past ``limit``."""
+    counts = {"roots": 0, "evaluations": 0}
+    refining = []
+    refine, value_at = solve._refine, solve._value_at
+
+    def counted_refine(*args):
+        counts["roots"] += 1
+        refining.append(True)
+        try:
+            return refine(*args)
+        finally:
+            refining.pop()
+
+    def counted_value_at(*args):
+        if refining:
+            counts["evaluations"] += 1
+            assert limit is None or counts["evaluations"] <= limit
+        return value_at(*args)
+
+    monkeypatch.setattr(solve, "_refine", counted_refine)
+    monkeypatch.setattr(solve, "_value_at", counted_value_at)
+    return counts
+
+
+@pytest.mark.parametrize("coeffs, lo, hi", [
+    ((-1, 3 * 2**50), Fraction(0), Fraction(1)),
+    ((-1, 3), Fraction(0), Fraction(1)),
+    ((-7, 10), Fraction(1, 3), Fraction(3, 4)),
+])
+def test_secant_guesses_are_exact_on_a_linear_polynomial(coeffs, lo, hi,
+                                                         monkeypatch):
+    # every subcell guess holds the root, so N squares at every step: log N
+    # doubles from 2 and passes the level of tolerance 10^-4000 (about
+    # 13 290) in 13 steps of at most two evaluations, besides the values at
+    # the two ends and the rational-root test
+    counts = counting_evaluations(monkeypatch)
+    chain = [coeffs, (coeffs[1],)]
+    solve._refine(chain, lo, hi, Fraction(1, 10**4000))
+    assert counts["evaluations"] <= 2 + 2 * 13 + 1
+
+
+@pytest.mark.parametrize("coeffs", [(0, -15, -9, 2), (-20, 2, 15, 30, 2),
+                                    (30, 12, -19, 2)])
+def test_carried_values_keep_the_secant_guesses_good(coeffs, monkeypatch):
+    # all roots of each take 59-62 evaluations at 10^-30, where bisection
+    # makes 105-124 per root; an end value carried with the wrong shift
+    # leaves every result as it is, but takes one of them past 72
+    counts = counting_evaluations(monkeypatch)
+    p = UPoly(list(coeffs))
+    assert analyze_roots(p, tolerance=Fraction(1, 10**30)).refined
+    assert counts["evaluations"] <= 72
+
+
+def test_refinement_to_4000_digits_takes_few_evaluations(monkeypatch, capsys):
+    # bisection one level at a time needs about 13 300 levels per root
+    # here; count the evaluations, not the seconds, and stop a regression
+    # at the bound rather than minutes later
+    counts = counting_evaluations(monkeypatch, limit=200 * 5)
+    tolerance = "1/1" + "0" * 4000
+    code = main(["demo", "chhajlany", "--p", "2", "--n", "10",
+                 "--tolerance", tolerance, "--json"])
+    roots = json.loads(capsys.readouterr().out)["roots"]
+    assert code == 0
+    assert counts["roots"] == len(roots["intervals"]) == 5
+    assert counts["evaluations"] <= 200 * counts["roots"]
+    for (lo, hi), value in zip(roots["intervals"], roots["roots"]):
+        assert Fraction(lo) < Fraction(value) <= Fraction(hi)
+
+
+@st.composite
+def wide_coefficient_polynomials(draw):
+    """Polynomials with leading coefficients up to 7^40 and the others
+    down to 10^-40, which become integers of up to about 270 bits."""
+    lead = draw(st.sampled_from([1, -3, 10**30, -(7**40), 2**100 + 1]))
+    coeffs = draw(st.lists(
+        st.builds(lambda num, e: Fraction(num, 10**e),
+                  st.integers(-10**6, 10**6), st.integers(0, 40)),
+        min_size=1, max_size=6))
+    return UPoly([*coeffs, lead])
+
+
+def assert_roots_inside_the_bound(p):
+    chain = _squarefree_sequence(_remainder_sequence(p))
+    bound = 2 ** _root_bound_exponent(chain)
+    for f in chain:
+        if len(f) < 2:
+            continue
+        eps = sympy.Rational(bound, 2**20)
+        for (a, b), _ in sympy_poly(f).intervals(eps=eps):
+            assert -bound < a and b < bound
+
+
+@settings(max_examples=30, deadline=None)
+# x^2 - 3x - 7 has the root 4.54, past 2^2, the bound without Fujiwara's
+# factor 2
+@example(UPoly([-7, -3, 1]))
+@given(st.one_of(
+    factored_polynomials(),
+    wide_coefficient_polynomials(),
+    st.lists(st.integers(-20, 20), min_size=2, max_size=9).map(UPoly)
+    .filter(lambda p: p.degree >= 1)))
+def test_every_root_of_the_divided_sequence_lies_inside_the_bound(p):
+    assert_roots_inside_the_bound(p)
+
+
+@pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(3)])
+def test_bound_holds_for_a_degree_15_coulomb_constraint(k):
+    p = coulomb_constraint_for_k(k, 15)
+    assert p.degree == 15
+    assert_roots_inside_the_bound(p)
 
 
 @settings(max_examples=100, deadline=None)
