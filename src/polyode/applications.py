@@ -35,7 +35,8 @@ from .criteria import (
     CriterionMatrix,
     EquationSpec,
     ScalarLike,
-    _integer_linear,
+    _integer_pairs,
+    _pair_band,
     _recurrence_row,
     _square_band,
     as_scalar,
@@ -191,10 +192,11 @@ def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
     pairs = list(zip(constant, slope))
     if symbolic:
         coefficients = tuple(map(UPoly, pairs))
-    else:
-        _, coefficients = _integer_linear(pairs)
-    rows = [_recurrence_row(coefficients, j) for j in range(n + 1)]
-    return _reduce_constraint(banded_determinant(_square_band(rows)), symbolic)
+        rows = [_recurrence_row(coefficients, j) for j in range(n + 1)]
+        return _reduce_constraint(banded_determinant(_square_band(rows)), True)
+    _, coefficients = _integer_pairs(pairs)
+    det, = CriterionMatrix(n=n, bands=_pair_band(coefficients, n))._minors((n + 1,))
+    return _reduce_constraint(det, False)
 
 
 def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:
@@ -204,10 +206,9 @@ def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:
 
 
 def _reduce_constraint(det, symbolic: bool) -> UPoly:
-    """The primitive constraint polynomial from a Coulomb band determinant
-    (a UPoly, or its ``_IntPoly`` in Z[t]): the factor t^j and the content
-    (in k, for a symbolic k) are stripped, and the leading coefficient is
-    made positive."""
+    """The primitive constraint polynomial from a Coulomb band determinant,
+    a UPoly in t: the factor t^j and the content (in k, for a symbolic k)
+    are stripped, and the leading coefficient is made positive."""
     coeffs = list(det.coeffs)
     low = 0
     while low < len(coeffs) and not coeffs[low]:

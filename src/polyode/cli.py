@@ -293,11 +293,16 @@ def analyze_constraints(eq: EquationSpec, n: int,
         notes.append("degree condition cannot be satisfied for any parameter value")
     report["roots"] = {"intervals": [], "roots": [], "exact": [], "nonreal_count": 0}
     report["solutions"] = []
+
+    def fix(root):
+        try:
+            return (eq.unknown, root, *_with_band(eq.substitute(root), n))
+        except ValueError:  # the equation loses its y'' and y' terms there
+            notes.append(f"{eq.unknown} = {root} leaves no y'' or y' term; no solution there")
+
     if root_report is not None:
         report["roots"] = root_report.to_json_dict()
-        report["solutions"] = _solutions_at_roots(
-            root_report, n,
-            lambda root: (eq.unknown, root, *_with_band(eq.substitute(root), n)), notes)
+        report["solutions"] = _solutions_at_roots(root_report, n, fix, notes)
     report["exists"] = exists
     report["notes"] = notes
     report["timing_seconds"] = time.monotonic() - start
@@ -416,9 +421,7 @@ def _heun_equation(family: str, params: dict) -> EquationSpec:
         return heun_mod.general_to_spec(heun_mod.GeneralHeunParams(**params))
     except TypeError as exc:
         raise CliError(f"bad parameters for {family}: {exc}") from exc
-    except heun_mod.FuchsianViolationError as exc:
-        raise CliError(str(exc)) from exc
-    except ValueError as exc:
+    except ValueError as exc:  # a FuchsianViolationError among them
         raise CliError(str(exc)) from exc
 
 

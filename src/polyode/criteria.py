@@ -130,11 +130,11 @@ class EquationSpec:
         rationals in the nine coefficients (c0 and c1 of each c0 + c1 t):
         multiplied by D, the equation has integer coefficients and still the
         same solutions.  For a numeric equation the nine are ints, for a
-        parametric one polynomials in t over Z (``_IntPoly``)."""
+        parametric one pairs (D c0, D c1) of ints."""
         scalars = (*self.a3, *self.a2, *self.tau)
         if self.is_numeric:
             return _integers([s.constant_value() for s in scalars])
-        return _integer_linear([(s.coefficient(0), s.coefficient(1)) for s in scalars])
+        return _integer_pairs([(s.coefficient(0), s.coefficient(1)) for s in scalars])
 
     def _numeric(self, which) -> list[Fraction]:
         if not self.is_numeric:
@@ -291,12 +291,14 @@ def row_entries(eq: EquationSpec, k: int) -> tuple[UPoly, UPoly, UPoly, UPoly]:
     return _recurrence_row((*eq.a3, *eq.a2, *eq.tau), k)
 
 
-def _square_band(rows: Sequence[tuple]) -> tuple[tuple, ...]:
+def _square_band(rows: Sequence[tuple], zero=None) -> tuple[tuple, ...]:
     """Band tuples of the square matrix whose row k is the recurrence row
     ``rows[k] = (A_k, B_k, C_k, D_k)``: the entries A_0, C_n, D_n and
-    D_(n-1) fall outside the square and become zero."""
+    D_(n-1) fall outside the square and become ``zero``, by default the
+    zero of the entries' ring."""
     n = len(rows) - 1
-    zero = rows[0][1] * 0
+    if zero is None:
+        zero = rows[0][1] * 0
     return tuple((a if k >= 1 else zero, b,
                   c if k + 1 <= n else zero, d if k + 2 <= n else zero)
                  for k, (a, b, c, d) in enumerate(rows))
@@ -309,78 +311,64 @@ def _integers(values: Sequence) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-class _IntPoly:
-    """A polynomial in the unknown t with int coefficients, ascending and
-    without trailing zeros: an entry of a parametric band scaled into Z[t].
-
-    It has just what ``_recurrence_row``, ``_square_band`` and
-    ``banded_minors`` use: +, -, * (by an int or another ``_IntPoly``) and
-    truthiness; and value equality, so that two criterion matrices compare
-    by their entries."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int]) -> None:
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "_IntPoly") -> "_IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _IntPoly(out)
-
-    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
-        a, b = self.coeffs, other.coeffs
-        out = [*a, *[0] * (len(b) - len(a))]
-        for i, c in enumerate(b):
-            out[i] -= c
-        return _IntPoly(out)
-
-    def __mul__(self, other) -> "_IntPoly":
-        if isinstance(other, int):
-            return _IntPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _IntPoly(out)
-
-    __rmul__ = __mul__
-
-
-def _integer_linear(pairs: Sequence[tuple]) -> tuple[int, tuple[_IntPoly, ...]]:
-    """(D, D * scalars) for scalars c0 + c1 t given as pairs (c0, c1) of
-    rationals, D the least common denominator of all of them: each scaled
-    scalar is an ``_IntPoly``."""
+def _integer_pairs(pairs: Sequence[tuple]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``_integers`` of the rationals in the pairs (c0, c1), paired again."""
     scale, flat = _integers([c for pair in pairs for c in pair])
-    return scale, tuple(_IntPoly(flat[i:i + 2]) for i in range(0, len(flat), 2))
+    return scale, tuple(zip(flat[::2], flat[1::2]))
+
+
+def _int_band(coefficients: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """The square band of rows 0..n of the recurrence."""
+    return _square_band([_recurrence_row(coefficients, k) for k in range(n + 1)])
+
+
+def _pair_band(pairs: Sequence[tuple[int, int]], n: int) -> tuple[tuple, ...]:
+    """``_int_band`` of coefficients c0 + c1 t given as int pairs (c0, c1):
+    each entry e0 + e1 t is the pair (e0, e1), the recurrence being linear."""
+    constant, slope = zip(*pairs)
+    return tuple(tuple(zip(row0, row1))
+                 for row0, row1 in zip(_int_band(constant, n), _int_band(slope, n)))
+
+
+def _packed_minors(bands: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int], int]:
+    """(minors, B): the leading minors of a band of pair entries, each in
+    Z[t] packed as the int sum c_i 2^(B i) (Kronecker substitution).  A
+    minor's absolute coefficient sum is at most the product over its rows of
+    their entries' absolute coefficient sums, so with B = 2 + the bit length
+    of that product over all rows (each at least 1) every |c_i| < 2^(B-2).
+    An entry multiplies a minor M as e0 M + (e1 M << B), two products of a
+    small int by M, and never as a packed int."""
+    bound = 1
+    for band in bands:
+        bound *= max(1, sum(abs(low) + abs(high) for low, high in band))
+    shift = 2 + bound.bit_length()
+
+    def times(entry: tuple[int, int], minor: int) -> int:
+        low, high = entry
+        return low * minor + ((high * minor) << shift) if high else low * minor
+
+    return banded_minors(bands, times), shift
+
+
+def _unpack(value: int, shift: int) -> list[int]:
+    """The coefficients c_0, c_1, ... of sum c_i 2^(shift i), each below
+    2^(shift-1) in absolute value: its balanced base-2^shift digits."""
+    coefficients = []
+    mask = (1 << shift) - 1
+    half = 1 << (shift - 1)
+    while value:
+        digit = (((value & mask) + half) & mask) - half
+        coefficients.append(digit)
+        value = (value >> shift) + (digit < 0)
+    return coefficients
 
 
 def _unscale(value, divisor: int):
-    """A band value (an int or an ``_IntPoly``) divided by the positive
-    ``divisor``: a Fraction, or a UPoly in t with Fraction coefficients."""
-    if isinstance(value, _IntPoly):
-        return UPoly(Fraction(c, divisor) for c in value.coeffs)
-    return Fraction(value, divisor)
+    """An int, or the int coefficients of a polynomial in t, over the
+    positive ``divisor``: a Fraction, or a UPoly in t."""
+    if isinstance(value, int):
+        return Fraction(value, divisor)
+    return UPoly(Fraction(c, divisor) for c in value)
 
 
 @dataclass(frozen=True)
@@ -394,9 +382,9 @@ class CriterionMatrix:
     recurrence of the equation multiplied by ``scale``, the least common
     denominator D of the rationals in its nine coefficients
     (``EquationSpec.integer_form``), so its entries are integral: ints for
-    a numeric equation, degree <= 1 polynomials in t over Z (``_IntPoly``)
-    for an equation with an unknown.  The scaled equation has the same
-    solutions and its matrix the same nullspace, so ``band_nullspace``
+    a numeric equation, and for an equation with an unknown t pairs
+    (e0, e1) of ints, the entry e0 + e1 t.  The scaled equation has the
+    same solutions and its matrix the same nullspace, so ``band_nullspace``
     takes the int bands as they are; the matrix itself is the band divided
     by D, which ``entry`` and ``leading_minors`` undo.
     """
@@ -410,8 +398,8 @@ class CriterionMatrix:
         ``scale``: a Fraction for a numeric equation, else a UPoly in t."""
         if not (0 <= k <= self.n and 0 <= j <= self.n):
             raise IndexError(f"entry ({k}, {j}) outside the order-{self.n + 1} matrix")
-        band = self.bands[k]
-        value = band[j - k + 1] if k - 1 <= j <= k + 2 else band[1] * 0
+        # A_0 lies outside the square: it is the band's zero
+        value = self.bands[k][j - k + 1] if k - 1 <= j <= k + 2 else self.bands[0][0]
         return _unscale(value, self.scale)
 
     def leading(self, n: int) -> "CriterionMatrix":
@@ -420,26 +408,29 @@ class CriterionMatrix:
         block, with C_n, D_n and D_(n-1) now outside the square."""
         if not 0 <= n <= self.n:
             raise ValueError(f"degree {n} outside 0..{self.n}")
-        return CriterionMatrix(n=n, bands=_square_band(self.bands[:n + 1]),
-                               scale=self.scale)
+        # A_0 lies outside the square: it is the band's zero
+        bands = _square_band(self.bands[:n + 1], self.bands[0][0])
+        return CriterionMatrix(n=n, bands=bands, scale=self.scale)
 
     def leading_minors(self) -> list:
         """Leading principal minors of orders 1..n+1 of the criterion matrix,
         so entry n is the degree-n determinant: rationals for a numeric
-        equation, UPolys in t otherwise.  They are the running minors of
-        the band (``banded_minors``), computed in Z or Z[t]; the order-m
-        minor of the band is scale^m times the matrix's own, and is divided
-        back.  It need not be divisible by scale^m, since the matrix's
-        entries are rationals."""
+        equation, UPolys in t otherwise."""
+        return self._minors(range(1, self.n + 2))
+
+    def _minors(self, orders) -> list:
+        """The leading minors of the given orders: running minors of the
+        band in Z, or in Z[t] packed into ints (``_packed_minors``), where
+        the order-m one is scale^m times the matrix's own (not always
+        divisible by it); only those asked for are unpacked and unscaled."""
+        if isinstance(self.bands[0][0], tuple):
+            minors, shift = _packed_minors(self.bands)
+            return [_unscale(_unpack(minors[m - 1], shift), self.scale ** m)
+                    for m in orders]
         minors = banded_minors(self.bands)
-        if self.scale == 1 and not isinstance(minors[0], _IntPoly):
-            return minors
-        unscaled = []
-        power = 1
-        for minor in minors:
-            power *= self.scale
-            unscaled.append(_unscale(minor, power))
-        return unscaled
+        if self.scale == 1:
+            return [minors[m - 1] for m in orders]
+        return [Fraction(minors[m - 1], self.scale ** m) for m in orders]
 
 
 def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
@@ -448,25 +439,28 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
 
     The suppressed row k = n+1 would multiply c_n by exactly the degree
     condition times the scale, which is the degree condition of the scaled
-    coefficients; that closure is checked on every build, in Z or Z[t], and
-    a mismatch raises ``ArithmeticError``.
+    coefficients; that closure is checked on every build, on the ints (both
+    parts of each pair, for an equation with an unknown), and a mismatch
+    raises ``ArithmeticError``.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     scale, coefficients = eq.integer_form
-    bands = _square_band([_recurrence_row(coefficients, k) for k in range(n + 1)])
-    truncated_sub = _recurrence_row(coefficients, n + 1)[0]
-    if truncated_sub != _degree_condition(coefficients, n):
-        raise ArithmeticError(
-            "row n+1 closure does not reproduce the degree condition")
+    parts = (coefficients,) if eq.is_numeric else zip(*coefficients)
+    for part in parts:
+        if _recurrence_row(part, n + 1)[0] != _degree_condition(part, n):
+            raise ArithmeticError(
+                "row n+1 closure does not reproduce the degree condition")
+    bands = _int_band(coefficients, n) if eq.is_numeric else _pair_band(coefficients, n)
     return CriterionMatrix(n=n, bands=bands, scale=scale)
 
 
 def delta_determinant(eq: EquationSpec, n: int) -> UPoly:
     """Exact determinant of the degree-n criterion matrix, as a polynomial in
     the unknown parameter (a constant when the equation is numeric), by the
-    O(n) leading-minor recurrence of its band."""
-    det = build_criterion_matrix(eq, n).leading_minors()[-1]
+    O(n) leading-minor recurrence of its band; of its minors only the last
+    is unpacked and unscaled."""
+    det, = build_criterion_matrix(eq, n)._minors((n + 1,))
     return UPoly.constant(det) if eq.is_numeric else det
 
 

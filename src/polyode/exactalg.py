@@ -17,6 +17,7 @@ of immutable values, so all types here are safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -410,7 +411,7 @@ def bareiss_determinant(rows: Sequence[Sequence]) -> UPoly:
     return det if sign > 0 else -det
 
 
-def banded_minors(bands: Sequence[Sequence]) -> list:
+def banded_minors(bands: Sequence[Sequence], times=operator.mul) -> list:
     """Leading principal minors, of orders 1..m, of an order-m matrix with
     one subdiagonal and two superdiagonals.
 
@@ -421,18 +422,21 @@ def banded_minors(bands: Sequence[Sequence]) -> list:
     lie in the ring of the entries.  A zero subdiagonal entry A_k (every row
     of an upper-triangular band) leaves one term, B_k times the last minor,
     and a zero D_(k-2) (every row of a tridiagonal band) drops the third.
+    Each product is ``times(entry, minor)`` (by default ``*``), as A_k (C_(k-1) M),
+    so the minors may have another form than the entries, which ``times`` maps.
     """
     if not bands:
         raise ValueError("empty matrix")
     dets: list = [0, 0, 1]  # leading minors of order -2, -1 and 0
-    up = up2 = (0, 0, 0, 0)  # zero rows above the matrix
+    up = up2 = None  # the rows above, read only where their minor is nonzero
     for band in bands:
-        a, b = band[0], band[1]
-        det = b * dets[-1]
+        a = band[0]
+        det = times(band[1], dets[-1])
         if a:
-            det = det - a * up[2] * dets[-2]
-            if up2[3]:
-                det = det + a * up[0] * up2[3] * dets[-3]
+            if dets[-2]:
+                det = det - times(a, times(up[2], dets[-2]))
+            if dets[-3] and up2[3]:
+                det = det + times(a, times(up[0], times(up2[3], dets[-3])))
         dets.append(det)
         up2, up = up, band
     return dets[3:]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 # squarefree_part is no longer called here; it stays bound so that
@@ -77,13 +77,6 @@ def _primitive(f: Sequence[int]) -> IntPoly:
     return tuple(c // content for c in f) if content > 1 else tuple(f)
 
 
-def _integer_form(f: UPoly) -> IntPoly:
-    """Coprime integer coefficients of f over its positive content; the
-    result has the sign of f at every point."""
-    content = f.content()
-    return tuple((c / content).numerator for c in f.coeffs)
-
-
 def _negated_remainder(f: IntPoly, g: IntPoly) -> IntPoly:
     """-(f mod g) as a primitive integer polynomial, () when g divides f.
 
@@ -113,12 +106,14 @@ def _remainder_sequence(p: UPoly) -> list[IntPoly]:
     """The Sturm sequence of p as primitive integer polynomials: p, p', then
     negated remainders until one vanishes.  Each element has the sign of the
     rational Sturm sequence's element at every point, so every count is the
-    same; the last element is a greatest common divisor of p and p'."""
+    same; the last element is a greatest common divisor of p and p'.  p is
+    scaled to integers by the lcm of its denominators, and p' taken there."""
     if not p:
         raise ZeroPolynomialError("zero polynomial")
-    chain = [_integer_form(p)]
-    if len(p.coeffs) > 1:
-        chain.append(_integer_form(p.derivative()))
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    chain = [_primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])]
+    if len(chain[0]) > 1:
+        chain.append(_primitive([i * c for i, c in enumerate(chain[0])][1:]))
         while len(chain[-1]) > 1:
             rem = _negated_remainder(chain[-2], chain[-1])
             if not rem:
@@ -257,15 +252,16 @@ def root_bound(p: UPoly) -> Fraction:
     return 1 + max(abs(c) for c in p.coeffs) / lead
 
 
-def _search_range(p: UPoly, lo: Optional[Fraction],
+def _search_range(f: IntPoly, lo: Optional[Fraction],
                   hi: Optional[Fraction]) -> tuple[Fraction, Fraction]:
-    """(lo, hi) defaulted to cover every real root of p."""
-    bound = root_bound(p)
-    if lo is None:
-        lo = -max(DEFAULT_RANGE, bound)
-    if hi is None:
-        hi = max(DEFAULT_RANGE, bound)
-    lo, hi = Fraction(lo), Fraction(hi)
+    """(lo, hi) defaulted to (-R, R), which holds every real root of the
+    integer polynomial f: R is 10^6, or f's Cauchy bound ``root_bound``
+    where larger, which an int comparison decides."""
+    top, lead = max(map(abs, f)), abs(f[-1])
+    bound = (1 + Fraction(top, lead) if top > (DEFAULT_RANGE.numerator - 1) * lead
+             else DEFAULT_RANGE)
+    lo = Fraction(-bound if lo is None else lo)
+    hi = Fraction(bound if hi is None else hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     return lo, hi
@@ -370,8 +366,9 @@ def isolate_real_roots(
         raise ZeroPolynomialError("zero polynomial")
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
-    lo, hi = _search_range(p, lo, hi)
-    chain = _squarefree_sequence(_remainder_sequence(p))
+    sequence = _remainder_sequence(p)
+    lo, hi = _search_range(sequence[0], lo, hi)
+    chain = _squarefree_sequence(sequence)
     return RootReport(
         polynomial=p,
         intervals=_isolate(chain, lo, hi),
@@ -571,8 +568,9 @@ def analyze_roots(
     _check_tolerance(tolerance)
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
-    lo, hi = _search_range(p, lo, hi)
-    chain = _squarefree_sequence(_remainder_sequence(p))
+    sequence = _remainder_sequence(p)
+    lo, hi = _search_range(sequence[0], lo, hi)
+    chain = _squarefree_sequence(sequence)
     intervals = _isolate(chain, lo, hi)
     results = [_refine(chain, a, b, tolerance) for a, b in intervals]
     return RootReport(

@@ -363,6 +363,21 @@ def test_constraints_no_real_roots(eq_file, capsys):
     assert report["roots"]["nonreal_count"] == 2
 
 
+def test_constraints_skips_a_root_that_leaves_no_differential_part(eq_file, capsys):
+    # t x^3 y'' = 0: the degree condition -2t at n = 2 pins t = 0, where the
+    # equation is 0 = 0; that root is reported, named in a note, and gets no
+    # solution, and the exit code still follows "exists"
+    eq = json.dumps({"a3": [{"t": ["0", "1"]}, "0", "0", "0"], "a2": ["0", "0", "0"],
+                     "tau": ["0", "0"], "unknown": "t"})
+    code, report, _ = run(capsys, "constraints", eq_file(eq), "--n", "2")
+    assert report["degree_condition"]["required_value"] == "0"
+    assert report["roots"]["exact"] == ["0"]
+    assert report["solutions"] == []
+    assert "t = 0 leaves no y'' or y' term; no solution there" in report["notes"]
+    assert report["exists"] is True
+    assert code == 0
+
+
 def test_constraints_round_trip_verification(eq_file, capsys):
     code, report, _ = run(
         capsys, "constraints", eq_file(KRYLOV_GAMMA_UNKNOWN), "--n", "1"

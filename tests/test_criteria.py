@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import pathlib
 import random
@@ -213,12 +214,13 @@ def test_matrix_krylov_n1():
         [UPoly([0, -1]), UPoly([2])],
         [UPoly([2]), UPoly([0, -1])],
     ]
-    # the band itself is in Z[t] (here D = 1), zero outside the square
+    # the band itself is in Z[t] (here D = 1), each entry e0 + e1 t the
+    # pair (e0, e1), zero outside the square
     assert m.scale == 1
-    assert [[v.coeffs for v in band] for band in m.bands] == [
-        [(), (0, -1), (2,), ()],
-        [(2,), (0, -1), (), ()],
-    ]
+    assert m.bands == (
+        ((0, 0), (0, -1), (2, 0), (0, 0)),
+        ((2, 0), (0, -1), (0, 0), (0, 0)),
+    )
 
 
 def test_matrix_n0():
@@ -637,8 +639,8 @@ def test_criterion_band_and_determinant_match_sympy(n, values, t_slot):
         for j in range(size):
             assert sympy.expand(sympy_of(m.entry(k, j)) - expected[k, j]) == 0, (k, j)
     # the band's entries outside the square are zero
-    assert not any(m.bands[k][i] for k in range(size) for i in range(4)
-                   if not 0 <= k - 1 + i <= n)
+    assert all(m.bands[k][i] == (0, 0) for k in range(size) for i in range(4)
+               if not 0 <= k - 1 + i <= n)
     det = delta_determinant(eq, n)
     assert sympy.expand(sympy_of(det) - expected.det(method="berkowitz")) == 0
 
@@ -869,6 +871,105 @@ def test_integer_band_minors_match_the_rational_band(n, constants, slopes, slot,
     assert expected[-1] == bareiss_determinant(dense(rational_band))
     assert delta_determinant(eq, n) == expected[-1]
     assert entries(matrix) == dense(rational_band)
+
+
+# ---------------------------------------------------------------------------
+# Z[t] minors packed into ints (Kronecker substitution)
+
+forty_digits = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+wide_coefficients = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                              forty_digits)
+
+
+@st.composite
+def packed_cases(draw):
+    """(n, constants c0, slopes c1, shape) of a one-unknown equation whose
+    nine coefficients are c0 + c1 t, with numerators and denominators up to
+    40 digits.  "upper" zeroes the subdiagonal and B_r at a random row r,
+    so the determinant vanishes identically; "zero row" also zeroes C_r and
+    every D, so row r of the band is (0, 0) throughout."""
+    n = draw(st.integers(0, 6))
+    constants = draw(st.lists(wide_coefficients, min_size=9, max_size=9))
+    slopes = draw(st.lists(wide_coefficients, min_size=9, max_size=9))
+    shape = draw(st.sampled_from(["generic", "upper", "zero row"]))
+    # the unknown enters through a coefficient that the shapes leave free
+    slot = draw(st.sampled_from([1, 2, 5] if shape != "generic" else range(9)))
+    if not slopes[slot]:
+        slopes[slot] = draw(forty_digits.filter(bool))
+    if shape != "generic":
+        r = draw(st.integers(0, n))
+        for part in (constants, slopes):
+            part[0] = part[4] = part[7] = Fraction(0)  # a30, a20, t10: A_k = 0
+            part[8] = r * ((r - 1) * part[1] + part[5])  # B_r = 0
+            if shape == "zero row":
+                part[6] = -r * part[2]  # C_r = 0
+                part[3] = Fraction(0)  # D_k = 0
+    return n, constants, slopes, shape
+
+
+def sympy_minors(matrix):
+    """The leading minors of a parametric ``CriterionMatrix``, by sympy from
+    the entries that ``entry`` reads, as expanded expressions in T_SYM."""
+    rows = sympy.Matrix([[sympy_of(v) for v in row] for row in entries(matrix)])
+    return [sympy.expand(rows[:m, :m].det(method="berkowitz"))
+            for m in range(1, matrix.n + 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_cases())
+def test_packed_minors_match_sympy(case):
+    n, constants, slopes, shape = case
+    scalars = [UPoly([c, s]) for c, s in zip(constants, slopes)]
+    if not any(scalars[:7]):
+        return
+    eq = EquationSpec(a3=tuple(scalars[:4]), a2=tuple(scalars[4:7]), tau=tuple(scalars[7:]))
+    assert not eq.is_numeric
+    matrix = build_criterion_matrix(eq, n)
+    expected = sympy_minors(matrix)
+    got = matrix.leading_minors()
+    assert [sympy.expand(sympy_of(m) - e) for m, e in zip(got, expected)] == [0] * (n + 1)
+    det = delta_determinant(eq, n)
+    assert det == got[-1]
+    if shape != "generic":
+        assert not det
+    if shape == "zero row":
+        assert ((0, 0),) * 4 in matrix.bands
+
+
+def test_packed_minors_with_a_negative_leading_term():
+    # every slope is negative, and so is the top coefficient of every
+    # odd-order minor: its packed int is negative
+    eq = EquationSpec(a3=(UPoly([1, -3]), 2, 0, 5), a2=(UPoly([-2, -7]), 1, 4),
+                      tau=(UPoly([0, -5]), UPoly([3, -1])))
+    matrix = build_criterion_matrix(eq, 5)
+    minors = matrix.leading_minors()
+    assert all(minor.leading < 0 for minor in minors[::2])
+    expected = sympy_minors(matrix)
+    assert [sympy.expand(sympy_of(m) - e) for m, e in zip(minors, expected)] == [0] * 6
+
+
+@pytest.mark.parametrize("shift", [3, 4, 8, 63, 64, 65, 200])
+def test_unpack_reads_the_extreme_digits_back(shift):
+    # every coefficient of a packed minor lies below 2^(B-2) in absolute
+    # value; the balanced digits read back the extremes +-(2^(B-2) - 1) in
+    # every order, with zeros between them and a negative top digit
+    top = (1 << (shift - 2)) - 1
+    for coefficients in itertools.product((-top, 0, top), repeat=4):
+        coefficients = list(coefficients)
+        while coefficients and not coefficients[-1]:
+            coefficients.pop()
+        value = sum(c << (shift * i) for i, c in enumerate(coefficients))
+        assert criteria._unpack(value, shift) == coefficients
+
+
+def test_packing_bound_covers_every_minor():
+    # the shift B of a band leaves every coefficient of every minor below
+    # 2^(B-2)
+    eq = EquationSpec(a3=(0, 1, 0, 0), a2=(0, 3, 0), tau=(0, UPoly([7, -9])))
+    matrix = build_criterion_matrix(eq, 8)
+    minors, shift = criteria._packed_minors(matrix.bands)
+    for minor in minors:
+        assert all(abs(c) < 1 << (shift - 2) for c in criteria._unpack(minor, shift))
 
 
 @settings(max_examples=100, deadline=None)

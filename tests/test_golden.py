@@ -74,6 +74,12 @@ CASES = {
     "demo-chhajlany": (["demo", "chhajlany", "--p", "2", "--n", "3"], None),
     "demo-coulomb": (["demo", "coulomb", "--Z", "1", "--d", "3", "--l", "0", "--n", "3"],
                      None),
+    # the three parametric demos at the degree ceiling, where the band's
+    # minors reach their largest degree in the unknown
+    "demo-coulomb-n30": (
+        ["demo", "coulomb", "--Z", "2", "--d", "3", "--l", "1", "--n", "30"], None),
+    "demo-chhajlany-n30": (["demo", "chhajlany", "--p", "1/2", "--n", "30"], None),
+    "demo-krylov-n30": (["demo", "krylov", "--alpha", "1/3", "--n", "30"], None),
     "demo-bessel": (["demo", "bessel", "--n", "5"], None),
     "demo-hyper": (["demo", "hyper", "--m", "1", "--n", "2", "--l", "2"], None),
 }

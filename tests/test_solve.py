@@ -157,6 +157,27 @@ def test_isolate_default_range_uses_root_bound():
     assert report.exact_rational_roots == (Fraction(3 * 10**6),)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**3),
+                min_size=1, max_size=6),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+# Cauchy bounds exactly 10^6 and just past it, where the int test flips
+@example([-999999], 1)
+@example([Fraction(-999999, 1000), 0], Fraction(1, 1000))
+@example([Fraction(-999999001, 1000)], 1)
+@example([Fraction(999999001, 1000), 0], -1)
+def test_default_search_range_is_the_larger_of_a_million_and_the_cauchy_bound(
+        coefficients, lead):
+    p = UPoly([*coefficients, lead])
+    bound = max(Fraction(10**6), root_bound(p))
+    f = _remainder_sequence(p)[0]
+    lo, hi = _search_range(f, None, None)
+    assert (lo, hi) == (-bound, bound)
+    assert type(lo) is type(hi) is Fraction
+    assert _search_range(f, Fraction(-3), None) == (-3, bound)
+    assert _search_range(f, None, Fraction(7, 2)) == (-bound, Fraction(7, 2))
+
+
 # ---------------------------------------------------------------------------
 # refinement
 
@@ -466,8 +487,9 @@ def refinement_cases(draw):
 @given(refinement_cases())
 def test_isolation_and_refinement_match_the_bisection_oracle(case):
     p, tolerance, lo, hi = case
-    lo, hi = _search_range(p, lo, hi)
-    chain = _squarefree_sequence(_remainder_sequence(p))
+    sequence = _remainder_sequence(p)
+    lo, hi = _search_range(sequence[0], lo, hi)
+    chain = _squarefree_sequence(sequence)
     intervals = _isolate(chain, lo, hi)
     assert intervals == bisection.isolate(chain, lo, hi)
     for a, b in intervals:
