@@ -35,10 +35,7 @@ from .criteria import (
     CriterionMatrix,
     EquationSpec,
     ScalarLike,
-    _integer_pairs,
-    _pair_band,
     _recurrence_row,
-    _square_band,
     as_scalar,
     build_criterion_matrix,
     degree_condition,
@@ -168,35 +165,29 @@ def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
     With s = r/beta the Coulomb equation loses Z and beta:
         s(s+1) f'' + (-2t s^2 + 2(k+1-t) s + 2(k+1)) f' + (2nt s - 2t(k+1)) f = 0,
     and the constraint is the determinant of its criterion band.  For a
-    rational k the band is scaled into Z[t], as ``build_criterion_matrix``
-    scales a parametric equation; for a symbolic k its entries are
-    polynomials in t over Q[k].  That determinant always carries the
-    inadmissible root t = 0 and a k-dependent constant factor (and, in
-    Z[t], a power of the scale); both are stripped so the result is the
+    rational k that is ``delta_determinant`` of the equation in t; for a
+    symbolic k the recurrence rows have entries in t over Q[k].  That
+    determinant always carries the inadmissible root t = 0 and a
+    k-dependent constant factor; both are stripped so the result is the
     primitive constraint polynomial.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    symbolic = isinstance(k, UPoly) and not k.is_constant
     if isinstance(k, UPoly) and k.is_constant:
         k = k.constant_value()
-    if symbolic:
-        const = UPoly.constant
-    else:
-        k = Fraction(k)
-        const = int  # integers mix with Fractions, and cost less
+    if not isinstance(k, UPoly):
+        k1 = 2 * (Fraction(k) + 1)
+        eq = EquationSpec(a3=(0, 1, 1, 0), a2=((0, -2), (k1, -2), (k1, 0)),
+                          tau=((0, -2 * n), (0, k1)))
+        return _reduce_constraint(delta_determinant(eq, n), False)
+    const = UPoly.constant
     k1 = 2 * (k + const(1))
     # the nine coefficients a30..a33, a20..a22, t10, t11 are c + s t
     constant = (*map(const, (0, 1, 1, 0, 0)), k1, k1, const(0), const(0))
     slope = (*map(const, (0, 0, 0, 0, -2, -2, 0, -2 * n)), k1)
-    pairs = list(zip(constant, slope))
-    if symbolic:
-        coefficients = tuple(map(UPoly, pairs))
-        rows = [_recurrence_row(coefficients, j) for j in range(n + 1)]
-        return _reduce_constraint(banded_determinant(_square_band(rows)), True)
-    _, coefficients = _integer_pairs(pairs)
-    det, = CriterionMatrix(n=n, bands=_pair_band(coefficients, n))._minors((n + 1,))
-    return _reduce_constraint(det, False)
+    coefficients = tuple(map(UPoly, zip(constant, slope)))
+    rows = [_recurrence_row(coefficients, j) for j in range(n + 1)]
+    return _reduce_constraint(banded_determinant(rows), True)
 
 
 def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:

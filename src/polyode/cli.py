@@ -88,24 +88,26 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="suppress the human summary on stderr")
+
+    def with_tolerance(p):
+        common(p)
         p.add_argument("--tolerance", type=_fraction, default=DEFAULT_TOLERANCE,
                        help="root refinement tolerance (default 1e-12)")
 
-    p_check = sub.add_parser("check", parents=[], help="test one equation")
+    p_check = sub.add_parser("check", help="test one equation")
     p_check.add_argument("input", help="equation JSON file, or - for stdin")
     p_check.add_argument("--n", type=int, help="target polynomial degree")
     p_check.add_argument("--max-n", type=int, dest="max_n",
                          help="sweep degrees 0..max-n instead of a single n")
     p_check.add_argument("--method", choices=("determinant", "aim", "both"),
                          default="both")
-    p_check.add_argument("--unknown", help="name of the unknown parameter")
     common(p_check)
 
     p_con = sub.add_parser("constraints", help="solve for the unknown parameter")
     p_con.add_argument("input", help="equation JSON file, or - for stdin")
     p_con.add_argument("--n", type=int, required=True)
     p_con.add_argument("--unknown", help="name of the unknown parameter")
-    common(p_con)
+    with_tolerance(p_con)
 
     p_demo = sub.add_parser("demo", help="run a named case study")
     p_demo.add_argument("name")
@@ -122,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--a", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--b", type=_fraction, default=Fraction(1))
     p_demo.add_argument("--params", help="JSON parameter object (heun demos)")
-    common(p_demo)
+    with_tolerance(p_demo)
 
     p_heun = sub.add_parser("heun", help="Heun-family polynomial conditions")
     p_heun.add_argument("family", choices=("confluent", "biconfluent", "general"))
     p_heun.add_argument("--params", required=True,
                         help="JSON object of family parameters")
     p_heun.add_argument("--n", type=int, required=True)
-    common(p_heun)
+    with_tolerance(p_heun)
 
     return parser
 
@@ -383,7 +385,7 @@ def _params_dict(args) -> dict:
 # commands
 
 def cmd_check(args) -> dict:
-    eq = _parse_equation(_read_input(args.input), args.unknown)
+    eq = _parse_equation(_read_input(args.input), None)
     if not eq.is_numeric:
         raise CliError(
             "check needs a fully numeric equation; use `constraints` to solve "
@@ -642,7 +644,7 @@ def _check_ranges(args) -> None:
             raise CliError(f"--{flag} must be nonnegative, got {value}")
         if value > MAX_DEGREE:
             raise CliError(f"--{flag} is at most {MAX_DEGREE}, got {value}")
-    if args.tolerance <= 0:
+    if "tolerance" in args and args.tolerance <= 0:
         raise CliError(f"--tolerance must be positive, got {args.tolerance}")
 
 

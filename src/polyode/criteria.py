@@ -286,24 +286,6 @@ def _recurrence_row(coefficients: Sequence, k: int) -> tuple:
     return a, b, c, d
 
 
-def row_entries(eq: EquationSpec, k: int) -> tuple[UPoly, UPoly, UPoly, UPoly]:
-    """Band entries (A_k, B_k, C_k, D_k) of recurrence row k."""
-    return _recurrence_row((*eq.a3, *eq.a2, *eq.tau), k)
-
-
-def _square_band(rows: Sequence[tuple], zero=None) -> tuple[tuple, ...]:
-    """Band tuples of the square matrix whose row k is the recurrence row
-    ``rows[k] = (A_k, B_k, C_k, D_k)``: the entries A_0, C_n, D_n and
-    D_(n-1) fall outside the square and become ``zero``, by default the
-    zero of the entries' ring."""
-    n = len(rows) - 1
-    if zero is None:
-        zero = rows[0][1] * 0
-    return tuple((a if k >= 1 else zero, b,
-                  c if k + 1 <= n else zero, d if k + 2 <= n else zero)
-                 for k, (a, b, c, d) in enumerate(rows))
-
-
 def _integers(values: Sequence) -> tuple[int, tuple[int, ...]]:
     """(D, D * values): rationals (ints or Fractions) times the least common
     denominator D of them all, which makes every one an integer."""
@@ -317,19 +299,6 @@ def _integer_pairs(pairs: Sequence[tuple]) -> tuple[int, tuple[tuple[int, int], 
     return scale, tuple(zip(flat[::2], flat[1::2]))
 
 
-def _int_band(coefficients: Sequence[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """The square band of rows 0..n of the recurrence."""
-    return _square_band([_recurrence_row(coefficients, k) for k in range(n + 1)])
-
-
-def _pair_band(pairs: Sequence[tuple[int, int]], n: int) -> tuple[tuple, ...]:
-    """``_int_band`` of coefficients c0 + c1 t given as int pairs (c0, c1):
-    each entry e0 + e1 t is the pair (e0, e1), the recurrence being linear."""
-    constant, slope = zip(*pairs)
-    return tuple(tuple(zip(row0, row1))
-                 for row0, row1 in zip(_int_band(constant, n), _int_band(slope, n)))
-
-
 def _packed_minors(bands: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int], int]:
     """(minors, B): the leading minors of a band of pair entries, each in
     Z[t] packed as the int sum c_i 2^(B i) (Kronecker substitution).  A
@@ -337,7 +306,8 @@ def _packed_minors(bands: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int
     their entries' absolute coefficient sums, so with B = 2 + the bit length
     of that product over all rows (each at least 1) every |c_i| < 2^(B-2).
     An entry multiplies a minor M as e0 M + (e1 M << B), two products of a
-    small int by M, and never as a packed int."""
+    small int by M, and never as a packed int.  Entries outside the square,
+    which no minor reads, only raise the bound."""
     bound = 1
     for band in bands:
         bound *= max(1, sum(abs(low) + abs(high) for low, high in band))
@@ -376,41 +346,44 @@ class CriterionMatrix:
     """(n+1) x (n+1) banded matrix whose singularity is the second condition
     for a degree-n polynomial solution.
 
-    ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2,
-    the only columns where it can be nonzero; the entries of A_0, C_n, D_n
-    and D_(n-1) fall outside the square and are zero.  The band is the
-    recurrence of the equation multiplied by ``scale``, the least common
-    denominator D of the rationals in its nine coefficients
-    (``EquationSpec.integer_form``), so its entries are integral: ints for
-    a numeric equation, and for an equation with an unknown t pairs
-    (e0, e1) of ints, the entry e0 + e1 t.  The scaled equation has the
-    same solutions and its matrix the same nullspace, so ``band_nullspace``
-    takes the int bands as they are; the matrix itself is the band divided
-    by D, which ``entry`` and ``leading_minors`` undo.
+    ``bands[k] = (A_k, B_k, C_k, D_k)`` is row k = 0..n of the coefficient
+    recurrence, the entries at columns k-1..k+2, as ``_recurrence_row``
+    gives it.  A_0, C_n, D_(n-1) and D_n fall outside the square: they are
+    kept as built, and neither ``banded_minors`` nor ``band_nullspace`` reads
+    them.  The band is the recurrence of the equation multiplied by
+    ``scale``, the least common denominator D of the rationals in its nine
+    coefficients (``EquationSpec.integer_form``), so its entries are
+    integral: ints for a numeric equation, and for an equation with an
+    unknown t pairs (e0, e1) of ints, the entry e0 + e1 t.  The scaled
+    equation has the same solutions and its matrix the same nullspace, so
+    ``band_nullspace`` takes the int bands as they are; the matrix itself is
+    the band divided by D, which ``entry`` and ``leading_minors`` undo.
     """
 
-    n: int
     bands: tuple[tuple, ...]
     scale: int = 1
+
+    @property
+    def n(self) -> int:
+        """The degree: the matrix has order n+1, one row per band."""
+        return len(self.bands) - 1
 
     def entry(self, k: int, j: int):
         """Entry (k, j) of the criterion matrix, the band entry over
         ``scale``: a Fraction for a numeric equation, else a UPoly in t."""
         if not (0 <= k <= self.n and 0 <= j <= self.n):
             raise IndexError(f"entry ({k}, {j}) outside the order-{self.n + 1} matrix")
-        # A_0 lies outside the square: it is the band's zero
-        value = self.bands[k][j - k + 1] if k - 1 <= j <= k + 2 else self.bands[0][0]
-        return _unscale(value, self.scale)
+        if k - 1 <= j <= k + 2:
+            return _unscale(self.bands[k][j - k + 1], self.scale)
+        return UPoly() if isinstance(self.bands[0][0], tuple) else Fraction(0)
 
     def leading(self, n: int) -> "CriterionMatrix":
         """The degree-n criterion matrix, for 0 <= n <= self.n: no band entry
         depends on the degree, so it is this matrix's leading (n+1) x (n+1)
-        block, with C_n, D_n and D_(n-1) now outside the square."""
+        block, its first n+1 rows."""
         if not 0 <= n <= self.n:
             raise ValueError(f"degree {n} outside 0..{self.n}")
-        # A_0 lies outside the square: it is the band's zero
-        bands = _square_band(self.bands[:n + 1], self.bands[0][0])
-        return CriterionMatrix(n=n, bands=bands, scale=self.scale)
+        return CriterionMatrix(bands=self.bands[:n + 1], scale=self.scale)
 
     def leading_minors(self) -> list:
         """Leading principal minors of orders 1..n+1 of the criterion matrix,
@@ -436,6 +409,9 @@ class CriterionMatrix:
 def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
     """Assemble the band of rows k = 0..n of the coefficient recurrence of
     the equation scaled to integer coefficients (see ``CriterionMatrix``).
+    For an equation with an unknown the recurrence, being linear in the
+    coefficients, runs once on the constant parts and once on the slopes,
+    and each entry pairs the two.
 
     The suppressed row k = n+1 would multiply c_n by exactly the degree
     condition times the scale, which is the degree condition of the scaled
@@ -446,13 +422,18 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     scale, coefficients = eq.integer_form
-    parts = (coefficients,) if eq.is_numeric else zip(*coefficients)
+    parts = (coefficients,) if eq.is_numeric else tuple(zip(*coefficients))
     for part in parts:
         if _recurrence_row(part, n + 1)[0] != _degree_condition(part, n):
             raise ArithmeticError(
                 "row n+1 closure does not reproduce the degree condition")
-    bands = _int_band(coefficients, n) if eq.is_numeric else _pair_band(coefficients, n)
-    return CriterionMatrix(n=n, bands=bands, scale=scale)
+    if eq.is_numeric:
+        bands = tuple(_recurrence_row(coefficients, k) for k in range(n + 1))
+    else:
+        constant, slope = parts
+        bands = tuple(tuple(zip(_recurrence_row(constant, k), _recurrence_row(slope, k)))
+                      for k in range(n + 1))
+    return CriterionMatrix(bands=bands, scale=scale)
 
 
 def delta_determinant(eq: EquationSpec, n: int) -> UPoly:

@@ -1,6 +1,7 @@
 """Conversion between the criterion band and dense square matrices, so the
 dense oracles (Bareiss, Gauss-Jordan, sympy) read the same matrices as the
-band kernels; the tridiagonal continuant, the independent oracle for the
+band kernels; the recurrence rows of an equation over its own coefficient
+ring (UPolys in t), unscaled; the tridiagonal continuant, the independent oracle for the
 Coulomb constraint; the rational residual, the independent oracle for the
 integer residual certificate; and the primitive form of a rational vector,
 which turns the Gauss-Jordan nullspace into the integer basis that
@@ -8,6 +9,7 @@ which turns the Gauss-Jordan nullspace into the integer basis that
 
 from math import gcd, lcm
 
+from polyode.criteria import _recurrence_row
 from polyode.exactalg import UPoly
 
 
@@ -23,6 +25,12 @@ def dense(bands):
             if 0 <= j < size:
                 rows[k][j] = value
     return rows
+
+
+def row_entries(eq, k):
+    """Band entries (A_k, B_k, C_k, D_k) of recurrence row k, as UPolys in
+    t, from the equation's own coefficients rather than its integer form."""
+    return _recurrence_row((*eq.a3, *eq.a2, *eq.tau), k)
 
 
 def entries(matrix):

@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyode import applications
+from polyode import applications, criteria
 from polyode.applications import (
     BadDegreeError,
     CoulombProblem,
@@ -25,7 +26,6 @@ from polyode.applications import (
     krylov_robnik_spec,
 )
 from polyode.criteria import (
-    CriterionMatrix,
     build_criterion_matrix,
     construct_solution,
     degree_condition,
@@ -139,12 +139,21 @@ def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
         matrix = build_criterion_matrix(eq, n)
         bands = [list(band) for band in matrix.bands]
         bands[0][1] = bands[0][1] + 1  # B_0, the entry at (0, 0)
-        return CriterionMatrix(n=matrix.n, bands=tuple(map(tuple, bands)),
-                               scale=matrix.scale)
+        return dataclasses.replace(matrix, bands=tuple(map(tuple, bands)))
 
     monkeypatch.setattr(applications, "build_criterion_matrix", tampered)
     with pytest.raises(ArithmeticError, match="closed form"):
         coulomb_spec(CoulombProblem(1, 2, 3, 0), 2)
+
+
+def test_coulomb_constraint_runs_the_closure_check(monkeypatch):
+    # a rational k builds its band with build_criterion_matrix, which checks
+    # that row n+1 closes the degree condition
+    original = criteria._degree_condition
+    monkeypatch.setattr(criteria, "_degree_condition",
+                        lambda coefficients, n: original(coefficients, n) + 1)
+    with pytest.raises(ArithmeticError, match="closure"):
+        coulomb_constraint_for_k(Fraction(1, 2), 3)
 
 
 def test_coulomb_spec_entries_assert_internally():

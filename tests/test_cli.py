@@ -515,6 +515,15 @@ def test_bad_flag_exits_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--tolerance", "1/3"], ["--unknown", "t"]])
+def test_check_takes_no_tolerance_or_unknown(flag, eq_file, capsys):
+    # check refines no roots and rejects every equation with an unknown
+    code, report, err = run(capsys, "check", eq_file(BESSEL6), "--n", "2", *flag)
+    assert code == 1
+    assert report is None
+    assert f"unrecognized arguments: {flag[0]}" in err
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -31,14 +31,13 @@ from polyode.criteria import (
     embed_classical,
     necessary_condition_general,
     rational_nullspace,
-    row_entries,
     verify_solution,
 )
 from polyode.exactalg import (
     MAX_DIGITS, UPoly, banded_determinant, banded_minors, bareiss_determinant)
 
 from bandforms import (
-    bands_of, dense, entries, integer_rows, primitive_vector, residual)
+    bands_of, dense, entries, integer_rows, primitive_vector, residual, row_entries)
 
 T = UPoly([0, 1])  # the unknown parameter
 
@@ -215,11 +214,13 @@ def test_matrix_krylov_n1():
         [UPoly([2]), UPoly([0, -1])],
     ]
     # the band itself is in Z[t] (here D = 1), each entry e0 + e1 t the
-    # pair (e0, e1), zero outside the square
+    # pair (e0, e1); rows 0 and 1 of the recurrence as built, so A_0 and
+    # C_1, outside the square, keep their values
     assert m.scale == 1
+    assert m.n == 1
     assert m.bands == (
-        ((0, 0), (0, -1), (2, 0), (0, 0)),
-        ((2, 0), (0, -1), (0, 0), (0, 0)),
+        ((2, 0), (0, -1), (2, 0), (0, 0)),
+        ((2, 0), (0, -1), (4, 0), (0, 0)),
     )
 
 
@@ -227,7 +228,8 @@ def test_matrix_n0():
     eq = krylov_eq(1, 4, 9)
     m = build_criterion_matrix(eq, 0)
     assert dense(m.bands) == [[-9]]
-    assert m.bands == ((0, -9, 0, 0),)
+    assert m.bands == ((-5, -9, 1, 0),)  # A_0 and C_0 lie outside the square
+    assert m.n == 0
     assert isinstance(m.entry(0, 0), Fraction)  # numeric equation
     with pytest.raises(IndexError):
         m.entry(0, 1)
@@ -612,7 +614,8 @@ def sympy_of(entry):
 def test_criterion_band_and_determinant_match_sympy(n, values, t_slot):
     """An oracle that does not use the A..D formulas: entry (k, j) is minus
     the x^k coefficient of the equation applied to y = x^j, built in sympy,
-    and the determinant is sympy's, as a polynomial in t."""
+    and the determinant is sympy's, as a polynomial in t.  The same holds
+    for the band entries outside the square, at columns -1, n+1 and n+2."""
     scalars = [Fraction(v) for v in values]
     linear = [UPoly([c]) for c in scalars]
     linear[t_slot] = UPoly([scalars[t_slot], 1])
@@ -624,8 +627,8 @@ def test_criterion_band_and_determinant_match_sympy(n, values, t_slot):
     sym[t_slot] += T_SYM
     a30, a31, a32, a33, a20, a21, a22, t10, t11 = sym
     size = n + 1
-    expected = sympy.zeros(size, size)
-    for j in range(size):
+    oracle = {}
+    for j in range(-1, size + 2):
         y = X ** j
         residual = sympy.expand(
             (a30 * X**3 + a31 * X**2 + a32 * X + a33) * sympy.diff(y, X, 2)
@@ -633,14 +636,16 @@ def test_criterion_band_and_determinant_match_sympy(n, values, t_slot):
             - (t10 * X + t11) * y
         )
         for k in range(size):
-            expected[k, j] = -residual.coeff(X, k)
+            oracle[k, j] = -residual.coeff(X, k)
+    expected = sympy.Matrix(size, size, lambda k, j: oracle[k, j])
     m = build_criterion_matrix(eq, n)
     for k in range(size):
         for j in range(size):
             assert sympy.expand(sympy_of(m.entry(k, j)) - expected[k, j]) == 0, (k, j)
-    # the band's entries outside the square are zero
-    assert all(m.bands[k][i] == (0, 0) for k in range(size) for i in range(4)
-               if not 0 <= k - 1 + i <= n)
+        # the band holds the recurrence rows as built, outside the square too
+        for j, pair in enumerate(m.bands[k], start=k - 1):
+            value = UPoly(Fraction(c, m.scale) for c in pair)
+            assert sympy.expand(sympy_of(value) - oracle[k, j]) == 0, (k, j)
     det = delta_determinant(eq, n)
     assert sympy.expand(sympy_of(det) - expected.det(method="berkowitz")) == 0
 
@@ -846,6 +851,58 @@ def test_running_minors_of_parametric_and_upper_triangular_bands():
         assert matrix.leading_minors() == leading_minors(entries(matrix))
 
 
+# ---------------------------------------------------------------------------
+# the band entries outside the square are never read
+
+def with_outside(bands, values):
+    """The band with A_0, C_n, D_n and D_(n-1), the entries that fall
+    outside the square, overwritten by ``values`` (D_(n-1) only for n >= 1)."""
+    rows = [list(band) for band in bands]
+    n = len(rows) - 1
+    for (k, i), value in zip([(0, 0), (n, 2), (n, 3), (n - 1, 3)], values):
+        if k >= 0:
+            rows[k][i] = value
+    return [tuple(row) for row in rows]
+
+
+outside_ints = st.lists(st.integers(-10**30, 10**30), min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_matrices(), outside_ints)
+def test_int_band_kernels_read_no_entry_outside_the_square(rows, values):
+    bands = bands_of(integer_rows(rows))  # zero outside the square
+    moved = with_outside(bands, values)
+    assert banded_minors(moved) == banded_minors(bands)
+    assert band_nullspace(moved) == band_nullspace(bands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.tuples(*(small_fractions for _ in range(9))),
+       st.tuples(*(small_fractions for _ in range(9))),
+       st.lists(st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)),
+                min_size=4, max_size=4))
+def test_parametric_band_kernels_read_no_entry_outside_the_square(
+        n, constants, slopes, values):
+    # the packed pair band and the band of UPolys in t, both squared off
+    # with zeros and then given arbitrary values there; the shift of the
+    # packed minors may grow with the values, the minors it packs may not
+    scalars = [UPoly([c, s]) for c, s in zip(constants, slopes)]
+    if not any(scalars[:7]) or not any(slopes):
+        return
+    eq = EquationSpec(a3=tuple(scalars[:4]), a2=tuple(scalars[4:7]), tau=tuple(scalars[7:]))
+    pairs = with_outside(build_criterion_matrix(eq, n).bands, [(0, 0)] * 4)
+    rows = with_outside([row_entries(eq, k) for k in range(n + 1)], [UPoly()] * 4)
+
+    def unpacked(bands):
+        minors, shift = criteria._packed_minors(bands)
+        return [criteria._unpack(minor, shift) for minor in minors]
+
+    assert unpacked(with_outside(pairs, values)) == unpacked(pairs)
+    polys = [UPoly(value) for value in values]
+    assert banded_minors(with_outside(rows, polys)) == banded_minors(rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 7), st.tuples(*(small_fractions for _ in range(9))),
        st.tuples(*(small_fractions for _ in range(9))), st.integers(0, 8),
@@ -855,7 +912,8 @@ def test_integer_band_minors_match_the_rational_band(n, constants, slopes, slot,
     # a parametric cubic c0 + c1 t with rational coefficients; slot's slope
     # 1/denominator makes D > 1 and the equation parametric.  The oracle is
     # the band over Q[t] that the unscaled recurrence gives, with UPoly
-    # entries: its running minors and its dense Bareiss determinant.
+    # entries: its running minors and its dense Bareiss determinant.  The
+    # scaled band's entries, outside the square too, are its entries times D.
     slopes = [Fraction(1, denominator) if i == slot else c for i, c in enumerate(slopes)]
     scalars = [UPoly([c, s]) for c, s in zip(constants, slopes)]
     if not any(scalars[:7]):
@@ -865,7 +923,9 @@ def test_integer_band_minors_match_the_rational_band(n, constants, slopes, slot,
     matrix = build_criterion_matrix(eq, n)
     assert matrix.scale == lcm(*(c.denominator for c in (*constants, *slopes)))
     assert matrix.scale > 1
-    rational_band = criteria._square_band([row_entries(eq, k) for k in range(n + 1)])
+    rational_band = [row_entries(eq, k) for k in range(n + 1)]
+    assert [[UPoly(pair) for pair in band] for band in matrix.bands] == [
+        [matrix.scale * entry for entry in band] for band in rational_band]
     expected = banded_minors(rational_band)
     assert matrix.leading_minors() == expected
     assert expected[-1] == bareiss_determinant(dense(rational_band))
@@ -985,6 +1045,7 @@ def test_leading_block_is_the_lower_degree_matrix(top, values, slot):
     matrix = build_criterion_matrix(eq, top)
     for n in range(top + 1):
         assert matrix.leading(n) == build_criterion_matrix(eq, n)
+        assert matrix.leading(n).n == n
     with pytest.raises(ValueError):
         matrix.leading(top + 1)
 
