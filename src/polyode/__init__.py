@@ -65,10 +65,7 @@ from .exactalg import (
     squarefree_part,
 )
 from .heun import (
-    BiconfluentHeunParams,
-    ConfluentHeunParams,
     FuchsianViolationError,
-    GeneralHeunParams,
     biconfluent_to_spec,
     confluent_to_spec,
     general_to_spec,

@@ -8,7 +8,8 @@ check        decide whether a numeric equation has a degree-n polynomial
 constraints  for an equation with one unknown parameter, emit the degree
              condition, the determinant constraint polynomial, its real
              roots, and verified solutions at every exact rational root
-demo         run a named case study end to end
+demo         run one case study end to end: davidson, coulomb, krylov,
+             chhajlany, hyper or bessel, each with its own options
 heun         map a Heun-family equation onto the generic form and emit its
              polynomial-solution conditions
 
@@ -81,57 +82,62 @@ def _fraction(text: str) -> Fraction:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process, since parsing leaves no
-    state in it."""
+    state in it.  Every command and case study has its own parser, holding
+    exactly the options it reads, and names its function as ``run``."""
     parser = _Parser(prog="polyode")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(parent, name, run, *, tolerance=False, **kwargs):
+        p = parent.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
         p.add_argument("--json", action="store_true",
                        help="suppress the human summary on stderr")
+        if tolerance:
+            p.add_argument("--tolerance", type=_fraction, default=DEFAULT_TOLERANCE,
+                           help="root refinement tolerance (default 1e-12)")
+        return p
 
-    def with_tolerance(p):
-        common(p)
-        p.add_argument("--tolerance", type=_fraction, default=DEFAULT_TOLERANCE,
-                       help="root refinement tolerance (default 1e-12)")
-
-    p_check = sub.add_parser("check", help="test one equation")
+    p_check = command(sub, "check", cmd_check, help="test one equation")
     p_check.add_argument("input", help="equation JSON file, or - for stdin")
-    p_check.add_argument("--n", type=int, help="target polynomial degree")
-    p_check.add_argument("--max-n", type=int, dest="max_n",
+    degrees = p_check.add_mutually_exclusive_group(required=True)
+    degrees.add_argument("--n", type=int, help="target polynomial degree")
+    degrees.add_argument("--max-n", type=int, dest="max_n",
                          help="sweep degrees 0..max-n instead of a single n")
     p_check.add_argument("--method", choices=("determinant", "aim", "both"),
                          default="both")
-    common(p_check)
 
-    p_con = sub.add_parser("constraints", help="solve for the unknown parameter")
+    p_con = command(sub, "constraints", cmd_constraints, tolerance=True,
+                    help="solve for the unknown parameter")
     p_con.add_argument("input", help="equation JSON file, or - for stdin")
     p_con.add_argument("--n", type=int, required=True)
-    p_con.add_argument("--unknown", help="name of the unknown parameter")
-    with_tolerance(p_con)
 
-    p_demo = sub.add_parser("demo", help="run a named case study")
-    p_demo.add_argument("name")
-    p_demo.add_argument("--n", type=int, default=1)
-    p_demo.add_argument("--mu", type=_fraction, default=Fraction(0))
-    p_demo.add_argument("--eps", type=_fraction)
-    p_demo.add_argument("--tau00", type=_fraction)
-    p_demo.add_argument("--Z", type=_fraction, default=Fraction(1))
-    p_demo.add_argument("--d", type=int, default=3)
-    p_demo.add_argument("--l", type=int, default=0)
-    p_demo.add_argument("--alpha", type=_fraction, default=Fraction(1))
-    p_demo.add_argument("--p", type=_fraction, default=Fraction(1))
-    p_demo.add_argument("--m", type=int, default=1)
-    p_demo.add_argument("--a", type=_fraction, default=Fraction(1))
-    p_demo.add_argument("--b", type=_fraction, default=Fraction(1))
-    p_demo.add_argument("--params", help="JSON parameter object (heun demos)")
-    with_tolerance(p_demo)
+    studies = sub.add_parser("demo", help="run a named case study").add_subparsers(
+        dest="name", required=True)
 
-    p_heun = sub.add_parser("heun", help="Heun-family polynomial conditions")
-    p_heun.add_argument("family", choices=("confluent", "biconfluent", "general"))
+    def study(name, run, *options, tolerance=False):
+        # no abbreviations: another study's option (--m, --a) must not pass
+        # for a prefix of this one's (--mu, --alpha)
+        p = command(studies, name, run, tolerance=tolerance, allow_abbrev=False)
+        p.add_argument("--n", type=int, default=1)
+        for flag, kind, default in options:
+            p.add_argument(flag, type=kind, default=default)
+
+    study("davidson", _demo_davidson, ("--mu", _fraction, Fraction(0)),
+          ("--eps", _fraction, None))
+    study("coulomb", _demo_coulomb, ("--Z", _fraction, Fraction(1)), ("--d", int, 3),
+          ("--l", int, 0), tolerance=True)
+    study("krylov", _demo_krylov, ("--alpha", _fraction, Fraction(1)), tolerance=True)
+    study("chhajlany", _demo_chhajlany, ("--p", _fraction, Fraction(1)), tolerance=True)
+    study("hyper", _demo_hyper, ("--m", int, 1), ("--l", int, 2),
+          ("--a", _fraction, Fraction(1)), ("--b", _fraction, Fraction(1)))
+    study("bessel", _demo_bessel, ("--tau00", _fraction, None))
+
+    p_heun = command(sub, "heun", cmd_heun, tolerance=True,
+                     help="Heun-family polynomial conditions")
+    p_heun.add_argument("family", choices=tuple(_HEUN_FAMILIES))
     p_heun.add_argument("--params", required=True,
                         help="JSON object of family parameters")
     p_heun.add_argument("--n", type=int, required=True)
-    with_tolerance(p_heun)
 
     return parser
 
@@ -339,12 +345,9 @@ def _json_object(text: str, what: str) -> dict:
     return data
 
 
-def _parse_equation(text: str, unknown_flag) -> EquationSpec:
-    data = _json_object(text, "the equation")
-    if unknown_flag and "unknown" not in data:
-        data["unknown"] = unknown_flag
+def _parse_equation(text: str) -> EquationSpec:
     try:
-        return EquationSpec.from_json_dict(data)
+        return EquationSpec.from_json_dict(_json_object(text, "the equation"))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -375,8 +378,6 @@ def _scalar_from_json(value, where: str):
 
 
 def _params_dict(args) -> dict:
-    if not args.params:
-        raise CliError("this command needs --params with a JSON object")
     data = _json_object(args.params, "--params")
     return {k: _scalar_from_json(v, f"params[{k!r}]") for k, v in data.items()}
 
@@ -385,7 +386,7 @@ def _params_dict(args) -> dict:
 # commands
 
 def cmd_check(args) -> dict:
-    eq = _parse_equation(_read_input(args.input), None)
+    eq = _parse_equation(_read_input(args.input))
     if not eq.is_numeric:
         raise CliError(
             "check needs a fully numeric equation; use `constraints` to solve "
@@ -398,29 +399,24 @@ def cmd_check(args) -> dict:
             "degrees_with_solutions": [r["n"] for r in reports if r["exists"]],
             "exists": any(r["exists"] for r in reports),
         }
-    if args.n is None:
-        raise CliError("check needs --n or --max-n")
     return analyze_check(eq, [args.n], args.method)[0]
 
 
 def cmd_constraints(args) -> dict:
-    eq = _parse_equation(_read_input(args.input), args.unknown)
+    eq = _parse_equation(_read_input(args.input))
     if eq.is_numeric:
         raise CliError("constraints needs exactly one unknown parameter")
     return analyze_constraints(eq, args.n, args.tolerance)
 
 
+_HEUN_FAMILIES = {"confluent": heun_mod.confluent_to_spec,
+                  "biconfluent": heun_mod.biconfluent_to_spec,
+                  "general": heun_mod.general_to_spec}
+
+
 def _heun_equation(family: str, params: dict) -> EquationSpec:
     try:
-        if family == "confluent":
-            return heun_mod.confluent_to_spec(
-                heun_mod.ConfluentHeunParams(**params)
-            )
-        if family == "biconfluent":
-            return heun_mod.biconfluent_to_spec(
-                heun_mod.BiconfluentHeunParams(**params)
-            )
-        return heun_mod.general_to_spec(heun_mod.GeneralHeunParams(**params))
+        return _HEUN_FAMILIES[family](**params)
     except TypeError as exc:
         raise CliError(f"bad parameters for {family}: {exc}") from exc
     except ValueError as exc:  # a FuchsianViolationError among them
@@ -435,18 +431,6 @@ def cmd_heun(args) -> dict:
         report = analyze_constraints(eq, args.n, args.tolerance)
     report["family"] = args.family
     return report
-
-
-def cmd_demo(args) -> dict:
-    name = args.name
-    if name not in DEMO_NAMES:
-        raise CliError(
-            f"unknown demo {name!r}; valid names: {', '.join(DEMO_NAMES)}"
-        )
-    if name.startswith("heun-"):
-        args.family = name.removeprefix("heun-")
-        return cmd_heun(args)
-    return _DEMOS[name](args)
 
 
 def _demo_davidson(args) -> dict:
@@ -582,14 +566,6 @@ def _demo_bessel(args) -> dict:
     return report
 
 
-_DEMOS = {"davidson": _demo_davidson, "coulomb": _demo_coulomb,
-          "krylov": _demo_krylov, "chhajlany": _demo_chhajlany,
-          "hyper": _demo_hyper, "bessel": _demo_bessel}
-DEMO_NAMES = (*_DEMOS, "heun-confluent", "heun-biconfluent", "heun-general")
-_COMMANDS = {"check": cmd_check, "constraints": cmd_constraints,
-             "demo": cmd_demo, "heun": cmd_heun}
-
-
 # ---------------------------------------------------------------------------
 # human summaries
 
@@ -656,7 +632,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_ranges(args)
-        report = _COMMANDS[args.command](args)
+        report = args.run(args)
         line = json.dumps(report, separators=(",", ":"))
     except CliError as exc:
         print(f"polyode: error: {exc}", file=sys.stderr)

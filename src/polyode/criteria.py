@@ -40,7 +40,6 @@ cubic-coefficient form so the two routes can be cross-checked.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -214,10 +213,6 @@ class EquationSpec:
 
         return cls(a3=tuple(field("a3")), a2=tuple(field("a2")),
                    tau=tuple(field("tau")), unknown=unknown or "t")
-
-    @classmethod
-    def from_json(cls, text: str) -> "EquationSpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

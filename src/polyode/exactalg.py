@@ -111,10 +111,6 @@ class UPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "UPoly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "UPoly":
         return cls((1,))
 

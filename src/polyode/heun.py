@@ -29,8 +29,6 @@ z(z-1)(z-a), with the regularity-at-infinity constraint
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .criteria import EquationSpec, ScalarLike, as_scalar
 from .exactalg import UPoly
 
@@ -45,41 +43,10 @@ class FuchsianViolationError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class ConfluentHeunParams:
-    alpha: ScalarLike
-    beta: ScalarLike
-    gamma: ScalarLike
-    mu: ScalarLike
-    nu: ScalarLike
-
-
-@dataclass(frozen=True)
-class BiconfluentHeunParams:
-    alpha: ScalarLike
-    beta: ScalarLike
-    gamma: ScalarLike
-    delta: ScalarLike
-
-
-@dataclass(frozen=True)
-class GeneralHeunParams:
-    a: ScalarLike
-    alpha: ScalarLike
-    beta: ScalarLike
-    gamma: ScalarLike
-    delta: ScalarLike
-    epsilon: ScalarLike
-    q: ScalarLike
-
-
-def confluent_to_spec(p: ConfluentHeunParams) -> EquationSpec:
+def confluent_to_spec(*, alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLike,
+                      mu: ScalarLike, nu: ScalarLike) -> EquationSpec:
     """Degree condition for the output: mu + nu = -n alpha."""
-    alpha = as_scalar(p.alpha)
-    beta = as_scalar(p.beta)
-    gamma = as_scalar(p.gamma)
-    mu = as_scalar(p.mu)
-    nu = as_scalar(p.nu)
+    alpha, beta, gamma, mu, nu = map(as_scalar, (alpha, beta, gamma, mu, nu))
     two = UPoly.constant(2)
     return EquationSpec(
         a3=(0, 1, -1, 0),
@@ -88,12 +55,10 @@ def confluent_to_spec(p: ConfluentHeunParams) -> EquationSpec:
     )
 
 
-def biconfluent_to_spec(p: BiconfluentHeunParams) -> EquationSpec:
+def biconfluent_to_spec(*, alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLike,
+                        delta: ScalarLike) -> EquationSpec:
     """Degree condition for the output: gamma = alpha + 2(n+1)."""
-    alpha = as_scalar(p.alpha)
-    beta = as_scalar(p.beta)
-    gamma = as_scalar(p.gamma)
-    delta = as_scalar(p.delta)
+    alpha, beta, gamma, delta = map(as_scalar, (alpha, beta, gamma, delta))
     two = UPoly.constant(2)
     half = UPoly.constant("1/2")
     return EquationSpec(
@@ -103,29 +68,24 @@ def biconfluent_to_spec(p: BiconfluentHeunParams) -> EquationSpec:
     )
 
 
-def fuchsian_residual(p: GeneralHeunParams) -> UPoly:
+def fuchsian_residual(alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLike,
+                      delta: ScalarLike, epsilon: ScalarLike) -> UPoly:
     """1 + alpha + beta - gamma - delta - epsilon, as a polynomial in t."""
-    return (
-        UPoly.one()
-        + as_scalar(p.alpha) + as_scalar(p.beta)
-        - as_scalar(p.gamma) - as_scalar(p.delta) - as_scalar(p.epsilon)
-    )
+    return (UPoly.one() + as_scalar(alpha) + as_scalar(beta)
+            - as_scalar(gamma) - as_scalar(delta) - as_scalar(epsilon))
 
 
-def general_to_spec(p: GeneralHeunParams) -> EquationSpec:
+def general_to_spec(*, a: ScalarLike, alpha: ScalarLike, beta: ScalarLike,
+                    gamma: ScalarLike, delta: ScalarLike, epsilon: ScalarLike,
+                    q: ScalarLike) -> EquationSpec:
     """Degree condition for the output: alpha beta = -n(n-1) - n(gamma +
     epsilon + delta), equivalently alpha = -n or beta = -n under the
     regularity constraint, which is checked identically in t."""
-    residual = fuchsian_residual(p)
+    residual = fuchsian_residual(alpha, beta, gamma, delta, epsilon)
     if residual:
         raise FuchsianViolationError(residual)
-    a = as_scalar(p.a)
-    alpha = as_scalar(p.alpha)
-    beta = as_scalar(p.beta)
-    gamma = as_scalar(p.gamma)
-    delta = as_scalar(p.delta)
-    epsilon = as_scalar(p.epsilon)
-    q = as_scalar(p.q)
+    a, alpha, beta, gamma, delta, epsilon, q = map(
+        as_scalar, (a, alpha, beta, gamma, delta, epsilon, q))
     alpha_beta = alpha * beta
     if isinstance(alpha_beta.degree, int) and alpha_beta.degree > 1:
         raise ValueError("alpha * beta must stay linear in the unknown")

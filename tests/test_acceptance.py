@@ -43,9 +43,6 @@ from polyode.criteria import (
 )
 from polyode.exactalg import UPoly
 from polyode.heun import (
-    BiconfluentHeunParams,
-    ConfluentHeunParams,
-    GeneralHeunParams,
     biconfluent_to_spec,
     confluent_to_spec,
     general_to_spec,
@@ -174,22 +171,17 @@ def test_criterion_5_heun_conditions():
     ok = True
     alpha, nu = Fraction(3), Fraction(-5)
     for n in range(9):
-        eq = confluent_to_spec(
-            ConfluentHeunParams(alpha=alpha, beta=1, gamma=2, mu=T, nu=nu)
-        )
+        eq = confluent_to_spec(alpha=alpha, beta=1, gamma=2, mu=T, nu=nu)
         ok = ok and degree_condition(eq, n) == UPoly([-nu - n * alpha, -1])
     a_b = Fraction(5, 2)
     for n in range(9):
-        eq = biconfluent_to_spec(
-            BiconfluentHeunParams(alpha=a_b, beta=1, gamma=T, delta=0)
-        )
+        eq = biconfluent_to_spec(alpha=a_b, beta=1, gamma=T, delta=0)
         ok = ok and degree_condition(eq, n) == UPoly([a_b + 2 + 2 * n, -1])
     beta, gamma, delta = Fraction(4), Fraction(1), Fraction(2)
     for n in range(9):
         epsilon = UPoly([1 + beta - gamma - delta, 1])
         eq = general_to_spec(
-            GeneralHeunParams(a=3, alpha=T, beta=beta, gamma=gamma,
-                              delta=delta, epsilon=epsilon, q=5)
+            a=3, alpha=T, beta=beta, gamma=gamma, delta=delta, epsilon=epsilon, q=5
         )
         # -(beta+n)(t+n): root alpha = -n; alpha*beta = -n(n-1) - n(g+e+d)
         ok = ok and degree_condition(eq, n) == UPoly(
@@ -374,12 +366,12 @@ def _corpus():
     ))
     entries.append((
         "confluent heun n=1",
-        confluent_to_spec(ConfluentHeunParams(alpha=1, beta=1, gamma=2, mu=0, nu=-1)),
+        confluent_to_spec(alpha=1, beta=1, gamma=2, mu=0, nu=-1),
         3, True,
     ))
     entries.append((
         "biconfluent heun n=0",
-        biconfluent_to_spec(BiconfluentHeunParams(alpha=2, beta=4, gamma=4, delta=-12)),
+        biconfluent_to_spec(alpha=2, beta=4, gamma=4, delta=-12),
         3, True,
     ))
     return entries

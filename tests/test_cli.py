@@ -445,21 +445,64 @@ def test_demo_bessel(capsys):
     assert report["solutions"][0]["coefficients"] == ["1", "3", "3"]
 
 
-def test_demo_heun_biconfluent(capsys):
-    params = json.dumps(
-        {"alpha": "2", "beta": "4", "gamma": "4", "delta": {"t": ["0", "1"]}}
-    )
-    code, report, _ = run(
-        capsys, "demo", "heun-biconfluent", "--params", params, "--n", "0"
-    )
+def test_demo_hyper_default_l_is_readmes_example(capsys):
+    # a bare ``demo hyper`` runs m = 1, n = 1, l = 2, a = b = 1
+    code, report, _ = run(capsys, "demo", "hyper")
     assert code == 0
-    assert report["roots"]["exact"] == ["-12"]  # delta = -(alpha+1) beta
+    assert (code, report) == run(capsys, "demo", "hyper", "--l", "2")[:2]
 
 
 def test_demo_unknown_name(capsys):
     code, _, err = run(capsys, "demo", "nosuch")
     assert code == 1
     assert "davidson" in err and "coulomb" in err
+
+
+#: the options each case study reads, besides --json and --n
+STUDY_OPTIONS = {
+    "davidson": ["--mu", "--eps"],
+    "coulomb": ["--Z", "--d", "--l", "--tolerance"],
+    "krylov": ["--alpha", "--tolerance"],
+    "chhajlany": ["--p", "--tolerance"],
+    "hyper": ["--m", "--l", "--a", "--b"],
+    "bessel": ["--tau00"],
+}
+OTHER_OPTIONS = sorted({flag for flags in STUDY_OPTIONS.values() for flag in flags}
+                       | {"--params", "--max-n", "--method", "--unknown", "--beta"})
+
+
+@pytest.mark.parametrize("study, flag", [
+    (study, flag) for study, flags in STUDY_OPTIONS.items()
+    for flag in OTHER_OPTIONS if flag not in flags
+])
+def test_case_study_rejects_an_option_it_does_not_read(study, flag, capsys):
+    # exact option names only: --m is not --mu, nor --a --alpha
+    code, report, err = run(capsys, "demo", study, "--n", "1", flag, "2")
+    assert code == 1
+    assert report is None
+    assert f"unrecognized arguments: {flag} 2" in err
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_OPTIONS))
+def test_case_study_takes_each_of_its_options(study, capsys):
+    values = {"--mu": "1/2", "--eps": "3", "--Z": "1", "--d": "3", "--l": "2",
+              "--tolerance": "1/1000", "--alpha": "2", "--p": "2", "--m": "1",
+              "--a": "1", "--b": "1", "--tau00": "6"}
+    argv = ["demo", study, "--n", "1", "--json"]
+    for flag in STUDY_OPTIONS[study]:
+        argv += [flag, values[flag]]
+    code, report, err = run(capsys, *argv)
+    assert code in (0, 2), err
+    assert report["name"] == study
+
+
+@pytest.mark.parametrize("family", ["confluent", "biconfluent", "general"])
+def test_the_heun_demo_aliases_are_gone(family, capsys):
+    code, report, err = run(capsys, "demo", f"heun-{family}", "--params", "{}",
+                            "--n", "0")
+    assert code == 1
+    assert report is None
+    assert "invalid choice" in err
 
 
 def test_demo_max_n_is_a_usage_error(capsys):
@@ -480,6 +523,17 @@ def test_demo_beta_is_a_usage_error(capsys):
 
 # ---------------------------------------------------------------------------
 # heun command
+
+def test_heun_biconfluent(capsys):
+    params = json.dumps(
+        {"alpha": "2", "beta": "4", "gamma": "4", "delta": {"t": ["0", "1"]}}
+    )
+    code, report, _ = run(
+        capsys, "heun", "biconfluent", "--params", params, "--n", "0"
+    )
+    assert code == 0
+    assert report["roots"]["exact"] == ["-12"]  # delta = -(alpha+1) beta
+
 
 def test_heun_confluent_numeric(capsys):
     params = json.dumps(
@@ -522,6 +576,23 @@ def test_check_takes_no_tolerance_or_unknown(flag, eq_file, capsys):
     assert code == 1
     assert report is None
     assert f"unrecognized arguments: {flag[0]}" in err
+
+
+def test_constraints_takes_no_unknown(eq_file, capsys):
+    # the equation's own "unknown" field names the unknown
+    code, report, err = run(capsys, "constraints", eq_file(KRYLOV_GAMMA_UNKNOWN),
+                            "--n", "1", "--unknown", "t")
+    assert code == 1
+    assert report is None
+    assert "unrecognized arguments: --unknown t" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--n", "1", "--max-n", "3"]])
+def test_check_takes_exactly_one_of_n_and_max_n(flags, eq_file, capsys):
+    code, report, err = run(capsys, "check", eq_file(BESSEL6), *flags)
+    assert code == 1
+    assert report is None
+    assert "usage:" in err and "--max-n" in err
 
 
 def test_parser_is_built_once():
@@ -574,6 +645,30 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert code in (0, 2), argv
         assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
+
+
+def readme_case_study_options():
+    """Each case study's row of the README's options table: its flags, and
+    the documented default of each flag that shows one."""
+    with open(README, encoding="utf-8") as handle:
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", handle.read(), re.M)
+    return {name: re.findall(r"`(--\w+)(?: ([^`]+))?`", cell) for name, cell in rows}
+
+
+def test_readme_lists_each_case_studys_options_and_defaults(capsys):
+    table = readme_case_study_options()
+    assert {name: [flag for flag, _ in options] for name, options in table.items()} \
+        == STUDY_OPTIONS
+
+    def untimed(*argv):
+        code, report, _ = run(capsys, "demo", *argv, "--n", "2")
+        report.pop("timing_seconds", None)
+        return code, report
+
+    for name, options in table.items():
+        for flag, default in options:
+            if default:
+                assert untimed(name, flag, default) == untimed(name)
 
 
 @pytest.mark.parametrize("argv", [

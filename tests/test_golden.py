@@ -74,6 +74,9 @@ CASES = {
     "demo-chhajlany": (["demo", "chhajlany", "--p", "2", "--n", "3"], None),
     "demo-coulomb": (["demo", "coulomb", "--Z", "1", "--d", "3", "--l", "0", "--n", "3"],
                      None),
+    # the rational root t = 1 gives the shift beta = 2 and a verified solution
+    "demo-coulomb-rational-root": (
+        ["demo", "coulomb", "--Z", "1", "--d", "3", "--l", "0", "--n", "1"], None),
     # the three parametric demos at the degree ceiling, where the band's
     # minors reach their largest degree in the unknown
     "demo-coulomb-n30": (
