@@ -14,9 +14,9 @@ from polyode.applications import (
     coulomb_constraint,
     coulomb_constraint_for_k,
     coulomb_energy,
-    coulomb_system,
+    coulomb_equation,
 )
-from polyode.criteria import construct_solution
+from polyode.criteria import build_criterion_matrix, construct_solution
 from polyode.exactalg import UPoly, parse_rational
 from polyode.solve import analyze_roots
 
@@ -57,12 +57,14 @@ def main() -> None:
         print(f"  n={n}: alpha={alpha}, E={energy}, "
               f"constraint={constraint.format(var='t')}")
         print(f"        real roots ~ {[round(r, 9) for r in report.refined]}")
-        for root in report.exact_rational_roots:
-            beta = root / alpha
+        # the equation in the unknown beta, its band checked against the
+        # closed forms; each positive shift beta = t / alpha fixes it
+        equation = coulomb_equation(problem, n)
+        for beta in (root / alpha for root in report.exact_rational_roots):
             if beta <= 0:
                 continue
-            fixed = CoulombProblem(Z=args.Z, beta=beta, d=args.d, l=args.l)
-            sol = construct_solution(*coulomb_system(fixed, n))
+            fixed = equation.substitute(beta)
+            sol = construct_solution(fixed, build_criterion_matrix(fixed, n))
             print(f"        beta={beta}: f(r) = {sol.polynomial().format(var='r')} "
                   f"(verified={sol.residual_is_zero})")
 

@@ -22,8 +22,8 @@ from .applications import (
     coulomb_constraint,
     coulomb_constraint_for_k,
     coulomb_energy,
+    coulomb_equation,
     coulomb_spec,
-    coulomb_system,
     davidson_eigenvalue,
     davidson_spec,
     hyper_build,
@@ -49,7 +49,6 @@ from .criteria import (
     degree_condition_effective,
     delta_determinant,
     embed_classical,
-    necessary_condition_general,
     verify_solution,
 )
 from .exactalg import (
@@ -75,7 +74,6 @@ from .solve import (
     RootReport,
     ZeroPolynomialError,
     analyze_roots,
-    count_real_roots,
     isolate_real_roots,
     rational_roots,
     refine_root,

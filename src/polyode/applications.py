@@ -32,7 +32,6 @@ from math import gcd, lcm
 from typing import Union
 
 from .criteria import (
-    CriterionMatrix,
     EquationSpec,
     ScalarLike,
     _recurrence_row,
@@ -118,43 +117,42 @@ def coulomb_energy(p: CoulombProblem, n: int) -> Fraction:
     return -p.Z * p.Z / (2 * denom * denom)
 
 
-def coulomb_spec(p: CoulombProblem, n: int) -> EquationSpec:
+def coulomb_equation(p: CoulombProblem, n: int) -> EquationSpec:
     """Equation for the polynomial factor, with alpha = Z/(n+k+1) applied
-    (see ``coulomb_system``)."""
-    return coulomb_system(p, n)[0]
+    and the shift beta as its unknown (``p.beta`` is not read).
 
-
-def coulomb_system(p: CoulombProblem, n: int) -> tuple[EquationSpec, CriterionMatrix]:
-    """``coulomb_spec``'s equation with its degree-n criterion matrix.
-
-    The matrix is tridiagonal; its entries are checked against the closed
-    forms
+    Its degree-n criterion matrix is tridiagonal, and on every call its
+    entries are checked, identically in beta, against the closed forms
         diagonal       2 alpha beta (k+j+1) - j (j+2k+1)
         subdiagonal    2 alpha (j-n-1)
-        superdiagonal  -(j+1) beta (j+2k+2)
-    on every build, and a mismatch raises ``ArithmeticError``.
+        superdiagonal  -(j+1) beta (j+2k+2);
+    a mismatch raises ``ArithmeticError``.
     """
     k = p.k
     alpha = coulomb_alpha(p, n)
-    beta = p.beta
     eq = EquationSpec(
-        a3=(0, 1, beta, 0),
-        a2=(-2 * alpha, 2 * (k + 1 - alpha * beta), 2 * beta * (k + 1)),
-        tau=(2 * alpha * (k + 1) - 2 * p.Z, 2 * alpha * beta * (k + 1)),
+        a3=(0, 1, (0, 1), 0),
+        a2=(-2 * alpha, (2 * (k + 1), -2 * alpha), (0, 2 * (k + 1))),
+        tau=(2 * alpha * (k + 1) - 2 * p.Z, (0, 2 * alpha * (k + 1))),
+        unknown="beta",
     )
     matrix = build_criterion_matrix(eq, n)
-    t = alpha * beta
     for j in range(n + 1):
-        closed = [(j, 2 * t * (k + j + 1) - j * (j + 2 * k + 1))]
+        closed = [(j, UPoly([-j * (j + 2 * k + 1), 2 * alpha * (k + j + 1)]))]
         if j >= 1:
             closed.append((j - 1, 2 * alpha * (j - n - 1)))
         if j + 1 <= n:
-            closed.append((j + 1, -(j + 1) * beta * (j + 2 * k + 2)))
+            closed.append((j + 1, UPoly([0, -(j + 1) * (j + 2 * k + 2)])))
         for col, value in closed:
             if matrix.entry(j, col) != value:
                 raise ArithmeticError(
                     f"Coulomb matrix entry ({j}, {col}) differs from its closed form")
-    return eq, matrix
+    return eq
+
+
+def coulomb_spec(p: CoulombProblem, n: int) -> EquationSpec:
+    """``coulomb_equation`` at the shift ``p.beta``."""
+    return coulomb_equation(p, n).substitute(p.beta)
 
 
 def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:

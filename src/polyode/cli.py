@@ -28,6 +28,7 @@ import functools
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -166,24 +167,19 @@ def _construct_solutions(eq: EquationSpec, matrix: CriterionMatrix,
         return []
 
 
-def _with_band(eq: EquationSpec, n: int) -> tuple[EquationSpec, CriterionMatrix]:
-    """``eq`` and its degree-n criterion matrix."""
-    return eq, build_criterion_matrix(eq, n)
-
-
-def _solutions_at_roots(roots: RootReport, n: int, fix, notes: list[str]) -> list[dict]:
-    """Verified degree-n solutions at each exact rational root of a
-    constraint.  ``fix`` maps a root to (parameter name, parameter value,
-    numeric equation, its degree-n criterion matrix), or to None where the
-    root admits no solution."""
+def _solutions_at(eq: EquationSpec, n: int, values, notes: list[str]) -> list[dict]:
+    """Verified degree-n solutions of ``eq``, an equation in one unknown, at
+    each of the exact ``values`` of that unknown; each solution carries the
+    value under the unknown's name."""
     entries = []
-    for root in roots.exact_rational_roots:
-        fixed = fix(root)
-        if fixed is None:
+    for value in values:
+        try:
+            fixed = eq.substitute(value)
+        except ValueError:  # the equation loses its y'' and y' terms there
+            notes.append(f"{eq.unknown} = {value} leaves no y'' or y' term; no solution there")
             continue
-        name, value, eq, matrix = fixed
-        for sol in _construct_solutions(eq, matrix, notes):
-            entries.append({**_solution_dict(sol), name: str(value)})
+        for sol in _construct_solutions(fixed, build_criterion_matrix(fixed, n), notes):
+            entries.append({**_solution_dict(sol), eq.unknown: str(value)})
     return entries
 
 
@@ -196,13 +192,16 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     qualifies.  The degree-n criterion matrix is the leading (n+1) x (n+1)
     block of the top one, so its determinant is a running minor of the top
     band.  A report's ``timing_seconds`` covers its own stages; the top
-    degree's report also carries the shared ones, which are its own.
+    degree's report also carries the shared ones, which are its own.  AIM
+    needs a y'' term: without one, ``both`` notes that and answers as
+    ``determinant``, and ``aim`` is an input error.
     """
     start = time.monotonic()
     top = degrees[-1]
     equation = eq.to_json_dict()
     use_det = method in ("determinant", "both")
     use_aim = method in ("aim", "both")
+    skipped: list[str] = []
     if use_det:
         matrix = build_criterion_matrix(eq, top)
         minors = matrix.leading_minors()
@@ -210,12 +209,16 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
         try:
             found = aim_test_polynomial(eq, default_iteration_cap(top))
         except NotSecondOrderError as exc:
-            raise CliError(str(exc)) from exc
+            if method == "aim":
+                raise CliError(str(exc)) from exc
+            method, use_aim = "determinant", False
+            skipped.append(f"{exc}: the iteration criterion needs a y'' term, "
+                           "so the determinant answers alone")
     shared = time.monotonic() - start
     reports = []
     for n in degrees:
         start = time.monotonic()
-        notes: list[str] = []
+        notes: list[str] = list(skipped)
         level, cond = degree_condition_effective(eq, n)
         cond_holds = cond == 0
         report: dict = {
@@ -301,16 +304,9 @@ def analyze_constraints(eq: EquationSpec, n: int,
         notes.append("degree condition cannot be satisfied for any parameter value")
     report["roots"] = {"intervals": [], "roots": [], "exact": [], "nonreal_count": 0}
     report["solutions"] = []
-
-    def fix(root):
-        try:
-            return (eq.unknown, root, *_with_band(eq.substitute(root), n))
-        except ValueError:  # the equation loses its y'' and y' terms there
-            notes.append(f"{eq.unknown} = {root} leaves no y'' or y' term; no solution there")
-
     if root_report is not None:
         report["roots"] = root_report.to_json_dict()
-        report["solutions"] = _solutions_at_roots(root_report, n, fix, notes)
+        report["solutions"] = _solutions_at(eq, n, root_report.exact_rational_roots, notes)
     report["exists"] = exists
     report["notes"] = notes
     report["timing_seconds"] = time.monotonic() - start
@@ -449,11 +445,12 @@ def _demo_davidson(args) -> dict:
     return report
 
 
-def _parametric_report(fields: dict, roots: RootReport, n: int, fix) -> dict:
-    """A case-study report: its own fields, then the verified solutions at
-    the exact rational roots of its constraint (see ``_solutions_at_roots``)."""
+def _parametric_report(fields: dict, roots: RootReport, eq, values) -> dict:
+    """A case-study report: its own fields, then the verified solutions of
+    ``eq`` at the given exact values of its unknown (see ``_solutions_at``);
+    ``eq`` is read only when there are values."""
     notes: list[str] = []
-    return {**fields, "solutions": _solutions_at_roots(roots, n, fix, notes),
+    return {**fields, "solutions": _solutions_at(eq, fields["n"], values, notes),
             "notes": notes, "exists": bool(roots.intervals)}
 
 
@@ -470,15 +467,7 @@ def _demo_coulomb(args) -> dict:
     alpha = apps.coulomb_alpha(problem, n)
     roots = analyze_roots(constraint, tolerance=args.tolerance)
     # the constraint is in t = alpha beta; only a positive shift is physical
-    shifts = {root: root / alpha for root in roots.exact_rational_roots
-              if root / alpha > 0}
-
-    def fix(root):
-        if root not in shifts:
-            return None
-        fixed = apps.CoulombProblem(Z=args.Z, beta=shifts[root], d=args.d, l=args.l)
-        return "beta", shifts[root], *apps.coulomb_system(fixed, n)
-
+    shifts = [root / alpha for root in roots.exact_rational_roots if root / alpha > 0]
     return _parametric_report({
         "name": "coulomb",
         "Z": str(problem.Z),
@@ -490,8 +479,8 @@ def _demo_coulomb(args) -> dict:
         "energy": str(apps.coulomb_energy(problem, n)),
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
-        "beta_values": [str(beta) for beta in shifts.values()],
-    }, roots, n, fix)
+        "beta_values": [str(beta) for beta in shifts],
+    }, roots, apps.coulomb_equation(problem, n) if shifts else None, shifts)
 
 
 def _demo_krylov(args) -> dict:
@@ -500,6 +489,7 @@ def _demo_krylov(args) -> dict:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     roots = analyze_roots(constraint, tolerance=args.tolerance)
+    eq = replace(apps.krylov_robnik_spec(args.alpha, beta, UPoly.x()), unknown="gamma")
     return _parametric_report({
         "name": "krylov",
         "alpha": str(args.alpha),
@@ -507,8 +497,7 @@ def _demo_krylov(args) -> dict:
         "beta": str(beta),
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
-    }, roots, args.n, lambda root: (
-        "gamma", root, *_with_band(apps.krylov_robnik_spec(args.alpha, beta, root), args.n)))
+    }, roots, eq, roots.exact_rational_roots)
 
 
 def _demo_chhajlany(args) -> dict:
@@ -517,6 +506,7 @@ def _demo_chhajlany(args) -> dict:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     roots = analyze_roots(constraint, tolerance=args.tolerance)
+    eq = replace(apps.chhajlany_spec(args.p, 2 * args.n, UPoly.x()), unknown="alpha")
     return _parametric_report({
         "name": "chhajlany",
         "p": str(args.p),
@@ -524,8 +514,7 @@ def _demo_chhajlany(args) -> dict:
         "delta": str(2 * args.n),
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
-    }, roots, args.n, lambda root: (
-        "alpha", root, *_with_band(apps.chhajlany_spec(args.p, 2 * args.n, root), args.n)))
+    }, roots, eq, roots.exact_rational_roots)
 
 
 def _demo_hyper(args) -> dict:

@@ -246,27 +246,6 @@ def degree_condition_effective(eq: EquationSpec, n: int) -> tuple[int, UPoly]:
     return 0, eq.tau[1] - n * (n - 1) * eq.a3[1] - n * eq.a2[1]
 
 
-def necessary_condition_general(
-    leading_a_k2: ScalarLike,
-    leading_a_k1: ScalarLike,
-    leading_tau_k: ScalarLike,
-    n: int,
-    k: int = 0,
-) -> bool:
-    """Leading-coefficient necessary condition for the whole hierarchy of
-    equations whose y'', y', y coefficients have degrees k+2, k+1, k.
-
-    True iff tau_k0 = n(n-1) a_{k+2,0} + n a_{k+1,0} exactly.  The level k
-    only labels the family; the relation is the same at every level.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    a_k2 = as_rational(leading_a_k2)
-    a_k1 = as_rational(leading_a_k1)
-    tau_k = as_rational(leading_tau_k)
-    return tau_k == n * (n - 1) * a_k2 + n * a_k1
-
-
 # ---------------------------------------------------------------------------
 # criterion matrix and determinant
 

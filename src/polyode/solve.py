@@ -232,31 +232,17 @@ def _count(chain: Sequence[IntPoly], lo: Optional[Fraction],
     return v_lo - v_hi
 
 
-def count_real_roots(p: UPoly, lo: Optional[Fraction] = None,
-                     hi: Optional[Fraction] = None) -> int:
-    """Number of distinct real roots in (lo, hi]; whole line by default."""
-    return _count(_remainder_sequence(p), lo, hi)
-
-
 def _nonreal_count(chain: Sequence[IntPoly]) -> int:
     """Nonreal roots of the square-free chain[0], each counted once: its
     degree less its real roots."""
     return len(chain[0]) - 1 - _count(chain, None, None)
 
 
-def root_bound(p: UPoly) -> Fraction:
-    """Cauchy bound 1 + max |c_i| / |lead|: all real roots are inside."""
-    if not p:
-        raise ZeroPolynomialError("zero polynomial")
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coeffs) / lead
-
-
 def _search_range(f: IntPoly, lo: Optional[Fraction],
                   hi: Optional[Fraction]) -> tuple[Fraction, Fraction]:
     """(lo, hi) defaulted to (-R, R), which holds every real root of the
-    integer polynomial f: R is 10^6, or f's Cauchy bound ``root_bound``
-    where larger, which an int comparison decides."""
+    integer polynomial f: R is 10^6, or f's Cauchy bound 1 + max |c_i| /
+    |lead| where larger, which an int comparison decides."""
     top, lead = max(map(abs, f)), abs(f[-1])
     bound = (1 + Fraction(top, lead) if top > (DEFAULT_RANGE.numerator - 1) * lead
              else DEFAULT_RANGE)
@@ -550,13 +536,9 @@ def rational_roots(p: UPoly) -> tuple[Fraction, ...]:
     return analyze_roots(p).exact_rational_roots
 
 
-def analyze_roots(
-    p: UPoly,
-    lo: Optional[Fraction] = None,
-    hi: Optional[Fraction] = None,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
-) -> RootReport:
-    """Isolate, refine, and detect exact rational roots in one report.
+def analyze_roots(p: UPoly, tolerance: Fraction = DEFAULT_TOLERANCE) -> RootReport:
+    """Isolate, refine, and detect exact rational roots of p over the whole
+    real line (see ``isolate_real_roots`` for the range) in one report.
 
     One integer remainder sequence of p, divided through by its last
     element, is the Sturm sequence of the square-free part; it serves
@@ -569,9 +551,8 @@ def analyze_roots(
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
     sequence = _remainder_sequence(p)
-    lo, hi = _search_range(sequence[0], lo, hi)
     chain = _squarefree_sequence(sequence)
-    intervals = _isolate(chain, lo, hi)
+    intervals = _isolate(chain, *_search_range(sequence[0], None, None))
     results = [_refine(chain, a, b, tolerance) for a, b in intervals]
     return RootReport(
         polynomial=p,

@@ -16,6 +16,7 @@ from polyode.applications import (
     coulomb_constraint,
     coulomb_constraint_for_k,
     coulomb_energy,
+    coulomb_equation,
     coulomb_spec,
     davidson_eigenvalue,
     davidson_spec,
@@ -138,7 +139,8 @@ def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
     def tampered(eq, n):
         matrix = build_criterion_matrix(eq, n)
         bands = [list(band) for band in matrix.bands]
-        bands[0][1] = bands[0][1] + 1  # B_0, the entry at (0, 0)
+        e0, e1 = bands[0][1]  # B_0, the entry at (0, 0), is e0 + e1 beta
+        bands[0][1] = (e0, e1 + 1)
         return dataclasses.replace(matrix, bands=tuple(map(tuple, bands)))
 
     monkeypatch.setattr(applications, "build_criterion_matrix", tampered)
@@ -162,6 +164,24 @@ def test_coulomb_spec_entries_assert_internally():
         p = CoulombProblem(1, 2, d, l)
         eq = coulomb_spec(p, n)
         assert eq.is_numeric
+
+
+@pytest.mark.parametrize("Z, beta, d, l, n", [
+    (1, 2, 3, 0, 1), (3, Fraction(1, 3), 2, 1, 4), (Fraction(5, 2), 7, 5, 2, 3)])
+def test_coulomb_equation_in_beta_fixes_to_the_equation_at_each_shift(Z, beta, d, l, n):
+    p = CoulombProblem(Z, beta, d, l)
+    k, alpha = p.k, coulomb_alpha(p, n)
+    eq = coulomb_equation(p, n)
+    assert eq.unknown == "beta" and not eq.is_numeric
+    # r(r+beta) f'' + (-2 alpha r^2 + 2(k+1-alpha beta) r + 2 beta(k+1)) f'
+    #   + ((2Z - 2 alpha(k+1)) r - 2 alpha beta (k+1)) f = 0 at this beta
+    fixed = eq.substitute(beta)
+    assert fixed.a3 == tuple(map(UPoly.constant, (0, 1, beta, 0)))
+    assert fixed.a2 == tuple(map(UPoly.constant, (
+        -2 * alpha, 2 * (k + 1 - alpha * beta), 2 * beta * (k + 1))))
+    assert fixed.tau == tuple(map(UPoly.constant, (
+        2 * alpha * (k + 1) - 2 * Z, 2 * alpha * beta * (k + 1))))
+    assert coulomb_spec(p, n) == fixed
 
 
 def test_coulomb_generic_entries_match_closed_forms_symbolically():

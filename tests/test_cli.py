@@ -204,12 +204,14 @@ def test_sweep_of_rational_equations_matches_per_degree_oracles(equation, max_n,
     assert_sweep_matches_per_degree_oracles(equation, max_n, method)
 
 
-def test_demo_coulomb_builds_each_band_once(monkeypatch, capsys):
+def coulomb_band_builds(monkeypatch, capsys, n: int):
+    """``demo coulomb --n n`` with every band build that ``cli`` and
+    ``applications`` make recorded as (degree, unknown or None)."""
     builds = []
 
     def counting(build):
         def wrapper(eq, n):
-            builds.append(n)
+            builds.append((n, None if eq.is_numeric else eq.unknown))
             return build(eq, n)
         return wrapper
 
@@ -218,12 +220,56 @@ def test_demo_coulomb_builds_each_band_once(monkeypatch, capsys):
         monkeypatch.setattr(module, "build_criterion_matrix",
                             counting(module.build_criterion_matrix))
     code, report, _ = run(capsys, "demo", "coulomb", "--Z", "1", "--d", "3",
-                          "--l", "0", "--n", "1")
-    assert code == 0 and report["solutions"][0]["verified"]
-    # one admissible shift, one band: its closed-form check and its
-    # solution read the same build
+                          "--l", "0", "--n", str(n))
+    assert code == 0
+    return report, builds
+
+
+def test_demo_coulomb_builds_each_band_once(monkeypatch, capsys):
+    report, builds = coulomb_band_builds(monkeypatch, capsys, 1)
     assert report["beta_values"] == ["2"]
-    assert builds == [1]
+    assert report["solutions"][0]["verified"] and report["solutions"][0]["beta"] == "2"
+    # one band in beta, checked against its closed forms, then one numeric
+    # band for the solution at the one admissible shift
+    assert builds == [(1, "beta"), (1, None)]
+
+
+def test_demo_coulomb_without_a_rational_shift_builds_no_band(monkeypatch, capsys):
+    # three irrational roots: the band in beta is neither built nor checked
+    report, builds = coulomb_band_builds(monkeypatch, capsys, 3)
+    assert len(report["roots"]["intervals"]) == 3 and report["beta_values"] == []
+    assert builds == []
+
+
+def test_every_parametric_report_builds_its_solutions_in_one_step(
+        monkeypatch, eq_file, capsys):
+    from polyode import cli
+    calls = []
+
+    def recording(eq, n, values, notes):
+        calls.append((eq.unknown, n, list(values)))
+        return solutions_at(eq, n, values, notes)
+
+    solutions_at = cli._solutions_at
+    monkeypatch.setattr(cli, "_solutions_at", recording)
+    named = json.dumps({"a3": ["3", "-2", "5", "0"], "a2": ["-4", "7", "0"],
+                        "tau": ["-2", {"s": ["0", "1"]}], "unknown": "s"})
+    cases = [
+        (["constraints", eq_file(named), "--n", "2"], "s"),
+        (["heun", "biconfluent", "--n", "0", "--params",
+          '{"alpha": "2", "beta": "4", "gamma": "4", "delta": {"t": ["0", "1"]}}'], "t"),
+        (["demo", "krylov", "--alpha", "1", "--n", "4"], "gamma"),
+        (["demo", "chhajlany", "--p", "2", "--n", "1"], "alpha"),
+        (["demo", "coulomb", "--n", "1"], "beta"),
+    ]
+    for argv, unknown in cases:
+        calls.clear()
+        code, report, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        (name, n, values), = calls
+        assert name == unknown and n == report["n"] and values
+        assert [s[unknown] for s in report["solutions"]] == [str(v) for v in values]
+        assert all(s["verified"] for s in report["solutions"])
 
 
 def test_sweep_reports_no_index_below_the_degrees_cap():
@@ -234,13 +280,35 @@ def test_sweep_reports_no_index_below_the_degrees_cap():
     assert report["degrees_with_solutions"] == [6]
 
 
-@pytest.mark.parametrize("method", ["both", "aim"])
+@pytest.mark.parametrize("method", ["aim"])
 def test_sweep_without_a_second_order_term_is_an_input_error(method):
     equation = {"a3": ["0", "0", "0", "0"], "a2": ["1", "2", "3"], "tau": ["2", "1"]}
     code, report, err = check_sweep(equation, 4, method)
     assert code == 1
     assert report is None
     assert "polyode: error: y'' coefficient is identically zero" in err
+
+
+# x y' - 2y = 0: no y'' term, and the solution x^2
+FIRST_ORDER = {"a3": ["0", "0", "0", "0"], "a2": ["0", "1", "0"], "tau": ["0", "2"]}
+
+
+@pytest.mark.parametrize("degrees", [["--n", "2"], ["--max-n", "3"]],
+                         ids=["--n", "--max-n"])
+def test_first_order_equation_gets_the_determinant_answer(degrees, eq_file, capsys):
+    path = eq_file(json.dumps(FIRST_ORDER))
+    code, report, _ = run(capsys, "check", path, *degrees, "--json")
+    determinant = run(capsys, "check", path, *degrees, "--method", "determinant")[1]
+    assert code == 0
+    entries = report.get("sweep", [report])
+    assert any(s["polynomial"] == "x^2" and s["verified"]
+               for entry in entries for s in entry["solutions"])
+    # the default method answers as --method determinant, with one note more
+    for entry, alone in zip(entries, determinant.get("sweep", [determinant])):
+        note, *entry["notes"] = entry["notes"]
+        assert "the iteration criterion needs a y'' term" in note
+        entry.pop("timing_seconds"), alone.pop("timing_seconds")
+    assert report == determinant
 
 
 def test_check_malformed_json(eq_file, capsys):

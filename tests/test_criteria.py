@@ -29,7 +29,6 @@ from polyode.criteria import (
     degree_condition_effective,
     delta_determinant,
     embed_classical,
-    necessary_condition_general,
     rational_nullspace,
     verify_solution,
 )
@@ -166,19 +165,24 @@ def test_degree_condition_effective_falls_back():
 
 
 # ---------------------------------------------------------------------------
-# necessary condition for the general hierarchy
+# the leading-coefficient condition t = n(n-1) a + n a' on either level
 
 def test_necessary_condition_bessel():
+    # level 0 (a30 = a20 = t10 = 0): t11 = n(n-1) a31 + n a21 = n(n+1)
     for n in range(8):
-        assert necessary_condition_general(1, 2, n * (n + 1), n, k=0)
+        assert degree_condition_effective(bessel_eq(n * (n + 1)), n) == (0, 0)
 
 
 def test_necessary_condition_counterexample():
-    assert not necessary_condition_general(1, 2, 5, 2, k=0)
+    # t = 5 misses n(n-1) + 2n = 6 at n = 2, on level 1 and on level 0
+    level_one = EquationSpec(a3=(1, 0, 0, 0), a2=(2, 0, 0), tau=(5, 0))
+    assert degree_condition_effective(level_one, 2) == (1, UPoly([-1]))
+    assert degree_condition_effective(bessel_eq(5), 2) == (0, UPoly([-1]))
 
 
 def test_necessary_condition_n0():
-    assert necessary_condition_general(4, 7, 0, 0, k=3)
+    # at n = 0 the leading coefficients drop out: the condition is t10 = 0
+    assert degree_condition(EquationSpec(a3=(4, 0, 0, 0), a2=(7, 0, 0), tau=(0, 1)), 0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 ``timing_seconds``) and exit code must not change.
 
 The cases cover the kinds of band the numeric path meets (upper-triangular,
-zero diagonal, nonzero subdiagonal, rational coefficients, nullity two)
-and the parametric reports.  Each case's expected output is a file under
+zero diagonal, nonzero subdiagonal, rational coefficients, nullity two),
+a first-order equation, and the parametric reports.  Each case's expected output is a file under
 ``tests/golden``; after a deliberate change of output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,6 +27,8 @@ DAVIDSON_QUARTER = {"a3": ["0", "0", "1", "0"], "a2": ["-2", "0", "5/2"],
                     "tau": ["-12", "0"]}
 # Euler equation x^2 y'' - 3 x y' + 3 y = 0: solutions x and x^3
 EULER_1_3 = {"a3": ["0", "1", "0", "0"], "a2": ["0", "-3", "0"], "tau": ["0", "-3"]}
+# x y' - 2y = 0, first order: AIM cannot run, the determinant finds x^2
+FIRST_ORDER = {"a3": ["0", "0", "0", "0"], "a2": ["0", "1", "0"], "tau": ["0", "2"]}
 DENSE_CUBIC = {"a3": ["3", "-2", "5", "1"], "a2": ["-4", "7", "2"], "tau": ["-2", "3"]}
 # the dense cubic with t11 = t, the degree condition holding at n = 2, and
 # a22 = a33 = 0, which makes t = 0 a rational root
@@ -64,6 +66,7 @@ CASES = {
     "heun-general-q": (["heun", "general", "--params", HEUN_GENERAL_Q, "--n", "3"], None),
     "nullity-two-whole-basis": (["check", "{file}", "--n", "3"], EULER_1_3),
     "sweep-dense-cubic": (["check", "{file}", "--max-n", "5"], DENSE_CUBIC),
+    "first-order-both": (["check", "{file}", "--n", "2"], FIRST_ORDER),
     "constraints-rational-roots": (["constraints", "{file}", "--n", "2"], PARAMETRIC_CUBIC),
     "constraints-repeated-root": (["constraints", "{file}", "--n", "1"], REPEATED_ROOT),
     "constraints-coarse-tolerance": (

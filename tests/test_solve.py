@@ -26,15 +26,28 @@ from polyode.solve import (
     _search_range,
     _squarefree_sequence,
     analyze_roots,
-    count_real_roots,
     isolate_real_roots,
     rational_roots,
     refine_root,
-    root_bound,
     sturm_chain,
 )
 
 TOL = 1e-12
+
+
+
+def isolated(p: UPoly, lo=None, hi=None) -> int:
+    """Distinct real roots that ``isolate_real_roots`` finds in (lo, hi]."""
+    return len(isolate_real_roots(p, lo, hi).intervals)
+
+
+def sympy_count(p: UPoly, lo=None, hi=None) -> int:
+    """Distinct real roots of p in (lo, hi], whole line by default, by
+    sympy, whose ``count_roots`` counts the closed [lo, hi]."""
+    poly = sympy_poly(p.coeffs)
+    lo, hi = (None if x is None else sympy.Rational(x.numerator, x.denominator)
+              for x in (lo, hi))
+    return poly.count_roots(lo, hi) - (lo is not None and poly.eval(lo) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -43,15 +56,15 @@ TOL = 1e-12
 def test_sturm_chain_quadratic():
     chain = sturm_chain(UPoly([-1, 0, 1]))
     assert chain == [UPoly([-1, 0, 1]), UPoly([0, 2]), UPoly([1])]
-    assert count_real_roots(UPoly([-1, 0, 1])) == 2
+    assert isolated(UPoly([-1, 0, 1])) == sympy_count(UPoly([-1, 0, 1])) == 2
 
 
 def test_sturm_no_real_roots():
-    assert count_real_roots(UPoly([1, 0, 1])) == 0
+    assert isolated(UPoly([1, 0, 1])) == sympy_count(UPoly([1, 0, 1])) == 0
 
 
 def test_sturm_linear():
-    assert count_real_roots(UPoly([-1, 1])) == 1
+    assert isolated(UPoly([-1, 1])) == sympy_count(UPoly([-1, 1])) == 1
 
 
 def test_sturm_zero_polynomial():
@@ -62,7 +75,7 @@ def test_sturm_zero_polynomial():
 def test_sturm_counts_distinct_roots_of_multiple():
     # (x-1)^2 x: distinct roots {0, 1}
     p = UPoly([0, 1]) * UPoly([-1, 1]) * UPoly([-1, 1])
-    assert count_real_roots(p) == 2
+    assert isolated(p) == sympy_count(p) == 2
 
 
 @settings(max_examples=40)
@@ -91,15 +104,14 @@ def test_sturm_count_matches_grid_sign_changes(p):
                 grid_changes += 1
             prev_sign = s
         x += width
-    count = count_real_roots(p, lo, hi)
-    assert count >= grid_changes
+    assert isolated(p, lo, hi) >= grid_changes
 
 
 def test_sturm_count_equals_grid_for_separated_roots():
     # roots -3, 1/2, 2 are far apart relative to the grid
     p = UPoly([3, 1]) * UPoly([-1, 2]) * UPoly([-2, 1])
     lo, hi = Fraction(-5), Fraction(5)
-    assert count_real_roots(p, lo, hi) == 3
+    assert isolated(p, lo, hi) == sympy_count(p, lo, hi) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +146,9 @@ def test_isolate_counts_match_sturm():
         if not p or p.degree < 1:
             continue
         lo, hi = Fraction(-20), Fraction(20)
-        report = isolate_real_roots(p, lo, hi)
-        # nudge may have widened the range; recompute on actual endpoints
-        assert len(report.intervals) == count_real_roots(
-            p, report.intervals[0][0] if report.intervals else lo, hi
-        ) or len(report.intervals) == count_real_roots(p, lo, hi)
+        # every root lies within the Cauchy bound 7, so no endpoint is
+        # nudged and the intervals cover (lo, hi] exactly
+        assert len(isolate_real_roots(p, lo, hi).intervals) == sympy_count(p, lo, hi)
 
 
 def test_isolate_nonreal_count():
@@ -152,7 +162,7 @@ def test_isolate_nonreal_count():
 def test_isolate_default_range_uses_root_bound():
     # polynomial with a root beyond 10^6
     p = UPoly([-Fraction(3 * 10**6), 1])
-    assert root_bound(p) > 10**6
+    assert 1 + max(map(abs, p.coeffs)) / abs(p.leading) > 10**6  # Cauchy's bound
     report = analyze_roots(p)
     assert report.exact_rational_roots == (Fraction(3 * 10**6),)
 
@@ -169,7 +179,7 @@ def test_isolate_default_range_uses_root_bound():
 def test_default_search_range_is_the_larger_of_a_million_and_the_cauchy_bound(
         coefficients, lead):
     p = UPoly([*coefficients, lead])
-    bound = max(Fraction(10**6), root_bound(p))
+    bound = max(Fraction(10**6), 1 + max(map(abs, p.coeffs)) / abs(p.leading))
     f = _remainder_sequence(p)[0]
     lo, hi = _search_range(f, None, None)
     assert (lo, hi) == (-bound, bound)
