@@ -54,7 +54,6 @@ from .criteria import (
 from .exactalg import (
     NEG_INFINITY,
     NotDivisibleError,
-    Rational,
     UPoly,
     as_rational,
     banded_determinant,

@@ -16,7 +16,8 @@ heun         map a Heun-family equation onto the generic form and emit its
 Machine-readable JSON goes to stdout as one compact line (pipe it through
 ``python -m json.tool`` to indent it); a short human summary goes to stderr
 unless --json is given.  Exact values are serialized as strings ("p/q");
-only refined root approximations are floats.  Exit codes: 0 when a verified
+only refined roots are floats, each the float nearest its root (null for a
+root past the largest float).  Exit codes: 0 when a verified
 solution (or admissible parameter value) exists, 2 when not, 1 on input
 errors.
 """
@@ -51,7 +52,7 @@ from .criteria import (
     verify_solution,
 )
 from .exactalg import MAX_DIGITS, UPoly, format_polynomial, parse_rational
-from .solve import DEFAULT_TOLERANCE, RootReport, analyze_roots
+from .solve import RootReport, analyze_roots
 
 
 #: Largest value of ``--n`` and ``--max-n``, in every command.  Exact cost
@@ -88,14 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="polyode")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(parent, name, run, *, tolerance=False, **kwargs):
+    def command(parent, name, run, **kwargs):
         p = parent.add_parser(name, **kwargs)
         p.set_defaults(run=run)
         p.add_argument("--json", action="store_true",
                        help="suppress the human summary on stderr")
-        if tolerance:
-            p.add_argument("--tolerance", type=_fraction, default=DEFAULT_TOLERANCE,
-                           help="root refinement tolerance (default 1e-12)")
         return p
 
     p_check = command(sub, "check", cmd_check, help="test one equation")
@@ -107,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--method", choices=("determinant", "aim", "both"),
                          default="both")
 
-    p_con = command(sub, "constraints", cmd_constraints, tolerance=True,
+    p_con = command(sub, "constraints", cmd_constraints,
                     help="solve for the unknown parameter")
     p_con.add_argument("input", help="equation JSON file, or - for stdin")
     p_con.add_argument("--n", type=int, required=True)
@@ -115,10 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     studies = sub.add_parser("demo", help="run a named case study").add_subparsers(
         dest="name", required=True)
 
-    def study(name, run, *options, tolerance=False):
+    def study(name, run, *options):
         # no abbreviations: another study's option (--m, --a) must not pass
         # for a prefix of this one's (--mu, --alpha)
-        p = command(studies, name, run, tolerance=tolerance, allow_abbrev=False)
+        p = command(studies, name, run, allow_abbrev=False)
         p.add_argument("--n", type=int, default=1)
         for flag, kind, default in options:
             p.add_argument(flag, type=kind, default=default)
@@ -126,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     study("davidson", _demo_davidson, ("--mu", _fraction, Fraction(0)),
           ("--eps", _fraction, None))
     study("coulomb", _demo_coulomb, ("--Z", _fraction, Fraction(1)), ("--d", int, 3),
-          ("--l", int, 0), tolerance=True)
-    study("krylov", _demo_krylov, ("--alpha", _fraction, Fraction(1)), tolerance=True)
-    study("chhajlany", _demo_chhajlany, ("--p", _fraction, Fraction(1)), tolerance=True)
+          ("--l", int, 0))
+    study("krylov", _demo_krylov, ("--alpha", _fraction, Fraction(1)))
+    study("chhajlany", _demo_chhajlany, ("--p", _fraction, Fraction(1)))
     study("hyper", _demo_hyper, ("--m", int, 1), ("--l", int, 2),
           ("--a", _fraction, Fraction(1)), ("--b", _fraction, Fraction(1)))
     study("bessel", _demo_bessel, ("--tau00", _fraction, None))
 
-    p_heun = command(sub, "heun", cmd_heun, tolerance=True,
+    p_heun = command(sub, "heun", cmd_heun,
                      help="Heun-family polynomial conditions")
     p_heun.add_argument("family", choices=tuple(_HEUN_FAMILIES))
     p_heun.add_argument("--params", required=True,
@@ -264,8 +262,7 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     return reports
 
 
-def analyze_constraints(eq: EquationSpec, n: int,
-                        tolerance: Fraction = DEFAULT_TOLERANCE) -> dict:
+def analyze_constraints(eq: EquationSpec, n: int) -> dict:
     start = time.monotonic()
     notes: list[str] = []
     level, cond = degree_condition_effective(eq, n)
@@ -286,14 +283,14 @@ def analyze_constraints(eq: EquationSpec, n: int,
         elif det.is_constant:
             notes.append("determinant is a nonzero constant; no parameter value works")
         else:
-            root_report = analyze_roots(det, tolerance=tolerance)
+            root_report = analyze_roots(det)
             exists = bool(root_report.intervals)
     elif isinstance(cond.degree, int) and cond.degree == 1:
         required = -cond.coeffs[0] / cond.coeffs[1]
         report["degree_condition"]["required_value"] = str(required)
         if det(required) == 0:
             # the linear condition's one root is exactly ``required``
-            root_report = analyze_roots(cond, tolerance=tolerance)
+            root_report = analyze_roots(cond)
             exists = True
         else:
             notes.append(
@@ -402,7 +399,7 @@ def cmd_constraints(args) -> dict:
     eq = _parse_equation(_read_input(args.input))
     if eq.is_numeric:
         raise CliError("constraints needs exactly one unknown parameter")
-    return analyze_constraints(eq, args.n, args.tolerance)
+    return analyze_constraints(eq, args.n)
 
 
 _HEUN_FAMILIES = {"confluent": heun_mod.confluent_to_spec,
@@ -424,7 +421,7 @@ def cmd_heun(args) -> dict:
     if eq.is_numeric:
         report = analyze_check(eq, [args.n], "both")[0]
     else:
-        report = analyze_constraints(eq, args.n, args.tolerance)
+        report = analyze_constraints(eq, args.n)
     report["family"] = args.family
     return report
 
@@ -465,7 +462,7 @@ def _demo_coulomb(args) -> dict:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     alpha = apps.coulomb_alpha(problem, n)
-    roots = analyze_roots(constraint, tolerance=args.tolerance)
+    roots = analyze_roots(constraint)
     # the constraint is in t = alpha beta; only a positive shift is physical
     shifts = [root / alpha for root in roots.exact_rational_roots if root / alpha > 0]
     return _parametric_report({
@@ -488,7 +485,7 @@ def _demo_krylov(args) -> dict:
         beta, constraint = apps.krylov_robnik_analyze(args.alpha, args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    roots = analyze_roots(constraint, tolerance=args.tolerance)
+    roots = analyze_roots(constraint)
     eq = replace(apps.krylov_robnik_spec(args.alpha, beta, UPoly.x()), unknown="gamma")
     return _parametric_report({
         "name": "krylov",
@@ -505,7 +502,7 @@ def _demo_chhajlany(args) -> dict:
         constraint = apps.chhajlany_analyze(args.p, args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    roots = analyze_roots(constraint, tolerance=args.tolerance)
+    roots = analyze_roots(constraint)
     eq = replace(apps.chhajlany_spec(args.p, 2 * args.n, UPoly.x()), unknown="alpha")
     return _parametric_report({
         "name": "chhajlany",
@@ -609,8 +606,6 @@ def _check_ranges(args) -> None:
             raise CliError(f"--{flag} must be nonnegative, got {value}")
         if value > MAX_DEGREE:
             raise CliError(f"--{flag} is at most {MAX_DEGREE}, got {value}")
-    if "tolerance" in args and args.tolerance <= 0:
-        raise CliError(f"--tolerance must be positive, got {args.tolerance}")
 
 
 def main(argv=None) -> int:

@@ -2,9 +2,8 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), always in
 lowest terms with a positive denominator, so structural equality is
-mathematical equality.  ``Rational`` is re-exported here as the canonical
-scalar type for the whole package; its string form is ``"p/q"`` (or ``"p"``
-when the denominator is 1), which is also the serialization format.
+mathematical equality.  A scalar's string form is ``"p/q"`` (or ``"p"`` when
+the denominator is 1), which is also the serialization format.
 
 ``UPoly`` is a dense univariate polynomial given by its coefficient tuple in
 ascending power order.  The zero polynomial is canonically the empty tuple,
@@ -22,8 +21,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 #: Degree reported for the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -122,11 +119,6 @@ class UPoly:
     @classmethod
     def constant(cls, value) -> "UPoly":
         return cls((value,))
-
-    @classmethod
-    def from_strings(cls, strings: Sequence[str]) -> "UPoly":
-        """Parse the serialized form: a list of rational strings, ascending."""
-        return cls(parse_rational(s) for s in strings)
 
     # -- inspection ---------------------------------------------------------
 

@@ -12,12 +12,13 @@ part, so no Euclid over the rationals runs.  Every sign test is
 homogenised integer Horner: for x = a/b with b > 0 the sign of f(x) is the
 sign of sum c_i a^i b^(d-i).  Isolation keeps its points as int numerators
 over one denominator times a power of two, and a point past the Fujiwara
-bound of the whole divided sequence costs no evaluation.  Refinement finds
-the cell that bit-by-bit bisection would end on, with a number of sign
-tests that grows as the logarithm of the cell's depth rather than as the
-depth (Abbott 2006; Kerber & Sagraloff 2011), and reports what bisection
-would report.  Complex roots are out of scope; their number is reported
-as the square-free degree minus the count of distinct real roots.
+bound of the whole divided sequence costs no evaluation.  Refinement
+reports, for each root, the float nearest it, which the root alone fixes,
+so no tolerance is asked for; its number of sign tests grows as the
+logarithm of the depth of its final cell rather than as the depth (Abbott
+2006; Kerber & Sagraloff 2011).  Complex roots are out of scope; their
+number is reported as the square-free degree minus the count of distinct
+real roots.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Optional, Sequence
 # perfbench/tracing.py can count any call to it through this module
 from .exactalg import UPoly, squarefree_part  # noqa: F401
 
-DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_RANGE = Fraction(10**6)
 
 IntPoly = tuple[int, ...]
@@ -50,14 +50,15 @@ class RootReport:
     """Isolation and refinement summary for one polynomial.
 
     Each interval (lo, hi] contains exactly one distinct real root, certified
-    by Sturm counts; ``refined`` holds one float per interval, accurate to
-    the requested tolerance, and ``exact_rational_roots`` lists the subset of
-    roots that are exactly rational.
+    by Sturm counts; ``refined`` holds, per interval, the float nearest its
+    root (ties to even), or None for a root past the largest float, and
+    ``exact_rational_roots`` lists the subset of roots that are exactly
+    rational.
     """
 
     polynomial: UPoly
     intervals: tuple[tuple[Fraction, Fraction], ...]
-    refined: tuple[float, ...]
+    refined: tuple[Optional[float], ...]
     exact_rational_roots: tuple[Fraction, ...]
     nonreal_count: int
 
@@ -364,13 +365,6 @@ def isolate_real_roots(
     )
 
 
-def _check_tolerance(tolerance) -> None:
-    """Refinement narrows its cell until the width is below the tolerance,
-    which a non-positive tolerance never allows."""
-    if Fraction(tolerance) <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-
-
 def _first_level(width: int, den: int) -> int:
     """The least k >= 0 with width < den 2^k, for positive ints, from
     their bit lengths."""
@@ -380,42 +374,55 @@ def _first_level(width: int, den: int) -> int:
     return k if width < den << k else k + 1
 
 
-def _refine(
-    chain: Sequence[IntPoly],
-    lo: Fraction,
-    hi: Fraction,
-    tolerance: Fraction,
-) -> tuple[float, Optional[Fraction]]:
+def _nearest_float(a: int, b: int) -> Optional[float]:
+    """The float nearest a/b for b > 0, ties to even, or None past the
+    largest float."""
+    try:
+        return a / b
+    except OverflowError:
+        return None
+
+
+def _exact(root: Fraction) -> tuple[Optional[float], Fraction]:
+    """The report for a rational root: its nearest float, and itself."""
+    return _nearest_float(root.numerator, root.denominator), root
+
+
+def _refine(chain: Sequence[IntPoly], lo: Fraction,
+            hi: Fraction) -> tuple[Optional[float], Optional[Fraction]]:
     """Refine (lo, hi], which isolates one root of the square-free
     chain[0], on its bisection grid.
 
-    Returns the midpoint float of the first bisection cell narrower than
-    ``tolerance`` (or the root itself when it is a grid point of that
-    level or a coarser one) and the root when it is rational, else None.
+    Returns the float nearest the root, ties to even (None when the root
+    lies past the largest float), and the root when it is rational, else
+    None.
 
     A rational root of the primitive integer chain[0] has a denominator
     dividing its leading coefficient L, and two distinct fractions with
     denominators at most L lie at least 1/L^2 apart.  In the first cell
-    narrower than 1/(2 L^2) the root is rational exactly when the closest
-    such fraction to the cell's midpoint lies in the cell and is a root.
+    narrower than 1/(2 L^2), of level k_sep, the root is rational exactly
+    when the closest such fraction to the cell's midpoint lies in the cell
+    and is a root; a rational root, like a tested point that is the root,
+    reports its own nearest float.  An irrational root lies strictly
+    inside every cell that holds it, so refinement goes on until both ends
+    of the cell round to the same float, which rounding, being monotone,
+    gives the root too.
 
     The level-k cells are (x0 2^k + j w, x0 2^k + (j+1) w) over den 2^k,
-    with w = x1 - x0, and both results read off the cell that holds the
-    root at the deeper of the two levels.  That cell is found by quadratic
+    with w = x1 - x0.  The cell that holds the root is found by quadratic
     interval refinement (Abbott 2006; Kerber & Sagraloff 2011) rather than
     one level at a time: the integer secant guess m = floor(N v_lo /
     (v_lo - v_hi)) from the homogenised values at the cell's ends picks one
     of its N = 2^s subcells, s = log_n levels down; when the subcell's ends
     bracket the root it is kept and N squares, else one bisection step
     follows and s halves.  A kept end value carries to the finer level
-    shifted left by d s bits.  A tested point that is a root is a grid point: at its
-    coarsest level k_min the bisection would have tested it too, and it is
-    reported as bisection reports it.
+    shifted left by d s bits.  No step passes level k_sep before the
+    rational-root test has run there.
     """
     f = chain[0]
     v_hi = _value_at(f, hi.numerator, hi.denominator)
     if not v_hi:
-        return float(hi), hi
+        return _exact(hi)
     v_lo = _value_at(f, lo.numerator, lo.denominator)
     if not v_lo:
         # lo itself is an excluded root; move it inward without crossing
@@ -429,32 +436,20 @@ def _refine(
                 v_lo = 0
             step /= 2
         lo = candidate
-    tolerance = Fraction(tolerance)
     lead = abs(f[-1])
     degree = len(f) - 1
     den = lo.denominator * hi.denominator
     x0 = lo.numerator * hi.denominator
     width = hi.numerator * lo.denominator - x0
-    k_ref = _first_level(width * tolerance.denominator, tolerance.numerator * den)
     k_sep = _first_level(2 * lead * lead * width, den)
-    top = max(k_ref, k_sep)
 
     def value(k: int, j: int) -> int:
         """The homogenised value at grid point j of level k."""
         return _value_at(f, (x0 << k) + j * width, den << k)
 
-    def midpoint(k: int, j: int) -> float:
-        return ((x0 << (k + 1)) + (2 * j + 1) * width) / (den << (k + 1))
-
-    def hit(k: int, j: int) -> tuple[float, Fraction]:
+    def hit(k: int, j: int) -> tuple[Optional[float], Fraction]:
         """The report for a root at grid point j of level k."""
-        while not j & 1:
-            j >>= 1
-            k -= 1
-        root = Fraction((x0 << k) + j * width, den << k)
-        if k <= k_ref:
-            return float(root), root
-        return midpoint(k_ref, j >> (k - k_ref)), root
+        return _exact(Fraction((x0 << k) + j * width, den << k))
 
     # cell j of level k holds the root, and v_lo, v_hi are the values at
     # its ends (lo and hi over den at level 0); a subcell of N = 2^log_n
@@ -463,8 +458,23 @@ def _refine(
     v_lo *= hi.denominator ** degree
     v_hi *= lo.denominator ** degree
     log_n = 2
-    while k < top:
-        log_n = min(log_n, top - k)
+    tested = False
+    while True:
+        cell_lo, scale = (x0 << k) + j * width, den << k
+        if tested:
+            nearest = _nearest_float(cell_lo, scale)
+            if nearest == _nearest_float(cell_lo + width, scale):
+                return nearest, None
+        elif k == k_sep:
+            # the rational-root test, in the cell of level k_sep
+            candidate = Fraction(2 * cell_lo + width, 2 * scale).limit_denominator(lead)
+            a, b = candidate.numerator, candidate.denominator
+            if cell_lo * b < a * scale <= (cell_lo + width) * b and _sign_at(f, a, b) == 0:
+                return _exact(candidate)
+            tested = True
+            continue
+        else:
+            log_n = min(log_n, k_sep - k)
         if log_n > 1:
             fine, base, carry = k + log_n, j << log_n, degree * log_n
             m = (v_lo << log_n) // (v_lo - v_hi)
@@ -494,25 +504,12 @@ def _refine(
             v_lo, v_hi = v_mid, v_hi << degree
         else:
             v_lo, v_hi = v_lo << degree, v_mid
-    # the cell of level k_sep that holds the root: the rational-root test
-    j_sep = j >> (top - k_sep)
-    cell_lo = (x0 << k_sep) + j_sep * width
-    scale = den << k_sep
-    exact = None
-    candidate = Fraction(2 * cell_lo + width, 2 * scale).limit_denominator(lead)
-    a, b = candidate.numerator, candidate.denominator
-    if cell_lo * b < a * scale <= (cell_lo + width) * b and _sign_at(f, a, b) == 0:
-        exact = candidate
-    return midpoint(k_ref, j >> (top - k_ref)), exact
 
 
-def refine_root(
-    p: UPoly,
-    interval: tuple[Fraction, Fraction],
-    tolerance: Fraction = DEFAULT_TOLERANCE,
-) -> float:
-    """Refine an isolating interval down to the tolerance (see ``_refine``);
-    exact arithmetic throughout, float conversion only at the end.
+def refine_root(p: UPoly, interval: tuple[Fraction, Fraction]) -> Optional[float]:
+    """The float nearest the root in an isolating interval (see
+    ``_refine``); exact arithmetic throughout, float conversion only at the
+    end.
 
     Multiple roots are handled by deflating to the square-free part first;
     an interval whose Sturm count is not exactly one raises
@@ -520,12 +517,11 @@ def refine_root(
     """
     if not p:
         raise ZeroPolynomialError("zero polynomial")
-    _check_tolerance(tolerance)
     chain = _squarefree_sequence(_remainder_sequence(p))
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if _count(chain, lo, hi) != 1:
         raise NotIsolatingError(f"interval ({lo}, {hi}] does not isolate one root")
-    return _refine(chain, lo, hi, tolerance)[0]
+    return _refine(chain, lo, hi)[0]
 
 
 def rational_roots(p: UPoly) -> tuple[Fraction, ...]:
@@ -536,7 +532,7 @@ def rational_roots(p: UPoly) -> tuple[Fraction, ...]:
     return analyze_roots(p).exact_rational_roots
 
 
-def analyze_roots(p: UPoly, tolerance: Fraction = DEFAULT_TOLERANCE) -> RootReport:
+def analyze_roots(p: UPoly) -> RootReport:
     """Isolate, refine, and detect exact rational roots of p over the whole
     real line (see ``isolate_real_roots`` for the range) in one report.
 
@@ -547,13 +543,12 @@ def analyze_roots(p: UPoly, tolerance: Fraction = DEFAULT_TOLERANCE) -> RootRepo
     """
     if not p:
         raise ZeroPolynomialError("zero polynomial")
-    _check_tolerance(tolerance)
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
     sequence = _remainder_sequence(p)
     chain = _squarefree_sequence(sequence)
     intervals = _isolate(chain, *_search_range(sequence[0], None, None))
-    results = [_refine(chain, a, b, tolerance) for a, b in intervals]
+    results = [_refine(chain, a, b) for a, b in intervals]
     return RootReport(
         polynomial=p,
         intervals=intervals,

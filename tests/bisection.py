@@ -5,9 +5,9 @@ Both read a Sturm sequence of primitive integer polynomials (ascending
 coefficient tuples) whose first element is square-free.  Every point is a
 normalised ``Fraction`` in ``isolate``; ``refine`` halves its interval one
 level at a time on the grid ``x0/den + j w / (den 2^k)`` until the width is
-below the tolerance and below ``1/(2 L^2)``.  The production kernels must
-return exactly what these return: the same intervals, the same refined
-floats and the same exact roots.
+below ``1/(2 L^2)`` and both ends round to one float, or until it hits the
+root.  The production kernels must return exactly what these return: the
+same intervals, the same refined floats and the same exact roots.
 """
 
 from fractions import Fraction
@@ -77,16 +77,26 @@ def isolate(chain, lo, hi):
     return tuple(intervals)
 
 
-def refine(chain, lo, hi, tolerance):
-    """(refined float, exact root or None) for the one root of chain[0] in
-    (lo, hi]: the midpoint of the first bisection cell narrower than the
-    tolerance, or the root itself when a bisection point hits it before
-    that level; the root is exact when the fraction with denominator at
-    most L = |lead| nearest the midpoint of the first cell narrower than
-    1/(2 L^2) lies in that cell and is a root."""
+def nearest_float(x):
+    """The float nearest the Fraction x, ties to even, or None past the
+    largest float."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def refine(chain, lo, hi):
+    """(float nearest the root, exact root or None) for the one root of
+    chain[0] in (lo, hi]: bisection halves the cell until a point hits the
+    root, or until the rational-root test has run and both ends of the
+    cell round to one float.  The root is exact when the fraction with
+    denominator at most L = |lead| nearest the midpoint of the first cell
+    narrower than 1/(2 L^2) lies in that cell and is a root; a rational
+    root reports its own nearest float."""
     f = chain[0]
     if sign_at(f, hi.numerator, hi.denominator) == 0:
-        return float(hi), hi
+        return nearest_float(hi), hi
     if sign_at(f, lo.numerator, lo.denominator) == 0:
         step = (hi - lo) / 2
         while True:
@@ -96,34 +106,30 @@ def refine(chain, lo, hi, tolerance):
                 lo = candidate
                 break
             step /= 2
-    tolerance = Fraction(tolerance)
     lead = abs(f[-1])
     separation = 2 * lead * lead
     den = lo.denominator * hi.denominator
     x0 = lo.numerator * hi.denominator
     x1 = hi.numerator * lo.denominator
     sign_lo = sign_at(f, x0, den)
-    refined = None
-    exact = None
     checked = False
     while True:
-        width = x1 - x0
-        if refined is None and width * tolerance.denominator < tolerance.numerator * den:
-            refined = float(Fraction(x0 + x1, 2 * den))
-        if not checked and width * separation < den:
+        if not checked and (x1 - x0) * separation < den:
             candidate = Fraction(x0 + x1, 2 * den).limit_denominator(lead)
             a, b = candidate.numerator, candidate.denominator
             if x0 * b < a * den <= x1 * b and sign_at(f, a, b) == 0:
-                exact = candidate
+                return nearest_float(candidate), candidate
             checked = True
-        if refined is not None and checked:
-            return refined, exact
+        if checked:
+            low = nearest_float(Fraction(x0, den))
+            if low == nearest_float(Fraction(x1, den)):
+                return low, None
         mid = x0 + x1
         den *= 2
         sign_mid = sign_at(f, mid, den)
         if sign_mid == 0:
             root = Fraction(mid, den)
-            return (float(root) if refined is None else refined), root
+            return nearest_float(root), root
         if sign_mid == sign_lo:
             x0, x1 = mid, 2 * x1
         else:

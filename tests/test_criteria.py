@@ -33,7 +33,8 @@ from polyode.criteria import (
     verify_solution,
 )
 from polyode.exactalg import (
-    MAX_DIGITS, UPoly, banded_determinant, banded_minors, bareiss_determinant)
+    MAX_DIGITS, UPoly, banded_determinant, banded_minors, bareiss_determinant,
+    parse_rational)
 
 from bandforms import (
     bands_of, dense, entries, integer_rows, primitive_vector, residual, row_entries)
@@ -1056,7 +1057,7 @@ def test_leading_block_is_the_lower_degree_matrix(top, values, slot):
 
 @pytest.mark.parametrize("build", [
     as_scalar,
-    lambda text: UPoly.from_strings([text]),
+    lambda text: UPoly(map(parse_rational, [text])),
     lambda text: UPoly([1, text]),
     lambda text: EquationSpec(a3=(0, 0, 0, 1), a2=((0, text), 0, 0), tau=(0, 0)),
 ], ids=["as_scalar", "from_strings", "UPoly", "EquationSpec"])

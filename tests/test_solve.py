@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -219,17 +220,6 @@ def test_refine_not_isolating():
     p = UPoly([-1, 0, 1])
     with pytest.raises(NotIsolatingError):
         refine_root(p, (Fraction(-2), Fraction(2)))
-
-
-@pytest.mark.parametrize("tolerance", [Fraction(0), Fraction(-1, 2), 0])
-def test_nonpositive_tolerance_raises(tolerance):
-    # bisection to a non-positive width never ends, so both entry points
-    # refuse it before refining anything
-    p = UPoly([-2, 0, 1])
-    with pytest.raises(ValueError, match="tolerance"):
-        refine_root(p, (Fraction(1), Fraction(2)), tolerance=tolerance)
-    with pytest.raises(ValueError, match="tolerance"):
-        analyze_roots(p, tolerance=tolerance)
 
 
 def test_refine_root_at_endpoint():
@@ -461,15 +451,10 @@ def test_large_demo_roots_finish_and_match_sympy(argv, capsys):
 
 DYADIC_ROOTS = st.builds(lambda k, e: Fraction(k, 2**e),
                          st.integers(-64, 64), st.integers(0, 12))
-# coarse tolerances leave the refined cell above the cell of the
-# rational-root test; the finest is the cap that keeps the oracle fast
-TOLERANCES = st.sampled_from([Fraction(1, 3), Fraction(5), Fraction(1, 2**20),
-                              Fraction(1, 10**12), Fraction(7, 10**30)])
-
 
 @st.composite
 def refinement_cases(draw):
-    """(p, tolerance, lo, hi): products of dyadic and non-dyadic rational
+    """(p, lo, hi): products of dyadic and non-dyadic rational
     linear factors, some repeated, and irreducible quadratics, of degree at
     most 12, with the default search range, a custom one, or one whose
     lower end is a root."""
@@ -490,41 +475,39 @@ def refinement_cases(draw):
                                     max_denominator=8))
     elif ends == "root":
         lo = roots[0]
-    return p, draw(TOLERANCES), lo, hi
+    return p, lo, hi
 
 
 @settings(max_examples=150, deadline=None)
 @given(refinement_cases())
 def test_isolation_and_refinement_match_the_bisection_oracle(case):
-    p, tolerance, lo, hi = case
+    p, lo, hi = case
     sequence = _remainder_sequence(p)
     lo, hi = _search_range(sequence[0], lo, hi)
     chain = _squarefree_sequence(sequence)
     intervals = _isolate(chain, lo, hi)
     assert intervals == bisection.isolate(chain, lo, hi)
     for a, b in intervals:
-        value, exact = _refine(chain, a, b, tolerance)
+        value, exact = _refine(chain, a, b)
         assert type(value) is float
-        assert (value, exact) == bisection.refine(chain, a, b, tolerance)
+        assert (value, exact) == bisection.refine(chain, a, b)
     # (r, b2] with r the rational root of one interval and b2 the right end
     # of the next isolates the next root, with lo itself a root
     for (a, b), (_, b2) in zip(intervals, intervals[1:]):
-        root = bisection.refine(chain, a, b, tolerance)[1]
+        root = bisection.refine(chain, a, b)[1]
         if root is not None:
-            assert _refine(chain, root, b2, tolerance) == bisection.refine(
-                chain, root, b2, tolerance)
+            assert _refine(chain, root, b2) == bisection.refine(chain, root, b2)
 
 
 def test_a_root_on_the_grid_is_reported_as_bisection_reports_it():
     # 2^18 t - 15625 on (-10^6, 10^6]: the root 15625/2^18 is the grid point
-    # of level 25, and the rational-root test needs level 58; the
-    # tolerances put the refined cell at every level from 0 to 68
+    # of level 25, which a refinement step hits well before level 58 of the
+    # rational-root test; a root at the upper end is reported as it is
     chain = [(-15625, 2**18), (1,)]
-    lo, hi = Fraction(-10**6), Fraction(10**6)
-    for e in range(-22, 48):
-        tolerance = Fraction(2) ** -e
-        assert _refine(chain, lo, hi, tolerance) == bisection.refine(
-            chain, lo, hi, tolerance)
+    root = Fraction(15625, 2**18)
+    for lo, hi in [(Fraction(-10**6), Fraction(10**6)), (Fraction(0), root)]:
+        assert _refine(chain, lo, hi) == bisection.refine(chain, lo, hi) == (
+            float(root), root)
 
 
 def counting_evaluations(monkeypatch, limit=None):
@@ -554,48 +537,106 @@ def counting_evaluations(monkeypatch, limit=None):
 
 
 @pytest.mark.parametrize("coeffs, lo, hi", [
-    ((-1, 3 * 2**50), Fraction(0), Fraction(1)),
-    ((-1, 3), Fraction(0), Fraction(1)),
-    ((-7, 10), Fraction(1, 3), Fraction(3, 4)),
+    ((-1, 3 * 2**6650), Fraction(0), Fraction(1)),
+    ((-2**6650, 3 * 2**6650 + 1), Fraction(0), Fraction(1)),
+    ((-7 * 10**2000 - 1, 10**2001), Fraction(1, 3), Fraction(3, 4)),
 ])
 def test_secant_guesses_are_exact_on_a_linear_polynomial(coeffs, lo, hi,
                                                          monkeypatch):
     # every subcell guess holds the root, so N squares at every step: log N
-    # doubles from 2 and passes the level of tolerance 10^-4000 (about
-    # 13 290) in 13 steps of at most two evaluations, besides the values at
-    # the two ends and the rational-root test
+    # doubles from 2 and reaches the level of the rational-root test (about
+    # 13 300, for a leading coefficient near 2^6650) in 13 steps of at most
+    # two evaluations, besides the values at the two ends and the test
     counts = counting_evaluations(monkeypatch)
     chain = [coeffs, (coeffs[1],)]
-    solve._refine(chain, lo, hi, Fraction(1, 10**4000))
+    root = Fraction(-coeffs[0], coeffs[1])
+    assert solve._refine(chain, lo, hi) == (float(root), root)
     assert counts["evaluations"] <= 2 + 2 * 13 + 1
 
 
 @pytest.mark.parametrize("coeffs", [(0, -15, -9, 2), (-20, 2, 15, 30, 2),
                                     (30, 12, -19, 2)])
 def test_carried_values_keep_the_secant_guesses_good(coeffs, monkeypatch):
-    # all roots of each take 59-62 evaluations at 10^-30, where bisection
-    # makes 105-124 per root; an end value carried with the wrong shift
-    # leaves every result as it is, but takes one of them past 72
+    # all roots of each take 41-56 evaluations, where bisection makes
+    # 126-193 sign tests; an end value carried with the wrong shift leaves
+    # every result as it is, but takes one of them past 60
     counts = counting_evaluations(monkeypatch)
     p = UPoly(list(coeffs))
-    assert analyze_roots(p, tolerance=Fraction(1, 10**30)).refined
-    assert counts["evaluations"] <= 72
+    assert analyze_roots(p).refined
+    assert counts["evaluations"] <= 60
 
 
-def test_refinement_to_4000_digits_takes_few_evaluations(monkeypatch, capsys):
-    # bisection one level at a time needs about 13 300 levels per root
-    # here; count the evaluations, not the seconds, and stop a regression
-    # at the bound rather than minutes later
-    counts = counting_evaluations(monkeypatch, limit=200 * 5)
-    tolerance = "1/1" + "0" * 4000
-    code = main(["demo", "chhajlany", "--p", "2", "--n", "10",
-                 "--tolerance", tolerance, "--json"])
-    roots = json.loads(capsys.readouterr().out)["roots"]
-    assert code == 0
-    assert counts["roots"] == len(roots["intervals"]) == 5
-    assert counts["evaluations"] <= 200 * counts["roots"]
-    for (lo, hi), value in zip(roots["intervals"], roots["roots"]):
-        assert Fraction(lo) < Fraction(value) <= Fraction(hi)
+PLANTED_EXPONENTS = st.integers(-300, 300)
+
+
+@st.composite
+def planted_roots(draw):
+    """(p, rational roots): a product of linear factors
+    at dyadic roots m 2^k and non-dyadic rational roots (a/b) 10^e, and of
+    quadratics with the irrational roots (c/7 +- sqrt(D)) 10^e, every root
+    of magnitude between about 10^-300 and 10^300."""
+    rationals = draw(st.lists(st.one_of(
+        st.builds(lambda m, k: Fraction(m) * Fraction(2) ** k,
+                  st.integers(-2**20, 2**20).filter(lambda m: m % 2),
+                  st.integers(-975, 975)),
+        st.builds(lambda a, b, e: Fraction(a, b) * Fraction(10) ** e,
+                  st.integers(-999, 999).filter(bool),
+                  st.integers(3, 99).filter(lambda b: b & (b - 1)),
+                  PLANTED_EXPONENTS)), max_size=3))
+    quadratics = []
+    for c, d, e in draw(st.lists(st.tuples(
+            st.integers(-20, 20), st.integers(2, 99).filter(lambda d: not _is_square(d)),
+            PLANTED_EXPONENTS), max_size=2)):
+        center, scale = Fraction(c, 7) * Fraction(10) ** e, Fraction(10) ** e
+        quadratics.append(UPoly([center**2 - d * scale**2, -2 * center, 1]))
+    assume(rationals or quadratics)
+    p = UPoly([1])
+    for root in rationals:
+        p = p * UPoly([-root, 1])
+    for quadratic in quadratics:
+        p = p * quadratic
+    return p, set(rationals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_roots())
+def test_every_refined_root_is_the_float_nearest_the_root(case):
+    # a rational root's float is Python's correctly rounded conversion; an
+    # irrational root must lie strictly between the midpoints from its
+    # float to the two neighbouring floats, which sympy counts exactly
+    p, rationals = case
+    report = analyze_roots(p)
+    assert set(report.exact_rational_roots) == rationals
+    assert len(report.intervals) == sympy_count(p)
+    for (lo, hi), value in zip(report.intervals, report.refined):
+        assert type(value) is float
+        exact = [r for r in rationals if lo < r <= hi]
+        if exact:
+            assert value == float(exact[0])
+            continue
+        below = (Fraction(math.nextafter(value, -math.inf)) + Fraction(value)) / 2
+        above = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
+        assert sympy_count(p, max(lo, below), min(hi, above)) == 1
+
+
+@pytest.mark.parametrize("p, refined, exact", [
+    (UPoly([-10**400, 1]), [None], [10**400]),
+    (UPoly([10**400, 1]), [None], [-10**400]),
+    (UPoly([-2 * 10**800, 0, 1]), [None, None], []),
+    # the largest float, and the tie just past it, which rounds to even:
+    # to 2^1024, past the largest float
+    (UPoly([-(2**1024 - 2**971), 1]), [sys.float_info.max], [2**1024 - 2**971]),
+    (UPoly([-(2**1024 - 2**970), 1]), [None], [2**1024 - 2**970]),
+    # roots below the least float round to zero
+    (UPoly([-1, 10**400]), [0.0], [Fraction(1, 10**400)]),
+    (UPoly([-2, 0, 10**800]), [0.0, 0.0], []),
+])
+def test_roots_past_the_float_range_refine_to_none_or_zero(p, refined, exact):
+    # the intervals and the exact values stay exact
+    report = analyze_roots(p)
+    assert list(report.refined) == refined
+    assert list(report.exact_rational_roots) == exact
+    assert len(report.intervals) == len(refined)
 
 
 @st.composite
