@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -68,6 +69,15 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, and reads every "-" before a digit or a
+    "." as the start of a negative value, so that a rational option takes
+    every form ``parse_rational`` reads ("-1/2", "-1e2", "-.5"); argparse
+    itself counts only "-2" and "-0.5" as negative numbers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -575,7 +585,7 @@ def _summarize(report: dict) -> list[str]:
             + ("zero" if report["determinant"]["is_zero"] else "nonzero")
         )
     if "roots" in report and report["roots"].get("roots"):
-        lines.append(f"parameter roots: {report['roots']['roots']}")
+        lines.append(f"parameter roots: {json.dumps(report['roots']['roots'])}")
     if report.get("aim"):
         idx = report["aim"]["found_index"]
         lines.append(

@@ -10,15 +10,15 @@ content, which keeps every sign.  Its last element is gcd(p, p'), and the
 sequence divided through by it is the Sturm sequence of the square-free
 part, so no Euclid over the rationals runs.  Every sign test is
 homogenised integer Horner: for x = a/b with b > 0 the sign of f(x) is the
-sign of sum c_i a^i b^(d-i).  Isolation keeps its points as int numerators
-over one denominator times a power of two, and a point past the Fujiwara
-bound of the whole divided sequence costs no evaluation.  Refinement
-reports, for each root, the float nearest it, which the root alone fixes,
-so no tolerance is asked for; its number of sign tests grows as the
-logarithm of the depth of its final cell rather than as the depth (Abbott
-2006; Kerber & Sagraloff 2011).  Complex roots are out of scope; their
-number is reported as the square-free degree minus the count of distinct
-real roots.
+sign of sum c_i a^i b^(d-i).  Isolation bisects (-2^e, 2^e], where 2^e is
+a Fujiwara bound on every root of the whole divided sequence, so the
+counts at its ends need no evaluation and every point is an int over a
+power of two.  Refinement reports, for each root, the float nearest it,
+which the root alone fixes, so no tolerance is asked for; its number of
+sign tests grows as the logarithm of the depth of its final cell rather
+than as the depth (Abbott 2006; Kerber & Sagraloff 2011).  Complex roots
+are out of scope; their number is reported as the square-free degree
+minus the count of distinct real roots.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from typing import Optional, Sequence
 # squarefree_part is no longer called here; it stays bound so that
 # perfbench/tracing.py can count any call to it through this module
 from .exactalg import UPoly, squarefree_part  # noqa: F401
-
-DEFAULT_RANGE = Fraction(10**6)
 
 IntPoly = tuple[int, ...]
 
@@ -50,10 +48,11 @@ class RootReport:
     """Isolation and refinement summary for one polynomial.
 
     Each interval (lo, hi] contains exactly one distinct real root, certified
-    by Sturm counts; ``refined`` holds, per interval, the float nearest its
-    root (ties to even), or None for a root past the largest float, and
-    ``exact_rational_roots`` lists the subset of roots that are exactly
-    rational.
+    by Sturm counts, and has ends that are ints over powers of two inside
+    the Fujiwara bound (see ``_isolate``); ``refined`` holds, per interval,
+    the float nearest its root (ties to even), or None for a root past the
+    largest float, and ``exact_rational_roots`` lists the subset of roots
+    that are exactly rational.
     """
 
     polynomial: UPoly
@@ -239,21 +238,6 @@ def _nonreal_count(chain: Sequence[IntPoly]) -> int:
     return len(chain[0]) - 1 - _count(chain, None, None)
 
 
-def _search_range(f: IntPoly, lo: Optional[Fraction],
-                  hi: Optional[Fraction]) -> tuple[Fraction, Fraction]:
-    """(lo, hi) defaulted to (-R, R), which holds every real root of the
-    integer polynomial f: R is 10^6, or f's Cauchy bound 1 + max |c_i| /
-    |lead| where larger, which an int comparison decides."""
-    top, lead = max(map(abs, f)), abs(f[-1])
-    bound = (1 + Fraction(top, lead) if top > (DEFAULT_RANGE.numerator - 1) * lead
-             else DEFAULT_RANGE)
-    lo = Fraction(-bound if lo is None else lo)
-    hi = Fraction(bound if hi is None else hi)
-    if lo >= hi:
-        raise ValueError("need lo < hi")
-    return lo, hi
-
-
 def _root_bound_exponent(chain: Sequence[IntPoly]) -> int:
     """e >= 1 with every real root of every element of chain strictly inside
     (-2^e, 2^e).
@@ -272,54 +256,43 @@ def _root_bound_exponent(chain: Sequence[IntPoly]) -> int:
     return top + 1
 
 
-def _isolate(chain: Sequence[IntPoly], lo: Fraction,
-             hi: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Sorted disjoint intervals (a, b] each holding one distinct real root
-    of chain[0] in (lo, hi]; endpoints that are roots are nudged outward.
+def _isolate(chain: Sequence[IntPoly]) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Sorted disjoint intervals (a, b], one for each distinct real root of
+    chain[0], every end an int over a power of two.
 
-    Bisection on Sturm counts.  A split point is the midpoint, or, where
-    chain[0] vanishes, the first of mid + w/4, mid + w/8, ... where it does
-    not (w the width).  Points are int numerators over den 2^k, so no
-    ``Fraction`` is normalised before the intervals are returned; each
-    stack entry carries the variation counts at both of its ends, and a
-    split evaluates the chain once, at the new point, reusing the sign of
-    chain[0] that the split test computed.  Past the Fujiwara bound 2^e of
-    the whole chain (``_root_bound_exponent``) every element has the sign
-    it has at infinity, so a point there costs no evaluation."""
+    Bisection on Sturm counts from (-2^e, 2^e], with 2^e the Fujiwara bound
+    of the whole chain (``_root_bound_exponent``): every root lies strictly
+    inside, and at both ends every element has its sign at infinity, so
+    their counts are read off the leading coefficients.  A split point is
+    the midpoint, or, where chain[0] vanishes, the first of mid + w/4,
+    mid + w/8, ... where it does not (w the width).  Points are int
+    numerators over 2^k, so no ``Fraction`` is normalised before the
+    intervals are returned; each stack entry carries the variation counts
+    at both of its ends, and a split evaluates the chain once, at the new
+    point, reusing the sign of chain[0] that the split test computed."""
     f = chain[0]
-    nudge = (hi - lo) / 1024
-    while _sign_at(f, lo.numerator, lo.denominator) == 0:
-        lo -= nudge
-    while _sign_at(f, hi.numerator, hi.denominator) == 0:
-        hi += nudge
-    den = lo.denominator * hi.denominator
-    beyond = den << _root_bound_exponent(chain)
-    outer = (_variations_at_infinity(chain, positive=False),
-             _variations_at_infinity(chain, positive=True))
 
     def variations(a: int, k: int) -> Optional[int]:
-        """Sign variations of the chain at a / (den 2^k); None where chain[0]
+        """Sign variations of the chain at a / 2^k; None where chain[0]
         vanishes."""
-        if abs(a) >= beyond << k:
-            return outer[a > 0]
-        b = den << k
+        b = 1 << k
         first = _sign_at(f, a, b)
         if not first:
             return None
         return _variations([first, *[_sign_at(g, a, b) for g in chain[1:]]])
 
-    x0 = lo.numerator * hi.denominator
-    x1 = hi.numerator * lo.denominator
-    v_lo, v_hi = variations(x0, 0), variations(x1, 0)
+    bound = 1 << _root_bound_exponent(chain)
+    v_lo = _variations_at_infinity(chain, positive=False)
+    v_hi = _variations_at_infinity(chain, positive=True)
     total = v_lo - v_hi
-    # entries (a, b, k, v_a, v_b): the interval (a, b] over den 2^k
-    stack = [(x0, x1, 0, v_lo, v_hi)]
+    # entries (a, b, k, v_a, v_b): the interval (a, b] over 2^k
+    stack = [(-bound, bound, 0, v_lo, v_hi)]
     intervals: list[tuple[Fraction, Fraction]] = []
     while stack:
         a, b, k, v_a, v_b = stack.pop()
         count = v_a - v_b
         if count == 1:
-            intervals.append((Fraction(a, den << k), Fraction(b, den << k)))
+            intervals.append((Fraction(a, 1 << k), Fraction(b, 1 << k)))
         if count < 2:
             continue
         shift = 0
@@ -340,25 +313,19 @@ def _isolate(chain: Sequence[IntPoly], lo: Fraction,
     return tuple(intervals)
 
 
-def isolate_real_roots(
-    p: UPoly, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None
-) -> RootReport:
-    """Disjoint intervals each holding exactly one distinct real root.
-
-    The default search range is (-10^6, 10^6), widened to the Cauchy root
-    bound when that is larger, so no root is ever missed by default.
-    Endpoints that happen to be roots are nudged outward first.
+def isolate_real_roots(p: UPoly) -> RootReport:
+    """Disjoint intervals (a, b], one for each distinct real root of p, each
+    end an int over a power of two inside p's Fujiwara bound (see
+    ``_isolate``); no root is ever missed.
     """
     if not p:
         raise ZeroPolynomialError("zero polynomial")
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
-    sequence = _remainder_sequence(p)
-    lo, hi = _search_range(sequence[0], lo, hi)
-    chain = _squarefree_sequence(sequence)
+    chain = _squarefree_sequence(_remainder_sequence(p))
     return RootReport(
         polynomial=p,
-        intervals=_isolate(chain, lo, hi),
+        intervals=_isolate(chain),
         refined=(),
         exact_rational_roots=(),
         nonreal_count=_nonreal_count(chain),
@@ -534,7 +501,7 @@ def rational_roots(p: UPoly) -> tuple[Fraction, ...]:
 
 def analyze_roots(p: UPoly) -> RootReport:
     """Isolate, refine, and detect exact rational roots of p over the whole
-    real line (see ``isolate_real_roots`` for the range) in one report.
+    real line (see ``_isolate``) in one report.
 
     One integer remainder sequence of p, divided through by its last
     element, is the Sturm sequence of the square-free part; it serves
@@ -545,9 +512,8 @@ def analyze_roots(p: UPoly) -> RootReport:
         raise ZeroPolynomialError("zero polynomial")
     if len(p.coeffs) == 1:
         return RootReport(p, (), (), (), 0)
-    sequence = _remainder_sequence(p)
-    chain = _squarefree_sequence(sequence)
-    intervals = _isolate(chain, *_search_range(sequence[0], None, None))
+    chain = _squarefree_sequence(_remainder_sequence(p))
+    intervals = _isolate(chain)
     results = [_refine(chain, a, b) for a, b in intervals]
     return RootReport(
         polynomial=p,

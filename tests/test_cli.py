@@ -564,6 +564,30 @@ def test_case_study_takes_each_of_its_options(study, capsys):
     assert report["name"] == study
 
 
+@pytest.mark.parametrize("value", ["-1/2", "-5e-1"])
+@pytest.mark.parametrize("study, flag", [
+    (study, flag) for study, flags in STUDY_OPTIONS.items() for flag in flags
+    if flag not in ("--d", "--l", "--m")
+])
+def test_a_rational_option_takes_a_negative_fraction_or_exponent(
+        study, flag, value, capsys):
+    # argparse alone takes "-1/2" and "-5e-1" for options, not values; each
+    # must reach its case study, as "--flag=-1/2" always did
+    def outcome(*option):
+        code, report, err = run(capsys, "demo", study, "--n", "1", *option, "--json")
+        if report is not None:
+            report.pop("timing_seconds", None)
+        return code, report, err
+
+    code, report, err = outcome(flag, value)
+    assert "expected one argument" not in err
+    assert (code, report, err) == outcome(f"{flag}=-1/2")
+    if flag == "--Z":
+        assert code == 1 and "charge Z must be positive" in err
+    else:
+        assert code in (0, 2), err
+
+
 @pytest.mark.parametrize("family", ["confluent", "biconfluent", "general"])
 def test_the_heun_demo_aliases_are_gone(family, capsys):
     code, report, err = run(capsys, "demo", f"heun-{family}", "--params", "{}",
@@ -686,6 +710,13 @@ def test_a_root_past_the_largest_float_refines_to_null(argv, equation, eq_file,
                    for lo, hi in roots["intervals"]) for r in roots["exact"])
     if equation is not None:
         assert roots["exact"] == ["1" + "0" * 400]
+
+
+def test_the_summary_writes_the_refined_roots_as_json(capsys):
+    # a root past the largest float is null on stderr, as in the report
+    code, report, err = run(capsys, "demo", "krylov", "--alpha", "1e400", "--n", "2")
+    assert report["roots"]["roots"] == [None, 0.0, None]
+    assert "parameter roots: [null, 0.0, null]\n" in err
 
 
 def test_constraints_takes_no_unknown(eq_file, capsys):

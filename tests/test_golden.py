@@ -7,16 +7,20 @@ a first-order equation, and the parametric reports.  Each case's expected output
 ``tests/golden``; after a deliberate change of output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each case whose output changed, the JSON paths that
+differ (``demo-krylov: report.roots.intervals``), so that the change can be
+named field by field.
 """
 
 import contextlib
 import io
 import json
 import pathlib
-import sys
 
 import pytest
 
+from polyode import solve
 from polyode.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -39,8 +43,9 @@ PARAMETRIC_CUBIC = {"a3": ["3", "-2", "5", "0"], "a2": ["-4", "7", "0"],
 REPEATED_ROOT = {"a3": ["0", "1", "0", "0"], "a2": ["1", "2", "1"],
                  "tau": ["1", {"t": ["0", "1"]}], "unknown": "t"}
 # degree condition t - 15625/2^18 at n = 1, with a determinant that vanishes
-# identically: its root -10^6 + (2^24 + 1) 2 10^6 / 2^25 is a grid point of
-# level 25 of the search range (-10^6, 10^6], which a refinement step hits
+# identically: its root -2 + (2^19 + 15625) 4 / 2^20 is a grid point of
+# level 20 of its isolating interval (-2, 2], which a refinement step hits
+# before level 40, where the rational-root test would run
 GRID_ROOT = {"a3": ["0", "1", "0", "0"], "a2": ["15625/262144", "1", "0"],
              "tau": [{"t": ["0", "1"]}, "0"], "unknown": "t"}
 HEUN_GENERAL = json.dumps({"a": 2, "alpha": -3, "beta": 1, "gamma": 0,
@@ -112,11 +117,53 @@ def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
 
 
+def test_a_refinement_step_hits_the_root_on_the_grid(tmp_path, monkeypatch):
+    # the rational-root test never runs, yet the root is reported exactly
+    def rational_root_test(*args):
+        raise AssertionError("the rational-root test ran")
+
+    monkeypatch.setattr(solve.Fraction, "limit_denominator", rational_root_test)
+    result = run_case("constraints-root-on-the-grid", tmp_path)
+    assert result["report"]["roots"] == {
+        "intervals": [["-2", "2"]], "roots": [15625 / 2**18],
+        "exact": ["15625/262144"], "nonreal_count": 0}
+
+
+def differing_paths(old, new, path: str):
+    """The JSON paths at which new differs from old: dicts by key, lists of
+    dicts of one length by index, any other value as a whole."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from differing_paths(old.get(key), new.get(key), f"{path}.{key}")
+    elif (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
+          and all(isinstance(v, dict) for v in old + new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from differing_paths(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path
+
+
+def test_differing_paths_name_the_changed_fields():
+    old = {"exit_code": 0,
+           "report": {"roots": {"intervals": [["-1", "1"]], "exact": []},
+                      "reports": [{"n": 1}, {"n": 2}]}}
+    new = {"exit_code": 0,
+           "report": {"roots": {"intervals": [["-2", "2"]], "exact": []},
+                      "reports": [{"n": 1}, {"n": 3}], "notes": []}}
+    assert list(differing_paths(old, new, "")) == [
+        ".report.notes", ".report.reports[1].n", ".report.roots.intervals"]
+    assert list(differing_paths(old, old, "")) == []
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
         for case in sorted(CASES):
             result = run_case(case, pathlib.Path(scratch))
-            (GOLDEN / f"{case}.json").write_text(json.dumps(result, indent=1) + "\n")
-            print(case, result["exit_code"], file=sys.stderr)
+            golden = GOLDEN / f"{case}.json"
+            old = json.loads(golden.read_text()) if golden.exists() else None
+            changed = [p.lstrip(".") for p in differing_paths(old, result, "")]
+            if changed:
+                print(f"{case}: {', '.join(changed) if old else 'new'}")
+            golden.write_text(json.dumps(result, indent=1) + "\n")

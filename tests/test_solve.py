@@ -24,7 +24,6 @@ from polyode.solve import (
     _refine,
     _remainder_sequence,
     _root_bound_exponent,
-    _search_range,
     _squarefree_sequence,
     analyze_roots,
     isolate_real_roots,
@@ -37,9 +36,9 @@ TOL = 1e-12
 
 
 
-def isolated(p: UPoly, lo=None, hi=None) -> int:
-    """Distinct real roots that ``isolate_real_roots`` finds in (lo, hi]."""
-    return len(isolate_real_roots(p, lo, hi).intervals)
+def isolated(p: UPoly) -> int:
+    """Distinct real roots that ``isolate_real_roots`` finds."""
+    return len(isolate_real_roots(p).intervals)
 
 
 def sympy_count(p: UPoly, lo=None, hi=None) -> int:
@@ -105,14 +104,13 @@ def test_sturm_count_matches_grid_sign_changes(p):
                 grid_changes += 1
             prev_sign = s
         x += width
-    assert isolated(p, lo, hi) >= grid_changes
+    assert isolated(p) >= grid_changes
 
 
 def test_sturm_count_equals_grid_for_separated_roots():
     # roots -3, 1/2, 2 are far apart relative to the grid
     p = UPoly([3, 1]) * UPoly([-1, 2]) * UPoly([-2, 1])
-    lo, hi = Fraction(-5), Fraction(5)
-    assert isolated(p, lo, hi) == sympy_count(p, lo, hi) == 3
+    assert isolated(p) == sympy_count(p) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +119,7 @@ def test_sturm_count_equals_grid_for_separated_roots():
 def test_isolate_krylov_robnik_example():
     # alpha = 3, n = 2: roots {0, +-sqrt(54)}
     _, constraint = krylov_robnik_analyze(3, 2)
-    report = isolate_real_roots(constraint, Fraction(-10), Fraction(10))
+    report = isolate_real_roots(constraint)
     assert len(report.intervals) == 3
     for (a1, b1), (a2, b2) in zip(report.intervals, report.intervals[1:]):
         assert b1 <= a2  # pairwise disjoint, sorted
@@ -135,21 +133,13 @@ def test_isolate_coulomb_linear():
     assert abs(report.refined[0] - 1.0) < TOL
 
 
-def test_isolate_empty_range():
-    report = isolate_real_roots(UPoly([-1, 0, 1]), Fraction(5), Fraction(9))
-    assert report.intervals == ()
-
-
 def test_isolate_counts_match_sturm():
     rng = random.Random(3)
     for _ in range(30):
         p = UPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 6))])
         if not p or p.degree < 1:
             continue
-        lo, hi = Fraction(-20), Fraction(20)
-        # every root lies within the Cauchy bound 7, so no endpoint is
-        # nudged and the intervals cover (lo, hi] exactly
-        assert len(isolate_real_roots(p, lo, hi).intervals) == sympy_count(p, lo, hi)
+        assert len(isolate_real_roots(p).intervals) == sympy_count(p)
 
 
 def test_isolate_nonreal_count():
@@ -160,33 +150,12 @@ def test_isolate_nonreal_count():
     assert report.nonreal_count == 2
 
 
-def test_isolate_default_range_uses_root_bound():
-    # polynomial with a root beyond 10^6
+def test_isolation_starts_at_the_root_bound_past_a_million():
+    # a root at 3 10^6 < 2^22: isolation starts at Fujiwara's 2^23
     p = UPoly([-Fraction(3 * 10**6), 1])
-    assert 1 + max(map(abs, p.coeffs)) / abs(p.leading) > 10**6  # Cauchy's bound
     report = analyze_roots(p)
+    assert report.intervals == ((-2**23, 2**23),)
     assert report.exact_rational_roots == (Fraction(3 * 10**6),)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**3),
-                min_size=1, max_size=6),
-       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
-# Cauchy bounds exactly 10^6 and just past it, where the int test flips
-@example([-999999], 1)
-@example([Fraction(-999999, 1000), 0], Fraction(1, 1000))
-@example([Fraction(-999999001, 1000)], 1)
-@example([Fraction(999999001, 1000), 0], -1)
-def test_default_search_range_is_the_larger_of_a_million_and_the_cauchy_bound(
-        coefficients, lead):
-    p = UPoly([*coefficients, lead])
-    bound = max(Fraction(10**6), 1 + max(map(abs, p.coeffs)) / abs(p.leading))
-    f = _remainder_sequence(p)[0]
-    lo, hi = _search_range(f, None, None)
-    assert (lo, hi) == (-bound, bound)
-    assert type(lo) is type(hi) is Fraction
-    assert _search_range(f, Fraction(-3), None) == (-3, bound)
-    assert _search_range(f, None, Fraction(7, 2)) == (-bound, Fraction(7, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +289,10 @@ def _is_square(d: int) -> bool:
 ROOTS = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=50),
     st.just(Fraction(0)),
-    # points that isolation and refinement visit: the default search range
-    # is (-10^6, 10^6] and every split halves an interval
-    st.builds(lambda k, e: Fraction(k * 10**6, 2**e),
-              st.integers(-16, 16), st.integers(18, 26)),
+    # points that isolation and refinement visit: every split of
+    # (-2^e, 2^e] is an int over a power of two
+    st.builds(lambda k, e: k * Fraction(2) ** e,
+              st.integers(-16, 16), st.integers(-8, 8)),
 )
 IRREDUCIBLE_QUADRATICS = (
     st.tuples(st.integers(-6, 6), st.integers(-9, 9))
@@ -454,39 +423,24 @@ DYADIC_ROOTS = st.builds(lambda k, e: Fraction(k, 2**e),
 
 @st.composite
 def refinement_cases(draw):
-    """(p, lo, hi): products of dyadic and non-dyadic rational
-    linear factors, some repeated, and irreducible quadratics, of degree at
-    most 12, with the default search range, a custom one, or one whose
-    lower end is a root."""
+    """Products of dyadic and non-dyadic rational linear factors, some
+    repeated, and irreducible quadratics, of degree at most 12."""
     p = UPoly([draw(st.integers(-9, 9).filter(bool))])
-    roots = draw(st.lists(st.one_of(ROOTS, DYADIC_ROOTS), max_size=4))
-    for root in roots:
+    for root in draw(st.lists(st.one_of(ROOTS, DYADIC_ROOTS), max_size=4)):
         p = p * UPoly([-root, 1]) ** draw(st.integers(1, 2))
     for quadratic in draw(st.lists(IRREDUCIBLE_QUADRATICS, max_size=2)):
         p = p * quadratic
     assume(1 <= p.degree <= 12)
-    ends = draw(st.sampled_from(["default", "custom", "root"] if roots
-                                else ["default", "custom"]))
-    lo = hi = None
-    if ends == "custom":
-        lo = draw(st.fractions(min_value=-300, max_value=300,
-                               max_denominator=8))
-        hi = lo + draw(st.fractions(min_value=Fraction(1, 8), max_value=600,
-                                    max_denominator=8))
-    elif ends == "root":
-        lo = roots[0]
-    return p, lo, hi
+    return p
 
 
 @settings(max_examples=150, deadline=None)
 @given(refinement_cases())
-def test_isolation_and_refinement_match_the_bisection_oracle(case):
-    p, lo, hi = case
-    sequence = _remainder_sequence(p)
-    lo, hi = _search_range(sequence[0], lo, hi)
-    chain = _squarefree_sequence(sequence)
-    intervals = _isolate(chain, lo, hi)
-    assert intervals == bisection.isolate(chain, lo, hi)
+def test_isolation_and_refinement_match_the_bisection_oracle(p):
+    chain = _squarefree_sequence(_remainder_sequence(p))
+    bound = Fraction(2 ** _root_bound_exponent(chain))
+    intervals = _isolate(chain)
+    assert intervals == bisection.isolate(chain, -bound, bound)
     for a, b in intervals:
         value, exact = _refine(chain, a, b)
         assert type(value) is float
@@ -500,12 +454,14 @@ def test_isolation_and_refinement_match_the_bisection_oracle(case):
 
 
 def test_a_root_on_the_grid_is_reported_as_bisection_reports_it():
-    # 2^18 t - 15625 on (-10^6, 10^6]: the root 15625/2^18 is the grid point
-    # of level 25, which a refinement step hits well before level 58 of the
-    # rational-root test; a root at the upper end is reported as it is
+    # 2^18 t - 15625 on (-2, 2], from its root bound 2^1: the root
+    # 15625/2^18 is the grid point of level 20, which a refinement step hits
+    # well before level 40 of the rational-root test; a root at the upper
+    # end is reported as it is
     chain = [(-15625, 2**18), (1,)]
     root = Fraction(15625, 2**18)
-    for lo, hi in [(Fraction(-10**6), Fraction(10**6)), (Fraction(0), root)]:
+    assert _isolate(chain) == ((-2, 2),)
+    for lo, hi in [(Fraction(-2), Fraction(2)), (Fraction(0), root)]:
         assert _refine(chain, lo, hi) == bisection.refine(chain, lo, hi) == (
             float(root), root)
 
@@ -617,6 +573,47 @@ def test_every_refined_root_is_the_float_nearest_the_root(case):
         below = (Fraction(math.nextafter(value, -math.inf)) + Fraction(value)) / 2
         above = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
         assert sympy_count(p, max(lo, below), min(hi, above)) == 1
+
+
+@st.composite
+def isolation_cases(draw):
+    """Random integer polynomials, and products of planted factors: the
+    roots 0 and +-2^j, rationals with odd denominators and quadratic
+    irrationals, some repeated, of magnitude about 10^-300 to 10^300."""
+    if draw(st.booleans()):
+        return UPoly(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=9)
+                          .filter(lambda c: any(c[1:]))))
+    roots = draw(st.lists(st.one_of(
+        st.just(Fraction(0)),
+        st.builds(lambda sign, j: sign * Fraction(2) ** j,
+                  st.sampled_from([-1, 1]), st.integers(-996, 996)),
+        st.builds(lambda a, b, e: Fraction(a, b) * Fraction(3) ** e,
+                  st.integers(-999, 999).filter(bool),
+                  st.integers(1, 49).map(lambda h: 2 * h + 1),
+                  st.integers(-628, 628))), max_size=3))
+    p = UPoly([draw(st.integers(-9, 9).filter(bool))])
+    for root in roots:
+        p = p * UPoly([-root, 1]) ** draw(st.integers(1, 3))
+    for c, d, e in draw(st.lists(st.tuples(
+            st.integers(-20, 20), st.integers(2, 99).filter(lambda d: not _is_square(d)),
+            PLANTED_EXPONENTS), max_size=2)):
+        center, scale = Fraction(c, 7) * Fraction(10) ** e, Fraction(10) ** e
+        p = p * UPoly([center**2 - d * scale**2, -2 * center, 1])
+    assume(p.degree >= 1)
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(isolation_cases())
+def test_every_interval_is_a_dyadic_cell_inside_the_bound_with_one_root(p):
+    chain = _squarefree_sequence(_remainder_sequence(p))
+    bound = 2 ** _root_bound_exponent(chain)
+    intervals = isolate_real_roots(p).intervals
+    assert len(intervals) == sympy_count(p)
+    for lo, hi in intervals:
+        assert all(x.denominator & (x.denominator - 1) == 0 for x in (lo, hi))
+        assert -bound <= lo < hi <= bound
+        assert sympy_count(p, lo, hi) == 1
 
 
 @pytest.mark.parametrize("p, refined, exact", [
