@@ -16,7 +16,7 @@ from polyode.criteria import (
     construct_solution,
     embed_classical,
 )
-from polyode.aim import aim_test_polynomial
+from polyode.aim import aim_test_polynomial, default_iteration_cap
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
         built = construct_solution(eq, build_criterion_matrix(eq, n))
         same = built.polynomial() * y.leading == y * built.polynomial().leading
         assert same, f"ladder and matrix constructions disagree at n={n}"
-        index = aim_test_polynomial(eq, max(2 * n, 2))
+        index = aim_test_polynomial(eq, default_iteration_cap(n))
         print(f"{n:>3}  {str(tau):>6}  {index!s:>4}  {y.format()}")
     print(f"all degrees agree up to scale ({time.perf_counter() - start:.3f}s)")
 

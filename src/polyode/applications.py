@@ -26,7 +26,7 @@ Covered here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -177,7 +177,7 @@ def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
         k1 = 2 * (Fraction(k) + 1)
         eq = EquationSpec(a3=(0, 1, 1, 0), a2=((0, -2), (k1, -2), (k1, 0)),
                           tau=((0, -2 * n), (0, k1)))
-        return _reduce_constraint(delta_determinant(eq, n), False)
+        return _reduce_constraint(delta_determinant(eq, n))
     const = UPoly.constant
     k1 = 2 * (k + const(1))
     # the nine coefficients a30..a33, a20..a22, t10, t11 are c + s t
@@ -185,7 +185,7 @@ def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
     slope = (*map(const, (0, 0, 0, 0, -2, -2, 0, -2 * n)), k1)
     coefficients = tuple(map(UPoly, zip(constant, slope)))
     rows = [_recurrence_row(coefficients, j) for j in range(n + 1)]
-    return _reduce_constraint(banded_determinant(rows), True)
+    return _reduce_constraint(banded_determinant(rows))
 
 
 def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:
@@ -194,10 +194,11 @@ def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:
     return coulomb_constraint_for_k(p.k, n)
 
 
-def _reduce_constraint(det, symbolic: bool) -> UPoly:
+def _reduce_constraint(det) -> UPoly:
     """The primitive constraint polynomial from a Coulomb band determinant,
-    a UPoly in t: the factor t^j and the content (in k, for a symbolic k)
-    are stripped, and the leading coefficient is made positive."""
+    a UPoly in t over Q, or over Q[k] for a symbolic k: the factor t^j and
+    the content (in k too, for a symbolic k) are stripped, and the leading
+    coefficient is made positive."""
     coeffs = list(det.coeffs)
     low = 0
     while low < len(coeffs) and not coeffs[low]:
@@ -205,7 +206,7 @@ def _reduce_constraint(det, symbolic: bool) -> UPoly:
     coeffs = coeffs[low:]
     if not coeffs:
         return UPoly()
-    if not symbolic:
+    if not isinstance(coeffs[0], UPoly):
         return UPoly(coeffs).primitive_part()
     content = None
     for c in coeffs:
@@ -236,15 +237,20 @@ def krylov_robnik_spec(
     )
 
 
-def krylov_robnik_analyze(alpha: ScalarLike, n: int) -> tuple[Fraction, UPoly]:
-    """The degree-n value beta = -n^2 - (alpha-1) n together with the
-    constraint polynomial in the unknown t = gamma."""
+def krylov_robnik_equation(alpha: ScalarLike, n: int) -> EquationSpec:
+    """The equation at the degree-n value beta = -n^2 - (alpha-1) n, in the
+    unknown gamma; its beta is -t10."""
     if n < 1:
         raise ValueError("n must be at least 1")
     alpha_f = Fraction(alpha)
     beta = -Fraction(n * n) - (alpha_f - 1) * n
-    eq = krylov_robnik_spec(alpha_f, beta, UPoly([0, 1]))
-    return beta, delta_determinant(eq, n)
+    return replace(krylov_robnik_spec(alpha_f, beta, UPoly.x()), unknown="gamma")
+
+
+def krylov_robnik_analyze(alpha: ScalarLike, n: int) -> tuple[Fraction, UPoly]:
+    """beta and ``delta_determinant`` of ``krylov_robnik_equation``."""
+    eq = krylov_robnik_equation(alpha, n)
+    return -eq.tau[0].constant_value(), delta_determinant(eq, n)
 
 
 def chhajlany_spec(
@@ -258,13 +264,17 @@ def chhajlany_spec(
     )
 
 
-def chhajlany_analyze(p: ScalarLike, n: int) -> UPoly:
-    """Constraint polynomial in the unknown t = alpha, with the degree-n
-    value delta = 2n substituted."""
+def chhajlany_equation(p: ScalarLike, n: int) -> EquationSpec:
+    """The equation at the degree-n value delta = 2n, in the unknown
+    alpha."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    eq = chhajlany_spec(p, 2 * n, UPoly([0, 1]))
-    return delta_determinant(eq, n)
+    return replace(chhajlany_spec(p, 2 * n, UPoly.x()), unknown="alpha")
+
+
+def chhajlany_analyze(p: ScalarLike, n: int) -> UPoly:
+    """``delta_determinant`` of ``chhajlany_equation``."""
+    return delta_determinant(chhajlany_equation(p, n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +358,16 @@ def hyper_verify(sol: HyperSolution) -> bool:
     m, n, l, a, b = sol.m, sol.n, sol.l, sol.a, sol.b
     y = sol.polynomial()
     s = m + n
-    x = UPoly.x()
-    front = (x ** 2) * (UPoly.constant(b * s) + a * x ** (l - 1))
+
+    def times_x(poly: UPoly, power: int) -> UPoly:
+        """x^power poly, by shifting coefficients."""
+        return UPoly([0] * power + list(poly.coeffs))
+
+    d1 = y.derivative()
+    d2 = d1.derivative()
     residual = (
-        front * y.derivative().derivative()
-        - (s * a) * (x ** l) * y.derivative()
+        (b * s) * times_x(d2, 2) + a * times_x(d2, l + 1)
+        - (s * a) * times_x(d1, l)
         - (s * m * (m + 1) * b) * y
     )
     ok = not residual

@@ -30,7 +30,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,7 +52,7 @@ from .criteria import (
     verify_solution,
 )
 from .exactalg import MAX_DIGITS, UPoly, format_polynomial, parse_rational
-from .solve import RootReport, analyze_roots
+from .solve import analyze_roots
 
 
 #: Largest value of ``--n`` and ``--max-n``, in every command.  Exact cost
@@ -426,12 +425,17 @@ def _heun_equation(family: str, params: dict) -> EquationSpec:
         raise CliError(str(exc)) from exc
 
 
-def cmd_heun(args) -> dict:
-    eq = _heun_equation(args.family, _params_dict(args))
+def _report(eq: EquationSpec, n: int) -> dict:
+    """The degree-n report on the equation of a Heun family or a case
+    study: that of ``check`` for a numeric equation, else that of
+    ``constraints``."""
     if eq.is_numeric:
-        report = analyze_check(eq, [args.n], "both")[0]
-    else:
-        report = analyze_constraints(eq, args.n)
+        return analyze_check(eq, [n], "both")[0]
+    return analyze_constraints(eq, n)
+
+
+def cmd_heun(args) -> dict:
+    report = _report(_heun_equation(args.family, _params_dict(args)), args.n)
     report["family"] = args.family
     return report
 
@@ -440,8 +444,7 @@ def _demo_davidson(args) -> dict:
     mu, n = args.mu, args.n
     eps = args.eps if args.eps is not None else apps.davidson_eigenvalue(mu, n)
     degree = 2 * n
-    eq = apps.davidson_spec(mu, eps)
-    report = analyze_check(eq, [degree], "both")[0]
+    report = _report(apps.davidson_spec(mu, eps), degree)
     report.update({
         "name": "davidson",
         "mu": str(mu),
@@ -450,15 +453,6 @@ def _demo_davidson(args) -> dict:
         "eigenvalue": str(eps),
     })
     return report
-
-
-def _parametric_report(fields: dict, roots: RootReport, eq, values) -> dict:
-    """A case-study report: its own fields, then the verified solutions of
-    ``eq`` at the given exact values of its unknown (see ``_solutions_at``);
-    ``eq`` is read only when there are values."""
-    notes: list[str] = []
-    return {**fields, "solutions": _solutions_at(eq, fields["n"], values, notes),
-            "notes": notes, "exists": bool(roots.intervals)}
 
 
 def _demo_coulomb(args) -> dict:
@@ -475,7 +469,10 @@ def _demo_coulomb(args) -> dict:
     roots = analyze_roots(constraint)
     # the constraint is in t = alpha beta; only a positive shift is physical
     shifts = [root / alpha for root in roots.exact_rational_roots if root / alpha > 0]
-    return _parametric_report({
+    notes: list[str] = []
+    solutions = (_solutions_at(apps.coulomb_equation(problem, n), n, shifts, notes)
+                 if shifts else [])
+    return {
         "name": "coulomb",
         "Z": str(problem.Z),
         "d": problem.d,
@@ -487,41 +484,31 @@ def _demo_coulomb(args) -> dict:
         "constraint": constraint.to_strings(),
         "roots": roots.to_json_dict(),
         "beta_values": [str(beta) for beta in shifts],
-    }, roots, apps.coulomb_equation(problem, n) if shifts else None, shifts)
+        "solutions": solutions,
+        "notes": notes,
+        "exists": bool(roots.intervals),
+    }
 
 
 def _demo_krylov(args) -> dict:
     try:
-        beta, constraint = apps.krylov_robnik_analyze(args.alpha, args.n)
+        eq = apps.krylov_robnik_equation(args.alpha, args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    roots = analyze_roots(constraint)
-    eq = replace(apps.krylov_robnik_spec(args.alpha, beta, UPoly.x()), unknown="gamma")
-    return _parametric_report({
-        "name": "krylov",
-        "alpha": str(args.alpha),
-        "n": args.n,
-        "beta": str(beta),
-        "constraint": constraint.to_strings(),
-        "roots": roots.to_json_dict(),
-    }, roots, eq, roots.exact_rational_roots)
+    report = _report(eq, args.n)
+    report.update({"name": "krylov", "alpha": str(args.alpha),
+                   "beta": str(-eq.tau[0].constant_value())})
+    return report
 
 
 def _demo_chhajlany(args) -> dict:
     try:
-        constraint = apps.chhajlany_analyze(args.p, args.n)
+        eq = apps.chhajlany_equation(args.p, args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    roots = analyze_roots(constraint)
-    eq = replace(apps.chhajlany_spec(args.p, 2 * args.n, UPoly.x()), unknown="alpha")
-    return _parametric_report({
-        "name": "chhajlany",
-        "p": str(args.p),
-        "n": args.n,
-        "delta": str(2 * args.n),
-        "constraint": constraint.to_strings(),
-        "roots": roots.to_json_dict(),
-    }, roots, eq, roots.exact_rational_roots)
+    report = _report(eq, args.n)
+    report.update({"name": "chhajlany", "p": str(args.p), "delta": str(2 * args.n)})
+    return report
 
 
 def _demo_hyper(args) -> dict:
@@ -550,7 +537,7 @@ def _demo_bessel(args) -> dict:
     n = args.n
     tau00 = args.tau00 if args.tau00 is not None else classical_tau(1, 2, n)
     eq = embed_classical((1, 0, 0), (2, 2), tau00)
-    report = analyze_check(eq, [n], "both")[0]
+    report = _report(eq, n)
     report.update({"name": "bessel", "tau00": str(tau00)})
     ladder = classical_polynomials((1, 0, 0), (2, 2), n + 1)
     ladder_poly = ladder[n]
@@ -593,13 +580,13 @@ def _summarize(report: dict) -> list[str]:
             + (f"vanishes at index {idx}" if idx is not None else "not found")
         )
     for sol in report.get("solutions", []):
-        lines.append(f"solution: {sol['polynomial']} (verified={sol['verified']})")
+        lines.append(f"solution: {sol['polynomial']} "
+                     f"(verified={json.dumps(sol['verified'])})")
     if "polynomial" in report and "verified" in report:
-        lines.append(
-            f"solution: {report['polynomial']} (verified={report['verified']})"
-        )
+        lines.append(f"solution: {report['polynomial']} "
+                     f"(verified={json.dumps(report['verified'])})")
     if "exists" in report:
-        lines.append(f"exists: {report['exists']}")
+        lines.append(f"exists: {json.dumps(report['exists'])}")
     for note in report.get("notes", []):
         lines.append(f"note: {note}")
     return lines

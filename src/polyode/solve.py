@@ -23,7 +23,7 @@ minus the count of distinct real roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -232,12 +232,6 @@ def _count(chain: Sequence[IntPoly], lo: Optional[Fraction],
     return v_lo - v_hi
 
 
-def _nonreal_count(chain: Sequence[IntPoly]) -> int:
-    """Nonreal roots of the square-free chain[0], each counted once: its
-    degree less its real roots."""
-    return len(chain[0]) - 1 - _count(chain, None, None)
-
-
 def _root_bound_exponent(chain: Sequence[IntPoly]) -> int:
     """e >= 1 with every real root of every element of chain strictly inside
     (-2^e, 2^e).
@@ -314,22 +308,9 @@ def _isolate(chain: Sequence[IntPoly]) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 def isolate_real_roots(p: UPoly) -> RootReport:
-    """Disjoint intervals (a, b], one for each distinct real root of p, each
-    end an int over a power of two inside p's Fujiwara bound (see
-    ``_isolate``); no root is ever missed.
-    """
-    if not p:
-        raise ZeroPolynomialError("zero polynomial")
-    if len(p.coeffs) == 1:
-        return RootReport(p, (), (), (), 0)
-    chain = _squarefree_sequence(_remainder_sequence(p))
-    return RootReport(
-        polynomial=p,
-        intervals=_isolate(chain),
-        refined=(),
-        exact_rational_roots=(),
-        nonreal_count=_nonreal_count(chain),
-    )
+    """The intervals of ``analyze_roots``, without the refined values and
+    the exact roots."""
+    return replace(analyze_roots(p), refined=(), exact_rational_roots=())
 
 
 def _first_level(width: int, den: int) -> int:
@@ -357,8 +338,9 @@ def _exact(root: Fraction) -> tuple[Optional[float], Fraction]:
 
 def _refine(chain: Sequence[IntPoly], lo: Fraction,
             hi: Fraction) -> tuple[Optional[float], Optional[Fraction]]:
-    """Refine (lo, hi], which isolates one root of the square-free
-    chain[0], on its bisection grid.
+    """Refine (lo, hi], a cell of ``_isolate`` that holds one root of the
+    square-free chain[0], on its bisection grid.  Neither end of such a cell
+    is a root; an end that is raises ``ArithmeticError``.
 
     Returns the float nearest the root, ties to even (None when the root
     lies past the largest float), and the root when it is rational, else
@@ -387,22 +369,6 @@ def _refine(chain: Sequence[IntPoly], lo: Fraction,
     rational-root test has run there.
     """
     f = chain[0]
-    v_hi = _value_at(f, hi.numerator, hi.denominator)
-    if not v_hi:
-        return _exact(hi)
-    v_lo = _value_at(f, lo.numerator, lo.denominator)
-    if not v_lo:
-        # lo itself is an excluded root; move it inward without crossing
-        # the isolated root (f is square-free, so no other root lies
-        # between lo and the isolated one)
-        step = (hi - lo) / 2
-        while not v_lo:
-            candidate = lo + step
-            v_lo = _value_at(f, candidate.numerator, candidate.denominator)
-            if v_lo and _count(chain, candidate, hi) != 1:
-                v_lo = 0
-            step /= 2
-        lo = candidate
     lead = abs(f[-1])
     degree = len(f) - 1
     den = lo.denominator * hi.denominator
@@ -419,11 +385,11 @@ def _refine(chain: Sequence[IntPoly], lo: Fraction,
         return _exact(Fraction((x0 << k) + j * width, den << k))
 
     # cell j of level k holds the root, and v_lo, v_hi are the values at
-    # its ends (lo and hi over den at level 0); a subcell of N = 2^log_n
-    # cells is log_n levels down
+    # its ends; a subcell of N = 2^log_n cells is log_n levels down
     k = j = 0
-    v_lo *= hi.denominator ** degree
-    v_hi *= lo.denominator ** degree
+    v_lo, v_hi = value(0, 0), value(0, 1)
+    if not v_lo or not v_hi:
+        raise ArithmeticError(f"the cell ({lo}, {hi}] ends on a root")
     log_n = 2
     tested = False
     while True:
@@ -474,28 +440,22 @@ def _refine(chain: Sequence[IntPoly], lo: Fraction,
 
 
 def refine_root(p: UPoly, interval: tuple[Fraction, Fraction]) -> Optional[float]:
-    """The float nearest the root in an isolating interval (see
-    ``_refine``); exact arithmetic throughout, float conversion only at the
-    end.
-
-    Multiple roots are handled by deflating to the square-free part first;
-    an interval whose Sturm count is not exactly one raises
-    ``NotIsolatingError``.
+    """The float nearest the one distinct root of p in the interval (lo,
+    hi]; an interval whose Sturm count is not exactly one raises
+    ``NotIsolatingError``.  That float depends on the root alone, so the
+    root's own cell of ``_isolate`` is refined: the one after the
+    ``_count(chain, None, lo)`` roots up to lo.
     """
-    if not p:
-        raise ZeroPolynomialError("zero polynomial")
     chain = _squarefree_sequence(_remainder_sequence(p))
     lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if _count(chain, lo, hi) != 1:
         raise NotIsolatingError(f"interval ({lo}, {hi}] does not isolate one root")
-    return _refine(chain, lo, hi)[0]
+    return _refine(chain, *_isolate(chain)[_count(chain, None, lo)])[0]
 
 
 def rational_roots(p: UPoly) -> tuple[Fraction, ...]:
     """All rational roots, sorted, read off the isolating intervals of the
     whole real line (see ``analyze_roots``)."""
-    if not p:
-        raise ZeroPolynomialError("zero polynomial")
     return analyze_roots(p).exact_rational_roots
 
 
@@ -506,12 +466,9 @@ def analyze_roots(p: UPoly) -> RootReport:
     One integer remainder sequence of p, divided through by its last
     element, is the Sturm sequence of the square-free part; it serves
     isolation (the two parts have the same roots), refinement and the
-    rational-root test of every interval.
+    rational-root test of every interval.  The nonreal roots, each counted
+    once, are the square-free degree less the real ones.
     """
-    if not p:
-        raise ZeroPolynomialError("zero polynomial")
-    if len(p.coeffs) == 1:
-        return RootReport(p, (), (), (), 0)
     chain = _squarefree_sequence(_remainder_sequence(p))
     intervals = _isolate(chain)
     results = [_refine(chain, a, b) for a, b in intervals]
@@ -520,5 +477,5 @@ def analyze_roots(p: UPoly) -> RootReport:
         intervals=intervals,
         refined=tuple(value for value, _ in results),
         exact_rational_roots=tuple(r for _, r in results if r is not None),
-        nonreal_count=_nonreal_count(chain),
+        nonreal_count=len(chain[0]) - 1 - len(intervals),
     )

@@ -221,7 +221,7 @@ def test_criterion_6_shifted_coulomb():
     ok = True
     for n, expected in COULOMB_CONSTRAINTS.items():
         got = coulomb_constraint_for_k(UPoly([0, 1]), n)
-        ok = ok and got == _reduce_constraint(UPoly(expected), True)
+        ok = ok and got == _reduce_constraint(UPoly(expected))
     energies = (
         (CoulombProblem(1, 1, 3, 0), 0, Fraction(-1, 2)),
         (CoulombProblem(1, 1, 3, 1), 0, Fraction(-1, 8)),

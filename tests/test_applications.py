@@ -240,7 +240,7 @@ COULOMB_CONSTRAINTS = {
 def normalize_nested(coeffs):
     from polyode.applications import _reduce_constraint
 
-    return _reduce_constraint(UPoly(coeffs), True)
+    return _reduce_constraint(UPoly(coeffs))
 
 
 def test_coulomb_constraints_symbolic_k():
@@ -262,7 +262,7 @@ def continuant_constraint(k, n):
     products = [UPoly([const(0), (-2 * (j - n) * (j + 1)) * (const(j + 2) + 2 * k)])
                 for j in range(n)]
     return applications._reduce_constraint(
-        tridiagonal_continuant(diagonal, products), symbolic)
+        tridiagonal_continuant(diagonal, products))
 
 
 @pytest.mark.parametrize("k", [Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 5])
@@ -475,6 +475,23 @@ def test_hyper_verify_rejects_perturbation():
         series=(Fraction(1), Fraction(1, 3)),
     )
     assert not hyper_verify(perturbed)
+
+
+def test_hyper_verify_work_grows_linearly_with_the_power_step(monkeypatch):
+    # x^(l-1) and x^l built by repeated dense multiplication took about l^2
+    # coefficient products: 57 s at l = 3000, for a three-term report
+    l = 3000
+    budget = [10 * l]
+    multiply = UPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, UPoly):
+            budget[0] -= len(self.coeffs) * len(other.coeffs)
+            assert budget[0] >= 0, "superlinear work in the power step"
+        return multiply(self, other)
+
+    monkeypatch.setattr(UPoly, "__mul__", counted)
+    assert hyper_verify(hyper_build(1, 0, l, 1, 1))
 
 
 def test_hyper_l2_generic_cross_check():

@@ -70,7 +70,7 @@ def test_check_bessel_n2_exists(eq_file, capsys):
     assert sols[0]["coefficients"] == ["1", "3", "3"]
     assert sols[0]["verified"] is True
     assert report["aim"]["found_index"] == 2
-    assert "exists: True" in err
+    assert "exists: true" in err
 
 
 def test_check_bessel_tau5_fails_degree_condition(eq_file, capsys):
@@ -717,6 +717,15 @@ def test_the_summary_writes_the_refined_roots_as_json(capsys):
     code, report, err = run(capsys, "demo", "krylov", "--alpha", "1e400", "--n", "2")
     assert report["roots"]["roots"] == [None, 0.0, None]
     assert "parameter roots: [null, 0.0, null]\n" in err
+
+
+def test_the_summary_writes_booleans_as_json(capsys):
+    # as the report does: true, not Python's True
+    code, report, err = run(capsys, "demo", "krylov", "--alpha", "-1/2", "--n", "2")
+    assert code == 0 and report["solutions"][0]["verified"] is True
+    assert "solution: x^2 + 1 (verified=true)\n" in err
+    assert "exists: true\n" in err
+    assert "True" not in err
 
 
 def test_constraints_takes_no_unknown(eq_file, capsys):

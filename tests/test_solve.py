@@ -405,7 +405,9 @@ def test_large_demo_roots_finish_and_match_sympy(argv, capsys):
     elapsed = time.perf_counter() - start
     report = json.loads(capsys.readouterr().out)
     assert elapsed < 10
-    poly = sympy_poly(report["constraint"])
+    # coulomb reports its reduced constraint in t = alpha beta, the other
+    # case studies the determinant in their unknown
+    poly = sympy_poly(report.get("constraint") or report["determinant"])
     sqf = poly.sqf_part()
     roots = report["roots"]
     assert len(roots["intervals"]) == sqf.count_roots()
@@ -450,20 +452,60 @@ def test_isolation_and_refinement_match_the_bisection_oracle(p):
     for (a, b), (_, b2) in zip(intervals, intervals[1:]):
         root = bisection.refine(chain, a, b)[1]
         if root is not None:
-            assert _refine(chain, root, b2) == bisection.refine(chain, root, b2)
+            assert refine_root(p, (root, b2)) == bisection.refine(chain, root, b2)[0]
 
 
 def test_a_root_on_the_grid_is_reported_as_bisection_reports_it():
     # 2^18 t - 15625 on (-2, 2], from its root bound 2^1: the root
     # 15625/2^18 is the grid point of level 20, which a refinement step hits
     # well before level 40 of the rational-root test; a root at the upper
-    # end is reported as it is
+    # end of an interval given to refine_root is reported as it is
     chain = [(-15625, 2**18), (1,)]
     root = Fraction(15625, 2**18)
     assert _isolate(chain) == ((-2, 2),)
-    for lo, hi in [(Fraction(-2), Fraction(2)), (Fraction(0), root)]:
-        assert _refine(chain, lo, hi) == bisection.refine(chain, lo, hi) == (
-            float(root), root)
+    lo, hi = Fraction(-2), Fraction(2)
+    assert _refine(chain, lo, hi) == bisection.refine(chain, lo, hi) == (
+        float(root), root)
+    assert refine_root(UPoly([-15625, 2**18]), (0, root)) == float(root)
+    assert bisection.refine(chain, Fraction(0), root) == (float(root), root)
+
+
+@pytest.mark.parametrize("lo, hi", [(Fraction(0), Fraction(1)),
+                                    (Fraction(1), Fraction(3, 2)),
+                                    (Fraction(1, 2), Fraction(1))])
+def test_refining_a_cell_that_ends_on_a_root_raises(lo, hi):
+    # the cells of _isolate never end on a root; refine_root takes such
+    # intervals, and refines the root's own cell instead
+    chain = _squarefree_sequence(_remainder_sequence(UPoly([0, -1, 1])))  # x^2 - x
+    with pytest.raises(ArithmeticError):
+        _refine(chain, lo, hi)
+
+
+@st.composite
+def isolating_intervals(draw):
+    """(p, (lo, hi), i): an interval (lo, hi] that isolates the i-th
+    distinct real root of p, a product from ``refinement_cases``.  Its ends
+    come from the cells of ``analyze_roots``, their thirds, which are not
+    dyadic, and the rational roots, so that a root can sit at either end."""
+    p = draw(refinement_cases())
+    report = analyze_roots(p)
+    assume(report.intervals)
+    points = sorted({x for a, b in report.intervals
+                     for x in (a, a + (b - a) / 3, b - (b - a) / 3, b)}
+                    | set(report.exact_rational_roots))
+    chain = _squarefree_sequence(_remainder_sequence(p))
+    below = points[0] - 1
+    isolating = [(lo, hi) for lo in points for hi in points
+                 if lo < hi and bisection.count(chain, lo, hi) == 1]
+    lo, hi = draw(st.sampled_from(isolating))
+    return p, (lo, hi), bisection.count(chain, below, lo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(isolating_intervals())
+def test_refine_root_returns_the_float_that_analyze_roots_reports(case):
+    p, interval, i = case
+    assert refine_root(p, interval) == analyze_roots(p).refined[i]
 
 
 def counting_evaluations(monkeypatch, limit=None):
