@@ -51,7 +51,7 @@ from .criteria import (
     embed_classical,
     verify_solution,
 )
-from .exactalg import MAX_DIGITS, UPoly, format_polynomial, parse_rational
+from .exactalg import UPoly, format_polynomial, parse_rational
 from .solve import analyze_roots
 
 
@@ -196,7 +196,8 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     Neither criterion depends on the target degree, so each runs once, for
     the top degree, and serves them all.  AIM's first qualifying index f
     answers degree n exactly when f <= cap(n), since no smaller index
-    qualifies.  The degree-n criterion matrix is the leading (n+1) x (n+1)
+    qualifies; ``aim`` answers "yes" only where the degree condition holds
+    too.  The degree-n criterion matrix is the leading (n+1) x (n+1)
     block of the top one, so its determinant is a running minor of the top
     band.  A report's ``timing_seconds`` covers its own stages; the top
     degree's report also carries the shared ones, which are its own.  AIM
@@ -254,7 +255,9 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
             aim_index = found if found is not None and found <= cap else None
             report["aim"] = {"found_index": aim_index, "cap": cap}
         if method == "aim":
-            exists = aim_index is not None
+            # the degree condition is necessary, and the index alone can
+            # come from a solution of another degree
+            exists = cond_holds and aim_index is not None
         else:
             exists = det_exists
             if method == "both" and det_exists != (aim_index is not None):
@@ -332,15 +335,21 @@ def _read_input(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal, read by ``parse_rational``, which bounds its
+    digits before building it."""
+    return int(parse_rational(text))
+
+
 def _json_object(text: str, what: str) -> dict:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise CliError(
             f"malformed JSON at line {exc.lineno} column {exc.colno} "
             f"(char {exc.pos}): {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except ValueError as exc:  # an integer literal that parse_rational rejects
         raise CliError(f"{what}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{what} must be a JSON object")
@@ -611,22 +620,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # every input number is bounded before it is built (``parse_rational``
+    # and ``_json_int``), so the interpreter's own limit on int <-> str
+    # conversion is lifted while the report is computed and written: a
+    # computed value of any size reaches the user
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
     try:
         _check_ranges(args)
         report = args.run(args)
-        line = json.dumps(report, separators=(",", ":"))
+        sys.stdout.write(json.dumps(report, separators=(",", ":")) + "\n")
     except CliError as exc:
         print(f"polyode: error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # an integer past Python's digit limit cannot be written out; any
-        # other ValueError is a defect and keeps its traceback
-        if "integer string conversion" not in str(exc):
-            raise
-        print(f"polyode: error: an exact value in the report exceeds {MAX_DIGITS} "
-              "digits and cannot be written", file=sys.stderr)
-        return 1
-    sys.stdout.write(line + "\n")
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
     if not args.json:
         for line in _summarize(report):
             print(line, file=sys.stderr)

@@ -49,9 +49,9 @@ def _too_long(text: str) -> ValueError:
 
 def parse_rational(text) -> Fraction:
     """The exact rational a string spells: "p/q", a decimal, or exponent
-    notation.  Anything else, a zero denominator, or a numerator or
-    denominator over ``MAX_DIGITS`` digits raises ValueError; the size is
-    bounded from the text before the value is built."""
+    notation.  Anything else, a zero denominator, or a numerator,
+    denominator or exponent over ``MAX_DIGITS`` digits raises ValueError;
+    the size is bounded from the text before the value is built."""
     if not isinstance(text, str):
         raise ValueError(f"not an exact rational: {text!r}")
     plain = _PLAIN_RATIONAL.fullmatch(text)
@@ -65,6 +65,8 @@ def parse_rational(text) -> Fraction:
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, decimals = mantissa.partition(".")
     digits = [sum(c.isdigit() for c in part) for part in (*whole.split("/"), decimals)]
+    if len(exponent) > MAX_DIGITS:
+        raise _too_long(text)
     shift = int(exponent or 0)  # raises ValueError on a malformed exponent
     if max(*digits, digits[0] + digits[-1] + max(shift, 0),
            digits[-1] - min(shift, 0) + 1) > MAX_DIGITS:

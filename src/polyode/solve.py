@@ -16,9 +16,17 @@ counts at its ends need no evaluation and every point is an int over a
 power of two.  Refinement reports, for each root, the float nearest it,
 which the root alone fixes, so no tolerance is asked for; its number of
 sign tests grows as the logarithm of the depth of its final cell rather
-than as the depth (Abbott 2006; Kerber & Sagraloff 2011).  Complex roots
-are out of scope; their number is reported as the square-free degree
-minus the count of distinct real roots.
+than as the depth (Abbott 2006; Kerber & Sagraloff 2011).
+Isolation and refinement evaluate only on a grid: every point is
+a / (den 2^k) with den fixed per cell (1 in isolation), so the
+coefficients are scaled once to c_i den^(d-i) and each value is Horner
+with shifts, one product per coefficient (``_grid_value``).  Cells pass
+from isolation to refinement as ints; the report's ``Fraction`` ends are
+built once.  The rational-root test takes the fraction nearest a cell's
+midpoint with denominator at most the leading coefficient from the
+continued fraction in ints (``_best_approximation``).  Complex roots are
+out of scope; their number is reported as the square-free degree minus
+the count of distinct real roots.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from typing import Optional, Sequence
 from .exactalg import UPoly, squarefree_part  # noqa: F401
 
 IntPoly = tuple[int, ...]
+#: a cell (a, b, den) of the real line: the interval (a/den, b/den]
+Cell = tuple[int, int, int]
 
 
 class ZeroPolynomialError(ValueError):
@@ -184,27 +194,45 @@ def _value_at(f: IntPoly, a: int, b: int) -> int:
     return acc
 
 
-def _sign_at(f: IntPoly, a: int, b: int) -> int:
-    """Sign of f(a/b) for b > 0."""
-    acc = _value_at(f, a, b)
-    return (acc > 0) - (acc < 0)
+def _scaled(f: IntPoly, den: int) -> IntPoly:
+    """The coefficients c_i den^(d-i) of f, which ``_grid_value`` reads for
+    the grid over den."""
+    scaled = []
+    scale = 1
+    for c in reversed(f):
+        scaled.append(c * scale)
+        scale *= den
+    return tuple(reversed(scaled))
 
 
-def _variations(signs: Sequence[int]) -> int:
+def _grid_value(g: IntPoly, a: int, k: int) -> int:
+    """``_value_at(f, a, den << k)`` from g = ``_scaled(f, den)``: the sum
+    of g_i a^i 2^(k(d-i)), by Horner with shifts, one product per
+    coefficient."""
+    acc = 0
+    shift = 0
+    for c in reversed(g):
+        acc = acc * a + (c << shift)
+        shift += k
+    return acc
+
+
+def _variations(values: Sequence[int]) -> int:
+    """Sign changes along values, zeros skipped."""
     flips = 0
     last = 0
-    for s in signs:
-        if s == 0:
+    for v in values:
+        if not v:
             continue
-        if last and s != last:
+        if last and (v > 0) != (last > 0):
             flips += 1
-        last = s
+        last = v
     return flips
 
 
 def _variations_at(chain: Sequence[IntPoly], x: Fraction) -> int:
     a, b = x.numerator, x.denominator
-    return _variations([_sign_at(f, a, b) for f in chain])
+    return _variations([_value_at(f, a, b) for f in chain])
 
 
 def _variations_at_infinity(chain: Sequence[IntPoly], positive: bool) -> int:
@@ -250,9 +278,10 @@ def _root_bound_exponent(chain: Sequence[IntPoly]) -> int:
     return top + 1
 
 
-def _isolate(chain: Sequence[IntPoly]) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Sorted disjoint intervals (a, b], one for each distinct real root of
-    chain[0], every end an int over a power of two.
+def _isolate(chain: Sequence[IntPoly]) -> tuple[Cell, ...]:
+    """Sorted disjoint cells (a, b, den), one for each distinct real root
+    of chain[0], that root lying in (a/den, b/den], with den a power of
+    two.
 
     Bisection on Sturm counts from (-2^e, 2^e], with 2^e the Fujiwara bound
     of the whole chain (``_root_bound_exponent``): every root lies strictly
@@ -260,20 +289,20 @@ def _isolate(chain: Sequence[IntPoly]) -> tuple[tuple[Fraction, Fraction], ...]:
     their counts are read off the leading coefficients.  A split point is
     the midpoint, or, where chain[0] vanishes, the first of mid + w/4,
     mid + w/8, ... where it does not (w the width).  Points are int
-    numerators over 2^k, so no ``Fraction`` is normalised before the
-    intervals are returned; each stack entry carries the variation counts
-    at both of its ends, and a split evaluates the chain once, at the new
-    point, reusing the sign of chain[0] that the split test computed."""
+    numerators over 2^k, read by ``_grid_value``, so no ``Fraction`` is
+    built; each stack entry carries the variation counts at both of its
+    ends, and a split evaluates the chain once, at the new point, reusing
+    the sign of chain[0] that the split test computed.  The left half of a
+    split is searched first, so the cells come out in order."""
     f = chain[0]
 
     def variations(a: int, k: int) -> Optional[int]:
         """Sign variations of the chain at a / 2^k; None where chain[0]
         vanishes."""
-        b = 1 << k
-        first = _sign_at(f, a, b)
+        first = _grid_value(f, a, k)
         if not first:
             return None
-        return _variations([first, *[_sign_at(g, a, b) for g in chain[1:]]])
+        return _variations([first, *[_grid_value(g, a, k) for g in chain[1:]]])
 
     bound = 1 << _root_bound_exponent(chain)
     v_lo = _variations_at_infinity(chain, positive=False)
@@ -281,12 +310,14 @@ def _isolate(chain: Sequence[IntPoly]) -> tuple[tuple[Fraction, Fraction], ...]:
     total = v_lo - v_hi
     # entries (a, b, k, v_a, v_b): the interval (a, b] over 2^k
     stack = [(-bound, bound, 0, v_lo, v_hi)]
-    intervals: list[tuple[Fraction, Fraction]] = []
+    cells: list[Cell] = []
     while stack:
         a, b, k, v_a, v_b = stack.pop()
         count = v_a - v_b
         if count == 1:
-            intervals.append((Fraction(a, 1 << k), Fraction(b, 1 << k)))
+            # over the least power of two
+            low = min(k, ((a | b) & -(a | b)).bit_length() - 1)
+            cells.append((a >> low, b >> low, 1 << (k - low)))
         if count < 2:
             continue
         shift = 0
@@ -298,13 +329,11 @@ def _isolate(chain: Sequence[IntPoly]) -> tuple[tuple[Fraction, Fraction], ...]:
             v_split = variations(split, k + 1 + shift)
         shift += 1
         k += shift
-        stack.append((a << shift, split, k, v_a, v_split))
         stack.append((split, b << shift, k, v_split, v_b))
-    intervals.sort()
-    if len(intervals) != total:
-        raise ArithmeticError(
-            f"isolated {len(intervals)} intervals for {total} roots")
-    return tuple(intervals)
+        stack.append((a << shift, split, k, v_a, v_split))
+    if len(cells) != total:
+        raise ArithmeticError(f"isolated {len(cells)} intervals for {total} roots")
+    return tuple(cells)
 
 
 def isolate_real_roots(p: UPoly) -> RootReport:
@@ -336,11 +365,40 @@ def _exact(root: Fraction) -> tuple[Optional[float], Fraction]:
     return _nearest_float(root.numerator, root.denominator), root
 
 
-def _refine(chain: Sequence[IntPoly], lo: Fraction,
-            hi: Fraction) -> tuple[Optional[float], Optional[Fraction]]:
-    """Refine (lo, hi], a cell of ``_isolate`` that holds one root of the
-    square-free chain[0], on its bisection grid.  Neither end of such a cell
-    is a root; an end that is raises ``ArithmeticError``.
+def _best_approximation(n: int, d: int, limit: int) -> tuple[int, int]:
+    """(p, q), coprime with 0 < q <= limit, for the fraction nearest n/d
+    (d > 0) among those with denominators at most limit >= 1: exactly
+    ``Fraction(n, d).limit_denominator(limit)``, from the continued
+    fraction of n/d in ints, which need not be in lowest terms.
+
+    The convergents p1/q1 are taken while their denominators stay within
+    the limit; the answer is the last one or the semiconvergent
+    (p0 + s p1)/(q0 + s q1) with the largest s that the limit allows,
+    whichever is nearer n/d, the convergent on a tie.  n/d lies between
+    the two, at d'/(q1 d) from the convergent, d' the current remainder,
+    and they lie 1/(q1 q) apart, q the semiconvergent's denominator."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    whole = d
+    while d:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            s = (limit - q0) // q1
+            q = q0 + s * q1
+            if 2 * d * q <= whole:
+                return p1, q1
+            return p0 + s * p1, q
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    return p1, q1
+
+
+def _refine(chain: Sequence[IntPoly], x0: int, x1: int,
+            den: int) -> tuple[Optional[float], Optional[Fraction]]:
+    """Refine (x0/den, x1/den], a cell of ``_isolate`` that holds one root
+    of the square-free chain[0], on its bisection grid; den > 0 need not
+    be a power of two.  Neither end of such a cell is a root; an end that
+    is raises ``ArithmeticError``.
 
     Returns the float nearest the root, ties to even (None when the root
     lies past the largest float), and the root when it is rational, else
@@ -350,35 +408,35 @@ def _refine(chain: Sequence[IntPoly], lo: Fraction,
     dividing its leading coefficient L, and two distinct fractions with
     denominators at most L lie at least 1/L^2 apart.  In the first cell
     narrower than 1/(2 L^2), of level k_sep, the root is rational exactly
-    when the closest such fraction to the cell's midpoint lies in the cell
-    and is a root; a rational root, like a tested point that is the root,
-    reports its own nearest float.  An irrational root lies strictly
-    inside every cell that holds it, so refinement goes on until both ends
-    of the cell round to the same float, which rounding, being monotone,
-    gives the root too.
+    when the closest such fraction to the cell's midpoint
+    (``_best_approximation``) lies in the cell and is a root; a rational
+    root, like a tested point that is the root, reports its own nearest
+    float.  An irrational root lies strictly inside every cell that holds
+    it, so refinement goes on until both ends of the cell round to the
+    same float, which rounding, being monotone, gives the root too.
 
     The level-k cells are (x0 2^k + j w, x0 2^k + (j+1) w) over den 2^k,
-    with w = x1 - x0.  The cell that holds the root is found by quadratic
-    interval refinement (Abbott 2006; Kerber & Sagraloff 2011) rather than
-    one level at a time: the integer secant guess m = floor(N v_lo /
-    (v_lo - v_hi)) from the homogenised values at the cell's ends picks one
-    of its N = 2^s subcells, s = log_n levels down; when the subcell's ends
-    bracket the root it is kept and N squares, else one bisection step
-    follows and s halves.  A kept end value carries to the finer level
-    shifted left by d s bits.  No step passes level k_sep before the
-    rational-root test has run there.
+    with w = x1 - x0, and every value on them is ``_grid_value`` of the
+    coefficients c_i den^(d-i), scaled once.  The cell that holds the root
+    is found by quadratic interval refinement (Abbott 2006; Kerber &
+    Sagraloff 2011) rather than one level at a time: the integer secant
+    guess m = floor(N v_lo / (v_lo - v_hi)) from the homogenised values at
+    the cell's ends picks one of its N = 2^s subcells, s = log_n levels
+    down; when the subcell's ends bracket the root it is kept and N
+    squares, else one bisection step follows and s halves.  A kept end
+    value carries to the finer level shifted left by d s bits.  No step
+    passes level k_sep before the rational-root test has run there.
     """
     f = chain[0]
     lead = abs(f[-1])
     degree = len(f) - 1
-    den = lo.denominator * hi.denominator
-    x0 = lo.numerator * hi.denominator
-    width = hi.numerator * lo.denominator - x0
+    width = x1 - x0
     k_sep = _first_level(2 * lead * lead * width, den)
+    g = _scaled(f, den)
 
     def value(k: int, j: int) -> int:
         """The homogenised value at grid point j of level k."""
-        return _value_at(f, (x0 << k) + j * width, den << k)
+        return _grid_value(g, (x0 << k) + j * width, k)
 
     def hit(k: int, j: int) -> tuple[Optional[float], Fraction]:
         """The report for a root at grid point j of level k."""
@@ -389,7 +447,7 @@ def _refine(chain: Sequence[IntPoly], lo: Fraction,
     k = j = 0
     v_lo, v_hi = value(0, 0), value(0, 1)
     if not v_lo or not v_hi:
-        raise ArithmeticError(f"the cell ({lo}, {hi}] ends on a root")
+        raise ArithmeticError(f"the cell ({x0}/{den}, {x1}/{den}] ends on a root")
     log_n = 2
     tested = False
     while True:
@@ -400,10 +458,9 @@ def _refine(chain: Sequence[IntPoly], lo: Fraction,
                 return nearest, None
         elif k == k_sep:
             # the rational-root test, in the cell of level k_sep
-            candidate = Fraction(2 * cell_lo + width, 2 * scale).limit_denominator(lead)
-            a, b = candidate.numerator, candidate.denominator
-            if cell_lo * b < a * scale <= (cell_lo + width) * b and _sign_at(f, a, b) == 0:
-                return _exact(candidate)
+            a, b = _best_approximation(2 * cell_lo + width, 2 * scale, lead)
+            if cell_lo * b < a * scale <= (cell_lo + width) * b and not _value_at(f, a, b):
+                return _exact(Fraction(a, b))
             tested = True
             continue
         else:
@@ -470,12 +527,12 @@ def analyze_roots(p: UPoly) -> RootReport:
     once, are the square-free degree less the real ones.
     """
     chain = _squarefree_sequence(_remainder_sequence(p))
-    intervals = _isolate(chain)
-    results = [_refine(chain, a, b) for a, b in intervals]
+    cells = _isolate(chain)
+    results = [_refine(chain, *cell) for cell in cells]
     return RootReport(
         polynomial=p,
-        intervals=intervals,
+        intervals=tuple((Fraction(a, den), Fraction(b, den)) for a, b, den in cells),
         refined=tuple(value for value, _ in results),
         exact_rational_roots=tuple(r for _, r in results if r is not None),
-        nonreal_count=len(chain[0]) - 1 - len(intervals),
+        nonreal_count=len(chain[0]) - 1 - len(cells),
     )

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -18,10 +19,11 @@ from polyode.cli import MAX_DEGREE, build_parser, main
 from polyode.criteria import (
     EquationSpec,
     build_criterion_matrix,
+    delta_determinant,
     rational_nullspace,
     verify_solution,
 )
-from polyode.exactalg import bareiss_determinant
+from polyode.exactalg import MAX_DIGITS, bareiss_determinant
 
 from bandforms import entries, primitive_vector
 
@@ -99,6 +101,18 @@ def test_check_method_aim_only(eq_file, capsys):
     assert report["solutions"] == []
 
 
+def test_check_method_aim_needs_the_degree_condition(eq_file, capsys):
+    # AIM's index 2, from the degree-2 solution, is within cap(0) = 4, but
+    # the degree condition fails at 0, so degree 0 has no solution
+    code, report, _ = run(
+        capsys, "check", eq_file(BESSEL6), "--n", "0", "--method", "aim"
+    )
+    assert report["aim"]["found_index"] == 2
+    assert report["degree_condition"]["holds"] is False
+    assert report["exists"] is False
+    assert code == 2
+
+
 def test_check_sweep(eq_file, capsys):
     code, report, _ = run(
         capsys, "check", eq_file(BESSEL6), "--max-n", "4", "--method", "determinant"
@@ -149,7 +163,12 @@ def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: 
                 expected = [[str(c) for c in primitive_vector(v)]
                             for v in rational_nullspace(rows)]
         assert [s["coefficients"] for s in entry["solutions"]] == expected
-        exists = index is not None if method == "aim" else bool(expected)
+        if method == "aim":
+            # the degree condition is necessary; AIM's index alone can come
+            # from a solution of another degree
+            exists = index is not None and entry["degree_condition"]["holds"]
+        else:
+            exists = bool(expected)
         assert entry["exists"] is exists
         if exists:
             degrees.append(n)
@@ -954,17 +973,69 @@ def test_rationals_past_the_digit_limit_exit_1_promptly(argv, text, eq_file, cap
     assert "error:" in err and "4300 digits" in err  # argparse names the subcommand
 
 
-def test_report_value_past_the_digit_limit_exits_1(eq_file, capsys):
+@contextlib.contextmanager
+def unlimited_int_strings():
+    """Lift the interpreter's limit on int <-> str conversion, as ``main``
+    does while it computes and writes a report."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def hundred_digit(i: int) -> str:
+    return f"{10**99 + 7 * i + 1}/{10**99 + 3 * i + 2}"
+
+
+@pytest.mark.parametrize("argv, equation, exit_code", [
     # every coefficient is inside the input limit, but the determinant is
-    # not, so the report cannot be written out
-    big = "1" + "0" * 4000
-    text = json.dumps({"a3": ["0", big, "1", "0"], "a2": ["0", "1", "1"],
-                       "tau": ["0", "3"]})
-    code, report, err = run(capsys, "check", eq_file(text), "--n", "3",
-                            "--method", "determinant")
-    assert code == 1
-    assert report is None
-    assert "polyode: error:" in err and "4300 digits" in err
+    # not
+    (["check", "EQ", "--n", "3", "--method", "determinant"],
+     {"a3": ["0", "1" + "0" * 4000, "1", "0"], "a2": ["0", "1", "1"],
+      "tau": ["0", "3"]}, 2),
+    # nine 100-digit rationals, one of them times the unknown: a
+    # determinant coefficient of about 12 300 digits, and no real root
+    (["constraints", "EQ", "--n", "10"],
+     {"a3": [hundred_digit(i) for i in range(4)],
+      "a2": [hundred_digit(i) for i in range(4, 7)],
+      "tau": [hundred_digit(7), {"t": ["0", hundred_digit(8)]}], "unknown": "t"}, 2),
+])
+def test_a_report_value_past_the_digit_limit_is_written(argv, equation, exit_code,
+                                                        eq_file, capsys):
+    # the limit bounds input only; the answer is written in full, and the
+    # interpreter's limit is back in place afterwards
+    limit = sys.get_int_max_str_digits()
+    code, report, err = run(capsys, *[eq_file(json.dumps(equation)) if a == "EQ" else a
+                                      for a in argv])
+    assert code == exit_code and report["exists"] is False
+    assert "error" not in err
+    assert sys.get_int_max_str_digits() == limit
+    eq = EquationSpec.from_json_dict(equation)
+    with unlimited_int_strings():
+        if argv[0] == "check":
+            det = build_criterion_matrix(eq, 3).leading_minors()[3]
+            assert report["determinant"]["coefficients"] == [str(det)]
+            assert len(str(det)) > MAX_DIGITS
+        else:
+            det = delta_determinant(eq, 10)
+            assert report["determinant"] == det.to_strings()
+            assert max(map(len, det.to_strings())) > MAX_DIGITS
+
+
+@pytest.mark.parametrize("text", [
+    # a million-digit exponent, which takes seconds to convert
+    json.dumps({"a3": ["0", "1e" + "1" * 10**6, "0", "0"], "a2": ["0", "2", "2"],
+                "tau": ["0", "6"]}),
+    '{"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0", -6' + "0" * 4300 + "]}",
+], ids=["million-digit-exponent", "integer-literal"])
+def test_input_stays_bounded_while_the_conversion_limit_is_lifted(text, eq_file, capsys):
+    start = time.perf_counter()
+    code, report, err = run(capsys, "check", eq_file(text), "--n", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and report is None
+    assert "4300 digits" in err
 
 
 def test_other_value_errors_are_not_reported_as_input_errors(monkeypatch, eq_file):
@@ -974,5 +1045,7 @@ def test_other_value_errors_are_not_reported_as_input_errors(monkeypatch, eq_fil
         raise ValueError("a defect")
 
     monkeypatch.setattr(cli, "analyze_check", broken)
+    limit = sys.get_int_max_str_digits()
     with pytest.raises(ValueError, match="a defect"):
         main(["check", eq_file(BESSEL6), "--n", "2"])
+    assert sys.get_int_max_str_digits() == limit

@@ -22,6 +22,7 @@ import pytest
 
 from polyode import solve
 from polyode.cli import main
+from polyode.exactalg import UPoly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -118,11 +119,14 @@ def test_every_golden_file_has_a_case():
 
 
 def test_a_refinement_step_hits_the_root_on_the_grid(tmp_path, monkeypatch):
-    # the rational-root test never runs, yet the root is reported exactly
+    # the rational-root test never runs, yet the root is reported exactly;
+    # a root off the grid, 1/3, is found by that test alone
     def rational_root_test(*args):
         raise AssertionError("the rational-root test ran")
 
-    monkeypatch.setattr(solve.Fraction, "limit_denominator", rational_root_test)
+    monkeypatch.setattr(solve, "_best_approximation", rational_root_test)
+    with pytest.raises(AssertionError, match="the rational-root test ran"):
+        solve.analyze_roots(UPoly([-1, 3]))
     result = run_case("constraints-root-on-the-grid", tmp_path)
     assert result["report"]["roots"] == {
         "intervals": [["-2", "2"]], "roots": [15625 / 2**18],

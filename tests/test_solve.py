@@ -19,12 +19,15 @@ from polyode.solve import (
     NotIsolatingError,
     ZeroPolynomialError,
     _count,
+    _best_approximation,
     _exact_division,
+    _grid_value,
     _isolate,
-    _refine,
     _remainder_sequence,
     _root_bound_exponent,
+    _scaled,
     _squarefree_sequence,
+    _value_at,
     analyze_roots,
     isolate_real_roots,
     rational_roots,
@@ -420,6 +423,12 @@ def test_large_demo_roots_finish_and_match_sympy(argv, capsys):
 # ---------------------------------------------------------------------------
 # quadratic interval refinement and integer isolation against bisection
 
+def refine(chain, lo: Fraction, hi: Fraction):
+    """``_refine`` on the cell (lo, hi], given by its ends."""
+    return solve._refine(chain, lo.numerator * hi.denominator,
+                         hi.numerator * lo.denominator, lo.denominator * hi.denominator)
+
+
 DYADIC_ROOTS = st.builds(lambda k, e: Fraction(k, 2**e),
                          st.integers(-64, 64), st.integers(0, 12))
 
@@ -441,10 +450,11 @@ def refinement_cases(draw):
 def test_isolation_and_refinement_match_the_bisection_oracle(p):
     chain = _squarefree_sequence(_remainder_sequence(p))
     bound = Fraction(2 ** _root_bound_exponent(chain))
-    intervals = _isolate(chain)
+    cells = _isolate(chain)
+    intervals = tuple((Fraction(a, den), Fraction(b, den)) for a, b, den in cells)
     assert intervals == bisection.isolate(chain, -bound, bound)
-    for a, b in intervals:
-        value, exact = _refine(chain, a, b)
+    for cell, (a, b) in zip(cells, intervals):
+        value, exact = solve._refine(chain, *cell)
         assert type(value) is float
         assert (value, exact) == bisection.refine(chain, a, b)
     # (r, b2] with r the rational root of one interval and b2 the right end
@@ -462,9 +472,9 @@ def test_a_root_on_the_grid_is_reported_as_bisection_reports_it():
     # end of an interval given to refine_root is reported as it is
     chain = [(-15625, 2**18), (1,)]
     root = Fraction(15625, 2**18)
-    assert _isolate(chain) == ((-2, 2),)
+    assert _isolate(chain) == ((-2, 2, 1),)
     lo, hi = Fraction(-2), Fraction(2)
-    assert _refine(chain, lo, hi) == bisection.refine(chain, lo, hi) == (
+    assert solve._refine(chain, -2, 2, 1) == bisection.refine(chain, lo, hi) == (
         float(root), root)
     assert refine_root(UPoly([-15625, 2**18]), (0, root)) == float(root)
     assert bisection.refine(chain, Fraction(0), root) == (float(root), root)
@@ -478,7 +488,7 @@ def test_refining_a_cell_that_ends_on_a_root_raises(lo, hi):
     # intervals, and refines the root's own cell instead
     chain = _squarefree_sequence(_remainder_sequence(UPoly([0, -1, 1])))  # x^2 - x
     with pytest.raises(ArithmeticError):
-        _refine(chain, lo, hi)
+        refine(chain, lo, hi)
 
 
 @st.composite
@@ -508,29 +518,34 @@ def test_refine_root_returns_the_float_that_analyze_roots_reports(case):
     assert refine_root(p, interval) == analyze_roots(p).refined[i]
 
 
-def counting_evaluations(monkeypatch, limit=None):
+def counting_evaluations(monkeypatch):
     """Counts of ``_refine`` calls ("roots") and of the polynomial
-    evaluations made inside them, which stop the test past ``limit``."""
-    counts = {"roots": 0, "evaluations": 0}
+    evaluations made inside them: values on the grid (``_grid_value``) and
+    rational-root tests (``_value_at``, "candidates")."""
+    counts = {"roots": 0, "evaluations": 0, "candidates": 0}
     refining = []
-    refine, value_at = solve._refine, solve._value_at
+    refine_cell = solve._refine
 
     def counted_refine(*args):
         counts["roots"] += 1
         refining.append(True)
         try:
-            return refine(*args)
+            return refine_cell(*args)
         finally:
             refining.pop()
 
-    def counted_value_at(*args):
-        if refining:
-            counts["evaluations"] += 1
-            assert limit is None or counts["evaluations"] <= limit
-        return value_at(*args)
+    def counted(kernel, *keys):
+        def evaluate(*args):
+            if refining:
+                for key in keys:
+                    counts[key] += 1
+            return kernel(*args)
+        return evaluate
 
     monkeypatch.setattr(solve, "_refine", counted_refine)
-    monkeypatch.setattr(solve, "_value_at", counted_value_at)
+    monkeypatch.setattr(solve, "_grid_value", counted(solve._grid_value, "evaluations"))
+    monkeypatch.setattr(solve, "_value_at",
+                        counted(solve._value_at, "evaluations", "candidates"))
     return counts
 
 
@@ -544,12 +559,14 @@ def test_secant_guesses_are_exact_on_a_linear_polynomial(coeffs, lo, hi,
     # every subcell guess holds the root, so N squares at every step: log N
     # doubles from 2 and reaches the level of the rational-root test (about
     # 13 300, for a leading coefficient near 2^6650) in 13 steps of at most
-    # two evaluations, besides the values at the two ends and the test
+    # two evaluations, besides the values at the two ends and the test; no
+    # root is dyadic, so the test runs, once
     counts = counting_evaluations(monkeypatch)
     chain = [coeffs, (coeffs[1],)]
     root = Fraction(-coeffs[0], coeffs[1])
-    assert solve._refine(chain, lo, hi) == (float(root), root)
-    assert counts["evaluations"] <= 2 + 2 * 13 + 1
+    assert refine(chain, lo, hi) == (float(root), root)
+    assert counts["roots"] == counts["candidates"] == 1
+    assert 3 <= counts["evaluations"] <= 2 + 2 * 13 + 1
 
 
 @pytest.mark.parametrize("coeffs", [(0, -15, -9, 2), (-20, 2, 15, 30, 2),
@@ -560,8 +577,44 @@ def test_carried_values_keep_the_secant_guesses_good(coeffs, monkeypatch):
     # every result as it is, but takes one of them past 60
     counts = counting_evaluations(monkeypatch)
     p = UPoly(list(coeffs))
-    assert analyze_roots(p).refined
-    assert counts["evaluations"] <= 60
+    roots = len(analyze_roots(p).refined)
+    assert roots and counts["roots"] == roots
+    assert 2 * roots <= counts["evaluations"] <= 60
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=10),
+       st.integers(-10**40, 10**40), st.integers(1, 10**12), st.integers(0, 80))
+@example([3, 0, -5, 2], -7, 3, 0)
+@example([1, -1, 0, 0, 4], -5, 12, 7)
+def test_the_grid_kernel_equals_homogenised_horner(f, a, den, k):
+    # g_i = c_i den^(d-i), scaled once, then one product per coefficient:
+    # the value (den 2^k)^d f(a / (den 2^k)), at any int point a, for a
+    # denominator den that need not be a power of two
+    f = tuple(f)
+    b = den << k
+    value = _grid_value(_scaled(f, den), a, k)
+    assert value == _value_at(f, a, b)
+    assert value == sum(Fraction(c) * Fraction(a, b) ** i for i, c in enumerate(f)) * b ** (len(f) - 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**12),
+       st.one_of(st.integers(1, 30), st.integers(1, 10**13)))
+@example(1, 2, 1)  # a tie at L = 1: 0 and 1 lie equally near
+@example(-1, 2, 1)
+@example(3, 2, 1)
+@example(2, 4, 1)  # a tie written over 4
+@example(5, 4, 2)
+@example(10, 15, 3)  # 2/3, in lowest terms within the limit
+@example(-7, 21, 2)
+@example(355, 113, 112)
+def test_the_best_approximation_is_limit_denominator(n, d, limit):
+    # n/d need not be in lowest terms; a denominator within the limit and
+    # L = 1 included, and ties go the same way
+    p, q = _best_approximation(n, d, limit)
+    assert Fraction(p, q) == Fraction(n, d).limit_denominator(limit)
+    assert 0 < q <= limit and math.gcd(p, q) == 1
 
 
 PLANTED_EXPONENTS = st.integers(-300, 300)
