@@ -199,9 +199,10 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     qualifies; ``aim`` answers "yes" only where the degree condition holds
     too.  The degree-n criterion matrix is the leading (n+1) x (n+1)
     block of the top one, so its determinant is a running minor of the top
-    band.  A report's ``timing_seconds`` covers its own stages; the top
-    degree's report also carries the shared ones, which are its own.  AIM
-    needs a y'' term: without one, ``both`` notes that and answers as
+    band, and only the minors of ``degrees`` are divided back by D^m.  A
+    report's ``timing_seconds`` covers its own stages; the top degree's
+    report also carries the shared ones, which are its own.  AIM needs a
+    y'' term: without one, ``both`` notes that and answers as
     ``determinant``, and ``aim`` is an input error.
     """
     start = time.monotonic()
@@ -212,7 +213,7 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     skipped: list[str] = []
     if use_det:
         matrix = build_criterion_matrix(eq, top)
-        minors = matrix.leading_minors()
+        minors = dict(zip(degrees, matrix._minors([n + 1 for n in degrees])))
     if use_aim:
         try:
             found = aim_test_polynomial(eq, default_iteration_cap(top))
@@ -254,13 +255,14 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
             cap = default_iteration_cap(n)
             aim_index = found if found is not None and found <= cap else None
             report["aim"] = {"found_index": aim_index, "cap": cap}
+        # the degree condition is necessary, and the index alone can come
+        # from a solution of another degree
+        aim_exists = cond_holds and aim_index is not None
         if method == "aim":
-            # the degree condition is necessary, and the index alone can
-            # come from a solution of another degree
-            exists = cond_holds and aim_index is not None
+            exists = aim_exists
         else:
             exists = det_exists
-            if method == "both" and det_exists != (aim_index is not None):
+            if method == "both" and det_exists != aim_exists:
                 notes.append(
                     "criterion paths disagree at this degree; the iteration index "
                     "tracks the solution degree, not the requested one"

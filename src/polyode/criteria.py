@@ -40,9 +40,8 @@ cubic-coefficient form so the two routes can be cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence, Union
@@ -87,7 +86,7 @@ def as_scalar(value: ScalarLike) -> UPoly:
         scalar = UPoly(as_rational(v) for v in value)
     else:
         raise TypeError(f"cannot coerce {value!r} to an equation scalar")
-    if isinstance(scalar.degree, int) and scalar.degree > 1:
+    if len(scalar.coeffs) > 2:
         raise ValueError(f"scalar must have degree <= 1 in t, got {scalar!r}")
     return scalar
 
@@ -106,34 +105,31 @@ class EquationSpec:
     a2: tuple[UPoly, UPoly, UPoly]
     tau: tuple[UPoly, UPoly]
     unknown: str = "t"
+    #: whether no coefficient carries the unknown
+    is_numeric: bool = field(init=False, repr=False, compare=False)
+    #: (D, (D a30, ..., D t11)), D the least common denominator of the
+    #: rationals in the nine coefficients (c0 and c1 of each c0 + c1 t):
+    #: multiplied by D, the equation has integer coefficients and still the
+    #: same solutions.  For a numeric equation the nine are ints, for a
+    #: parametric one pairs (D c0, D c1) of ints.
+    integer_form: tuple[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a3", tuple(as_scalar(v) for v in self.a3))
-        object.__setattr__(self, "a2", tuple(as_scalar(v) for v in self.a2))
-        object.__setattr__(self, "tau", tuple(as_scalar(v) for v in self.tau))
+        for name in ("a3", "a2", "tau"):
+            object.__setattr__(self, name, tuple(map(as_scalar, getattr(self, name))))
         if len(self.a3) != 4 or len(self.a2) != 3 or len(self.tau) != 2:
             raise ValueError("need 4 + 3 + 2 coefficients")
         if not any(self.a3) and not any(self.a2):
             raise ValueError("equation has no second-order or first-order part")
-
-    # the two views below are computed once per equation, on first use; the
-    # equation is immutable, so they never go stale
-
-    @cached_property
-    def is_numeric(self) -> bool:
-        return all(s.is_constant for s in (*self.a3, *self.a2, *self.tau))
-
-    @cached_property
-    def integer_form(self) -> tuple[int, tuple]:
-        """(D, (D a30, ..., D t11)), D the least common denominator of the
-        rationals in the nine coefficients (c0 and c1 of each c0 + c1 t):
-        multiplied by D, the equation has integer coefficients and still the
-        same solutions.  For a numeric equation the nine are ints, for a
-        parametric one pairs (D c0, D c1) of ints."""
+        # both views read the rationals the coefficients hold, once, when
+        # the equation is made; it is immutable, so they never go stale
         scalars = (*self.a3, *self.a2, *self.tau)
-        if self.is_numeric:
-            return _integers([s.constant_value() for s in scalars])
-        return _integer_pairs([(s.coefficient(0), s.coefficient(1)) for s in scalars])
+        numeric = all(len(s.coeffs) <= 1 for s in scalars)
+        width = 1 if numeric else 2
+        scale, flat = _integers([c for s in scalars for c in (*s.coeffs, 0, 0)[:width]])
+        object.__setattr__(self, "is_numeric", numeric)
+        object.__setattr__(self, "integer_form",
+                           (scale, flat if numeric else tuple(zip(flat[::2], flat[1::2]))))
 
     def _numeric(self, which) -> list[Fraction]:
         if not self.is_numeric:
@@ -166,9 +162,9 @@ class EquationSpec:
 
     def to_json_dict(self) -> dict:
         def encode(s: UPoly):
-            if s.is_constant:
-                return str(s.constant_value())
-            return {self.unknown: s.to_strings()}
+            if len(s.coeffs) > 1:
+                return {self.unknown: s.to_strings()}
+            return str(s.coeffs[0]) if s.coeffs else "0"
 
         out = {
             "a3": [encode(s) for s in self.a3],
@@ -186,7 +182,7 @@ class EquationSpec:
 
         def decode(s) -> UPoly:
             if isinstance(s, str):
-                return UPoly.constant(parse_rational(s))
+                return UPoly((parse_rational(s),))
             if isinstance(s, dict):
                 if len(s) != 1:
                     raise ValueError(f"bad scalar {s!r}")
@@ -204,15 +200,15 @@ class EquationSpec:
                 return UPoly(parse_rational(c) for c in coeffs)
             raise ValueError(f"bad scalar {s!r}")
 
-        def field(name: str) -> list[UPoly]:
+        def scalars(name: str) -> list[UPoly]:
             if name not in data:
                 raise ValueError(f"missing field {name!r}")
             if not isinstance(data[name], list):
                 raise ValueError(f"field {name!r} must be a list of scalars")
             return [decode(s) for s in data[name]]
 
-        return cls(a3=tuple(field("a3")), a2=tuple(field("a2")),
-                   tau=tuple(field("tau")), unknown=unknown or "t")
+        return cls(a3=scalars("a3"), a2=scalars("a2"), tau=scalars("tau"),
+                   unknown=unknown or "t")
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +221,28 @@ def _degree_condition(coefficients: Sequence, n: int):
     return t10 - n * (n - 1) * a30 - n * a20
 
 
+def _integer_parts(eq: EquationSpec) -> tuple[int, tuple]:
+    """(D, parts): the nine coefficients of ``integer_form`` as one part of
+    ints for a numeric equation, else two, the constant parts and slopes."""
+    scale, coefficients = eq.integer_form
+    return scale, (coefficients,) if eq.is_numeric else tuple(zip(*coefficients))
+
+
+def _condition(eq: EquationSpec, n: int, shift: int = 0) -> UPoly:
+    """``_degree_condition`` on the ints of each part, not on pairs (a pair
+    (0, 0) is truthy), divided by D once.  With shift 1 the nine move one
+    slot down, so a31, a21 and t11 stand where a30, a20 and t10 stood."""
+    scale, parts = _integer_parts(eq)
+    return UPoly(Fraction(_degree_condition(part[shift:] + (0,) * shift, n), scale)
+                 for part in parts)
+
+
 def degree_condition(eq: EquationSpec, n: int) -> UPoly:
     """t10 - n(n-1) a30 - n a20, zero exactly when a degree-n solution can
     close its leading coefficient."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return _degree_condition((*eq.a3, *eq.a2, *eq.tau), n)
+    return _condition(eq, n)
 
 
 def degree_condition_effective(eq: EquationSpec, n: int) -> tuple[int, UPoly]:
@@ -241,9 +253,10 @@ def degree_condition_effective(eq: EquationSpec, n: int) -> tuple[int, UPoly]:
     leading-coefficient argument applies one level down.  Returns
     (level, condition) with level 1 for the generic case, 0 for the fallback.
     """
-    if eq.a3[0] or eq.a2[0] or eq.tau[0]:
+    _, parts = _integer_parts(eq)
+    if any(part[i] for part in parts for i in (0, 4, 7)):
         return 1, degree_condition(eq, n)
-    return 0, eq.tau[1] - n * (n - 1) * eq.a3[1] - n * eq.a2[1]
+    return 0, _condition(eq, n, shift=1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +278,6 @@ def _integers(values: Sequence) -> tuple[int, tuple[int, ...]]:
     denominator D of them all, which makes every one an integer."""
     scale = lcm(*(v.denominator for v in values))
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
-
-
-def _integer_pairs(pairs: Sequence[tuple]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """``_integers`` of the rationals in the pairs (c0, c1), paired again."""
-    scale, flat = _integers([c for pair in pairs for c in pair])
-    return scale, tuple(zip(flat[::2], flat[1::2]))
 
 
 def _packed_minors(bands: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[int], int]:
@@ -395,14 +402,13 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    scale, coefficients = eq.integer_form
-    parts = (coefficients,) if eq.is_numeric else tuple(zip(*coefficients))
+    scale, parts = _integer_parts(eq)
     for part in parts:
         if _recurrence_row(part, n + 1)[0] != _degree_condition(part, n):
             raise ArithmeticError(
                 "row n+1 closure does not reproduce the degree condition")
     if eq.is_numeric:
-        bands = tuple(_recurrence_row(coefficients, k) for k in range(n + 1))
+        bands = tuple(_recurrence_row(parts[0], k) for k in range(n + 1))
     else:
         constant, slope = parts
         bands = tuple(tuple(zip(_recurrence_row(constant, k), _recurrence_row(slope, k)))

@@ -17,7 +17,6 @@ of immutable values, so all types here are safe to share between threads.
 from __future__ import annotations
 
 import operator
-import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -38,11 +37,6 @@ class NotDivisibleError(ArithmeticError):
     """Exact polynomial division was requested but the remainder is nonzero."""
 
 
-#: An integer or a "p/q" in plain ASCII digits, the common case, which
-#: ``parse_rational`` reads without ``Fraction``'s general parser.
-_PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
-
-
 def _too_long(text: str) -> ValueError:
     return ValueError(f"a rational exceeds {MAX_DIGITS} digits: {text[:40]!r}")
 
@@ -54,14 +48,18 @@ def parse_rational(text) -> Fraction:
     the size is bounded from the text before the value is built."""
     if not isinstance(text, str):
         raise ValueError(f"not an exact rational: {text!r}")
-    plain = _PLAIN_RATIONAL.fullmatch(text)
-    if plain is not None:
-        sign, numerator, denominator = plain.groups("1")  # "p" is "p/1"
-        if max(len(numerator), len(denominator)) > MAX_DIGITS:
+    # an integer or a "p/q" in plain ASCII digits, the common case, is read
+    # without ``Fraction``'s general parser ("²" is a digit to ``isdigit``)
+    numerator, slash, denominator = text.partition("/")
+    unsigned = numerator.removeprefix("-")
+    if unsigned.isdigit() and text.isascii() and (denominator.isdigit() or not slash):
+        if max(len(unsigned), len(denominator)) > MAX_DIGITS:
             raise _too_long(text)
+        if not slash:
+            return Fraction(int(numerator))
         if not denominator.strip("0"):
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(sign + numerator), int(denominator))
+        return Fraction(int(numerator), int(denominator))
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, decimals = mantissa.partition(".")
     digits = [sum(c.isdigit() for c in part) for part in (*whole.split("/"), decimals)]

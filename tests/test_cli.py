@@ -113,6 +113,32 @@ def test_check_method_aim_needs_the_degree_condition(eq_file, capsys):
     assert code == 2
 
 
+DISAGREE = "criterion paths disagree at this degree"
+
+
+def test_both_criteria_agree_where_the_degree_condition_fails(eq_file, capsys):
+    # README's Bessel equation at degree 0: AIM's index 2 is within cap(0),
+    # but the degree condition fails, so both answers are "no"
+    code, report, err = run(capsys, "check", eq_file(BESSEL6), "--n", "0")
+    assert report["aim"]["found_index"] == 2
+    assert report["degree_condition"]["holds"] is False
+    assert report["exists"] is False
+    assert not any(DISAGREE in note for note in report["notes"])
+    assert DISAGREE not in err
+    assert code == 2
+
+
+def test_both_criteria_note_a_real_disagreement(eq_file, capsys, monkeypatch):
+    # without an iteration index, the determinant's verified degree-2
+    # solution is the only "yes"
+    monkeypatch.setattr("polyode.cli.aim_test_polynomial", lambda eq, cap: None)
+    code, report, _ = run(capsys, "check", eq_file(BESSEL6), "--n", "2")
+    assert report["aim"]["found_index"] is None
+    assert report["exists"] is True
+    assert any(DISAGREE in note for note in report["notes"])
+    assert code == 0
+
+
 def test_check_sweep(eq_file, capsys):
     code, report, _ = run(
         capsys, "check", eq_file(BESSEL6), "--max-n", "4", "--method", "determinant"

@@ -8,7 +8,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyode import criteria
@@ -184,6 +184,46 @@ def test_necessary_condition_counterexample():
 def test_necessary_condition_n0():
     # at n = 0 the leading coefficients drop out: the condition is t10 = 0
     assert degree_condition(EquationSpec(a3=(4, 0, 0, 0), a2=(7, 0, 0), tau=(0, 1)), 0) == 0
+
+
+unlike_denominators = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
+@st.composite
+def condition_cases(draw):
+    """(nine (c0, c1) pairs of Fractions, n): each coefficient c0 + c1 t,
+    with c1 = 0 throughout for a numeric equation.  Some equations have
+    a30 = a20 = t10 = 0 (level 0, zero pairs), and some meet the condition
+    at n on their level."""
+    n = draw(st.integers(0, 30))
+    parametric = draw(st.booleans())
+    nine = [(draw(unlike_denominators),
+             draw(unlike_denominators) if parametric else Fraction(0)) for _ in range(9)]
+    if draw(st.booleans()):
+        for i in (0, 4, 7):
+            nine[i] = (Fraction(0), Fraction(0))
+    level = int(any(c for i in (0, 4, 7) for c in nine[i]))
+    a3, a2, t = (0, 4, 7) if level else (1, 5, 8)
+    if draw(st.booleans()):
+        nine[t] = tuple(n * (n - 1) * x + n * y for x, y in zip(nine[a3], nine[a2]))
+    return nine, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(condition_cases())
+def test_degree_condition_is_the_rational_formula(case):
+    nine, n = case
+    assume(any(c for pair in nine[:7] for c in pair))  # a y'' or y' term
+    eq = EquationSpec(a3=tuple(nine[:4]), a2=tuple(nine[4:7]), tau=tuple(nine[7:]))
+
+    def condition(a3, a2, t):
+        return UPoly([nine[t][p] - n * (n - 1) * nine[a3][p] - n * nine[a2][p]
+                      for p in (0, 1)])
+
+    level = int(any(c for i in (0, 4, 7) for c in nine[i]))
+    assert degree_condition(eq, n) == condition(0, 4, 7)
+    assert degree_condition_effective(eq, n) == (
+        (1, condition(0, 4, 7)) if level else (0, condition(1, 5, 8)))
 
 
 # ---------------------------------------------------------------------------

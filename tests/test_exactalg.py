@@ -1,4 +1,5 @@
 import contextlib
+import re
 import sys
 from fractions import Fraction
 
@@ -528,3 +529,88 @@ def test_parse_rational_reads_plain_text_exactly(text, value):
 def test_parse_rational_rejects_plain_text_out_of_bounds(text):
     with unlimited_int_strings(), pytest.raises(ValueError):
         parse_rational(text)
+
+
+# ---------------------------------------------------------------------------
+# parse_rational against its earlier form
+
+EARLIER_PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
+def earlier_parse_rational(text) -> Fraction:
+    """``parse_rational`` as it was when a regular expression picked out
+    the plain "p" and "p/q" forms: the reference for every value and every
+    error message."""
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact rational: {text!r}")
+    too_long = ValueError(f"a rational exceeds {MAX_DIGITS} digits: {text[:40]!r}")
+    plain = EARLIER_PLAIN_RATIONAL.fullmatch(text)
+    if plain is not None:
+        sign, numerator, denominator = plain.groups("1")
+        if max(len(numerator), len(denominator)) > MAX_DIGITS:
+            raise too_long
+        if not denominator.strip("0"):
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(int(sign + numerator), int(denominator))
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, decimals = mantissa.partition(".")
+    digits = [sum(c.isdigit() for c in part) for part in (*whole.split("/"), decimals)]
+    if len(exponent) > MAX_DIGITS:
+        raise too_long
+    shift = int(exponent or 0)
+    if max(*digits, digits[0] + digits[-1] + max(shift, 0),
+           digits[-1] - min(shift, 0) + 1) > MAX_DIGITS:
+        raise too_long
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+def parse_result(parse, text):
+    """The Fraction ``parse`` returns for ``text``, or the message of the
+    ValueError it raises."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+BEHAVIOUR_CASES = [
+    "0", "-0", "+0", "7", "-7", "+7", "--7", "-+7", "007", "-007", "0/7", "-0/7",
+    "007/014", "-12/8", "3/0", "3/00", "-0/0", "3/-4", "3/+4", "-3/4", "1/2/3",
+    "1/", "/2", "-", "", " 3", "3 ", "3\n", "1_000", "1.5", "-1.25e-2", ".5",
+    "5.", "2E3", "1e", "1/2e3", "٣", "-٣", "3/٣", "٣/0", "²", "1²", "3/²", "½",
+    "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1), "-" + "9" * MAX_DIGITS,
+    "-" + "9" * (MAX_DIGITS + 1), "1/" + "7" * MAX_DIGITS, "1/" + "7" * (MAX_DIGITS + 1),
+    "0" * (MAX_DIGITS + 1) + "/1", "1/" + "0" * (MAX_DIGITS + 1),
+    f"1e{MAX_DIGITS - 1}", f"1e{MAX_DIGITS}", 5, None,
+]
+
+
+@pytest.mark.parametrize("text", BEHAVIOUR_CASES,
+                         ids=[repr(t)[:24] for t in BEHAVIOUR_CASES])
+@pytest.mark.parametrize("lifted", [False, True], ids=["int-limit", "no-int-limit"])
+def test_parse_rational_behaves_as_before(text, lifted):
+    with unlimited_int_strings() if lifted else contextlib.nullcontext():
+        assert parse_result(parse_rational, text) == parse_result(earlier_parse_rational, text)
+
+
+def test_parse_rational_reads_non_ascii_digits_as_fraction_does():
+    # "٣" is a decimal digit, which Fraction's parser reads; "²" is a digit
+    # to str.isdigit, but int() and Fraction reject it
+    assert parse_rational("٣") == Fraction(3)
+    assert "²".isdigit()
+    with pytest.raises(ValueError):
+        parse_rational("²")
+    with pytest.raises(ValueError):
+        parse_rational("-²/3")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(rational_soup, rational_like(), rationals_at_the_digit_limit()))
+def test_parse_rational_gives_the_earlier_values_and_messages(text):
+    with unlimited_int_strings():
+        assert parse_result(parse_rational, text) == parse_result(earlier_parse_rational, text)
