@@ -12,12 +12,12 @@ from polyode.applications import (
     CoulombProblem,
     coulomb_alpha,
     coulomb_constraint,
-    coulomb_constraint_for_k,
+    coulomb_constraint_in_k,
     coulomb_energy,
     coulomb_equation,
 )
 from polyode.criteria import build_criterion_matrix, construct_solution
-from polyode.exactalg import UPoly, parse_rational
+from polyode.exactalg import parse_rational
 from polyode.solve import analyze_roots
 
 
@@ -42,9 +42,8 @@ def main() -> None:
 
     print("symbolic constraints in t = alpha*beta (coefficients in k):")
     for n in range(1, args.max_n + 1):
-        constraint = coulomb_constraint_for_k(UPoly([0, 1]), n)
         terms = ", ".join(
-            f"t^{i}: {c.format(var='k')}" for i, c in enumerate(constraint.coeffs)
+            f"t^{i}: {c.format(var='k')}" for i, c in enumerate(coulomb_constraint_in_k(n))
         )
         print(f"  n={n}: {terms}")
 

@@ -21,6 +21,7 @@ from .applications import (
     coulomb_alpha,
     coulomb_constraint,
     coulomb_constraint_for_k,
+    coulomb_constraint_in_k,
     coulomb_energy,
     coulomb_equation,
     coulomb_spec,
@@ -56,7 +57,6 @@ from .exactalg import (
     NotDivisibleError,
     UPoly,
     as_rational,
-    banded_determinant,
     banded_minors,
     bareiss_determinant,
     poly_gcd,

@@ -28,20 +28,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Union
+from functools import reduce
+from typing import Callable, Union
 
 from .criteria import (
     EquationSpec,
     ScalarLike,
-    _recurrence_row,
     as_scalar,
     build_criterion_matrix,
     degree_condition,
     delta_determinant,
     verify_solution,
 )
-from .exactalg import UPoly, banded_determinant, poly_gcd
+from .exactalg import UPoly, poly_gcd
 
 
 class BadDegreeError(ValueError):
@@ -155,37 +154,25 @@ def coulomb_spec(p: CoulombProblem, n: int) -> EquationSpec:
     return coulomb_equation(p, n).substitute(p.beta)
 
 
-def coulomb_constraint_for_k(k: Union[Fraction, int, UPoly], n: int) -> UPoly:
-    """Constraint polynomial in t = alpha beta for a given k.
-
-    k may be a rational number or a polynomial (pass UPoly([0, 1]) to carry
-    k symbolically; coefficients of the result are then polynomials in k).
-    With s = r/beta the Coulomb equation loses Z and beta:
+def _coulomb_equation_in_t(k: Fraction, n: int) -> EquationSpec:
+    """With s = r/beta the Coulomb equation loses Z and beta:
         s(s+1) f'' + (-2t s^2 + 2(k+1-t) s + 2(k+1)) f' + (2nt s - 2t(k+1)) f = 0,
-    and the constraint is the determinant of its criterion band.  For a
-    rational k that is ``delta_determinant`` of the equation in t; for a
-    symbolic k the recurrence rows have entries in t over Q[k].  That
-    determinant always carries the inadmissible root t = 0 and a
-    k-dependent constant factor; both are stripped so the result is the
-    primitive constraint polynomial.
-    """
+    an equation in the unknown t = alpha beta."""
+    k1 = 2 * (k + 1)
+    return EquationSpec(a3=(0, 1, 1, 0), a2=((0, -2), (k1, -2), (k1, 0)),
+                        tau=((0, -2 * n), (0, k1)))
+
+
+def coulomb_constraint_for_k(k: Union[Fraction, int], n: int) -> UPoly:
+    """Constraint polynomial in t = alpha beta for a rational k: the
+    determinant of the criterion band of the equation in t (see
+    ``_coulomb_equation_in_t``), by ``delta_determinant``, made primitive.
+    That determinant always carries the inadmissible root t = 0 and a
+    constant factor; both are stripped."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if isinstance(k, UPoly) and k.is_constant:
-        k = k.constant_value()
-    if not isinstance(k, UPoly):
-        k1 = 2 * (Fraction(k) + 1)
-        eq = EquationSpec(a3=(0, 1, 1, 0), a2=((0, -2), (k1, -2), (k1, 0)),
-                          tau=((0, -2 * n), (0, k1)))
-        return _reduce_constraint(delta_determinant(eq, n))
-    const = UPoly.constant
-    k1 = 2 * (k + const(1))
-    # the nine coefficients a30..a33, a20..a22, t10, t11 are c + s t
-    constant = (*map(const, (0, 1, 1, 0, 0)), k1, k1, const(0), const(0))
-    slope = (*map(const, (0, 0, 0, 0, -2, -2, 0, -2 * n)), k1)
-    coefficients = tuple(map(UPoly, zip(constant, slope)))
-    rows = [_recurrence_row(coefficients, j) for j in range(n + 1)]
-    return _reduce_constraint(banded_determinant(rows))
+    det = delta_determinant(_coulomb_equation_in_t(Fraction(k), n), n)
+    return _reduce_constraint(det)
 
 
 def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:
@@ -194,32 +181,64 @@ def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:
     return coulomb_constraint_for_k(p.k, n)
 
 
-def _reduce_constraint(det) -> UPoly:
-    """The primitive constraint polynomial from a Coulomb band determinant,
-    a UPoly in t over Q, or over Q[k] for a symbolic k: the factor t^j and
-    the content (in k too, for a symbolic k) are stripped, and the leading
+def _reduce_constraint(det: UPoly) -> UPoly:
+    """The primitive constraint polynomial from a Coulomb band determinant
+    in t: the factor t^j and the content are stripped, and the leading
     coefficient is made positive."""
-    coeffs = list(det.coeffs)
-    low = 0
-    while low < len(coeffs) and not coeffs[low]:
-        low += 1
-    coeffs = coeffs[low:]
-    if not coeffs:
-        return UPoly()
-    if not isinstance(coeffs[0], UPoly):
-        return UPoly(coeffs).primitive_part()
-    content = None
-    for c in coeffs:
-        content = c if content is None else poly_gcd(content, c)
-    if content and not content.is_constant:
-        coeffs = [c / content for c in coeffs]
-    inner = [f for c in coeffs for f in c.coeffs]
-    scale = Fraction(
-        lcm(*(f.denominator for f in inner)), gcd(*(f.numerator for f in inner))
-    )
-    if coeffs[-1].coeffs[-1] < 0:
+    coeffs = det.coeffs
+    low = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+    return UPoly(coeffs[low:]).primitive_part()
+
+
+def coulomb_constraint_in_k(n: int) -> tuple[UPoly, ...]:
+    """The Coulomb constraint with k symbolic: the coefficients of t^0,
+    t^1, ... of ``coulomb_constraint_for_k``, each a UPoly in k.
+
+    The band determinant is interpolated in k (``_determinant_in_k``) and
+    reduced once: the factor t^j and the gcd in k of the coefficients are
+    stripped, the rationals of what is left made coprime integers, and the
+    top coefficient in k of the top power of t made positive.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    det = _determinant_in_k(lambda k: _coulomb_equation_in_t(k, n), n)
+    det = det[next(i for i, c in enumerate(det) if c):]  # t divides it
+    common = reduce(poly_gcd, det)
+    det = [c / common for c in det]
+    # the content of all the rationals left, as one list
+    scale = UPoly([f for c in det for f in c.coeffs]).content()
+    if det[-1].leading < 0:
         scale = -scale
-    return UPoly([c * scale for c in coeffs])
+    return tuple(c / scale for c in det)
+
+
+def _determinant_in_k(equation_at: Callable[[Fraction], EquationSpec],
+                      n: int) -> tuple[UPoly, ...]:
+    """The degree-n band determinant of an equation in t whose nine
+    coefficients are affine in a second unknown k (``equation_at(k)``
+    gives it at a rational k), as the coefficients of t^0..t^(n+1), each a
+    UPoly in k.  Every band entry is affine in k and in t, so the
+    determinant has degree at most n+1 in each: it is evaluated at
+    k = 0..n+1 by ``delta_determinant``, and each t-coefficient is
+    interpolated over those points by Newton divided differences."""
+    samples = [delta_determinant(equation_at(Fraction(k)), n).coeffs
+               for k in range(n + 2)]
+    return tuple(_interpolate([s[i] if i < len(s) else 0 for s in samples])
+                 for i in range(n + 2))
+
+
+def _interpolate(values) -> UPoly:
+    """The polynomial of degree below len(values) that takes values[k] at
+    k = 0, 1, ...: Newton divided differences, then the Newton form
+    expanded by Horner's rule."""
+    diffs = list(values)
+    for j in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, j - 1, -1):
+            diffs[i] = Fraction(diffs[i] - diffs[i - 1], j)
+    poly = UPoly()
+    for k in range(len(diffs) - 1, -1, -1):
+        poly = poly * UPoly([-k, 1]) + UPoly([diffs[k]])
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 # shared report pieces
 
 def _solution_dict(sol: PolySolution) -> dict:
+    coefficients = [str(c) for c in sol.coefficients]
     return {
-        "coefficients": [str(c) for c in sol.coefficients],
+        "coefficients": coefficients,
         "degree": sol.reported_degree,
         "verified": sol.residual_is_zero,
-        "polynomial": format_polynomial(sol.coefficients),
+        "polynomial": format_polynomial(coefficients),
     }
 
 

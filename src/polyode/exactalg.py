@@ -7,11 +7,11 @@ the denominator is 1), which is also the serialization format.
 
 ``UPoly`` is a dense univariate polynomial given by its coefficient tuple in
 ascending power order.  The zero polynomial is canonically the empty tuple,
-so again structural equality is mathematical equality.  Coefficients are
-normally ``Fraction``; they may instead be ``UPoly`` themselves, giving
-polynomials over a polynomial coefficient ring (used when a determinant has
-to carry a second symbolic parameter).  Every operation is a pure function
-of immutable values, so all types here are safe to share between threads.
+so again structural equality is mathematical equality.  Every coefficient
+is a ``Fraction``: a determinant in a second unknown is a tuple of
+``UPoly``s, one per power of the first, never a polynomial over
+polynomials.  Every operation is a pure function of immutable values, so
+all types here are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Iterable, Sequence, Union
 NEG_INFINITY = float("-inf")
 
 Scalar = Union[int, Fraction]
-Coefficient = Union[Fraction, "UPoly"]
 
 
 #: Most digits a parsed numerator or denominator may have: Python converts
@@ -81,8 +80,8 @@ def as_rational(value) -> Fraction:
     return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
-def _coerce(value) -> Coefficient:
-    if isinstance(value, (Fraction, UPoly)):
+def _coerce(value) -> Fraction:
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -128,7 +127,7 @@ class UPoly:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
 
     @property
-    def leading(self) -> Coefficient:
+    def leading(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -142,11 +141,6 @@ class UPoly:
         if len(self.coeffs) > 1:
             raise ValueError(f"{self!r} is not constant")
         return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def coefficient(self, power: int) -> Coefficient:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -199,19 +193,17 @@ class UPoly:
         return result
 
     def __divmod__(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
-        """Polynomial long division.  Coefficient divisions must be exact
-        (always true over the rationals)."""
+        """Polynomial long division over the rationals."""
         if not isinstance(other, UPoly):
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         if not self:
             return UPoly(), UPoly()
-        zero = self.coeffs[-1] * 0
         rem = list(self.coeffs)
         d = len(other.coeffs) - 1
         lead = other.coeffs[-1]
-        quo = [zero] * max(0, len(rem) - d)
+        quo = [Fraction(0)] * max(0, len(rem) - d)
         while True:
             while rem and not rem[-1]:
                 rem.pop()
@@ -258,10 +250,8 @@ class UPoly:
     # -- normal forms --------------------------------------------------------
 
     def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients.
-
-        Only defined for Fraction coefficients and nonzero polynomials.
-        """
+        """Positive rational c such that self/c has coprime integer
+        coefficients; the zero polynomial has none (``ValueError``)."""
         if not self.coeffs:
             raise ValueError("zero polynomial has no content")
         num = gcd(*(c.numerator for c in self.coeffs))
@@ -302,38 +292,31 @@ class UPoly:
 
     def format(self, var: str = "x") -> str:
         """Human-readable rendering, highest power first."""
-        return format_polynomial(self.coeffs, var)
+        return format_polynomial(self.to_strings(), var)
 
 
-def format_polynomial(coefficients: Sequence, var: str = "x") -> str:
-    """Human-readable rendering of the polynomial with the given ascending
-    coefficients (ints, Fractions or ``UPoly``), highest power first."""
+def format_polynomial(coefficients: Sequence[str], var: str = "x") -> str:
+    """Human-readable rendering, highest power first, of the polynomial
+    whose ascending coefficients are given as the strings ``str`` writes
+    for ints and Fractions ("-3", "2/5")."""
     parts = []
-    for i in range(len(coefficients) - 1, -1, -1):
-        c = coefficients[i]
-        if not c:
+    for power in range(len(coefficients) - 1, -1, -1):
+        c = coefficients[power]
+        if c == "0":
             continue
-        if isinstance(c, UPoly):
-            body = f"({c.format(var='k')})"
-            sign = "+"
+        negative = c[0] == "-"
+        magnitude = c[1:] if negative else c
+        if power:
+            term = var if power == 1 else f"{var}^{power}"
+            if magnitude != "1":
+                term = f"{magnitude}*{term}"
         else:
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = "" if (mag == 1 and i > 0) else str(mag)
-        if i == 0:
-            term = body or "1"
-        elif i == 1:
-            term = f"{body}*{var}" if body else var
-        else:
-            term = f"{body}*{var}^{i}" if body else f"{var}^{i}"
-        parts.append((sign, term))
+            term = magnitude
+        parts += (" - " if negative else " + ", term)
     if not parts:
         return "0"
-    first_sign, first_term = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_term
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
+    parts[0] = parts[0].strip(" +")  # the leading sign: "-" or none
+    return "".join(parts)
 
 
 def poly_gcd(p: UPoly, q: UPoly) -> UPoly:
@@ -428,9 +411,3 @@ def banded_minors(bands: Sequence[Sequence], times=operator.mul) -> list:
         dets.append(det)
         up2, up = up, band
     return dets[3:]
-
-
-def banded_determinant(bands: Sequence[Sequence]):
-    """Determinant of a band matrix: its last leading minor
-    (see ``banded_minors``)."""
-    return banded_minors(bands)[-1]

@@ -2,7 +2,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyode import applications, criteria
@@ -15,6 +16,7 @@ from polyode.applications import (
     coulomb_alpha,
     coulomb_constraint,
     coulomb_constraint_for_k,
+    coulomb_constraint_in_k,
     coulomb_energy,
     coulomb_equation,
     coulomb_spec,
@@ -27,6 +29,7 @@ from polyode.applications import (
     krylov_robnik_spec,
 )
 from polyode.criteria import (
+    EquationSpec,
     build_criterion_matrix,
     construct_solution,
     degree_condition,
@@ -149,13 +152,16 @@ def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
 
 
 def test_coulomb_constraint_runs_the_closure_check(monkeypatch):
-    # a rational k builds its band with build_criterion_matrix, which checks
-    # that row n+1 closes the degree condition
+    # a rational k and a symbolic one both build their bands with
+    # build_criterion_matrix, which checks that row n+1 closes the degree
+    # condition
     original = criteria._degree_condition
     monkeypatch.setattr(criteria, "_degree_condition",
                         lambda coefficients, n: original(coefficients, n) + 1)
     with pytest.raises(ArithmeticError, match="closure"):
         coulomb_constraint_for_k(Fraction(1, 2), 3)
+    with pytest.raises(ArithmeticError, match="closure"):
+        coulomb_constraint_in_k(3)
 
 
 def test_coulomb_spec_entries_assert_internally():
@@ -237,32 +243,44 @@ COULOMB_CONSTRAINTS = {
 }
 
 
-def normalize_nested(coeffs):
-    from polyode.applications import _reduce_constraint
-
-    return _reduce_constraint(UPoly(coeffs))
-
-
 def test_coulomb_constraints_symbolic_k():
+    # each listed constraint is already primitive, so the result must equal
+    # it term by term: one UPoly in k per power of t
     for n, expected in COULOMB_CONSTRAINTS.items():
-        got = coulomb_constraint_for_k(K, n)
-        assert got == normalize_nested(expected), f"n={n}"
+        assert coulomb_constraint_in_k(n) == tuple(expected), f"n={n}"
 
 
 def continuant_constraint(k, n):
-    """The Coulomb constraint from the closed-form tridiagonal entries of
-    the unscaled equation, in t = alpha beta: diagonal
-    -(j(j+1) + 2jk) + (2(j+1) + 2k) t, and off-diagonal products
+    """The Coulomb constraint for a rational k from the closed-form
+    tridiagonal entries of the unscaled equation, in t = alpha beta:
+    diagonal -(j(j+1) + 2jk) + (2(j+1) + 2k) t, and off-diagonal products
     -2(j-n)(j+1)(j+2+2k) t, whose continuant is reduced as the library
     reduces its band determinant."""
-    symbolic = isinstance(k, UPoly)
-    const = UPoly.constant if symbolic else Fraction
-    diagonal = [UPoly([-(const(j * (j + 1)) + (2 * j) * k), const(2 * (j + 1)) + 2 * k])
+    diagonal = [UPoly([-j * (j + 1) - 2 * j * k, 2 * (j + 1) + 2 * k]) for j in range(n + 1)]
+    products = [UPoly([0, -2 * (j - n) * (j + 1) * (j + 2 + 2 * k)]) for j in range(n)]
+    return applications._reduce_constraint(tridiagonal_continuant(diagonal, products))
+
+
+K_SYM, T_SYM = sympy.symbols("k t")
+
+
+def sympy_continuant_constraint(n):
+    """The same continuant with k symbolic, computed and made primitive by
+    sympy over Z[k][t]: its content in Z[k] (the gcd in k and the integer
+    content) and the factor t^j are stripped, and the top coefficient in k
+    of the top power of t made positive.  Returned as one UPoly in k per
+    power of t."""
+    diagonal = [-(j * (j + 1) + 2 * j * K_SYM) + (2 * (j + 1) + 2 * K_SYM) * T_SYM
                 for j in range(n + 1)]
-    products = [UPoly([const(0), (-2 * (j - n) * (j + 1)) * (const(j + 2) + 2 * k)])
-                for j in range(n)]
-    return applications._reduce_constraint(
-        tridiagonal_continuant(diagonal, products))
+    products = [-2 * (j - n) * (j + 1) * (j + 2 + 2 * K_SYM) * T_SYM for j in range(n)]
+    det = sympy.Poly(tridiagonal_continuant(diagonal, products), T_SYM,
+                     domain=sympy.ZZ[K_SYM])
+    _, primitive = det.primitive()
+    coeffs = [sympy.Poly(c.as_expr(), K_SYM) for c in reversed(primitive.all_coeffs())]
+    while coeffs[0].is_zero:
+        coeffs.pop(0)
+    sign = -1 if coeffs[-1].LC() < 0 else 1
+    return tuple(UPoly(sign * int(c) for c in reversed(p.all_coeffs())) for p in coeffs)
 
 
 @pytest.mark.parametrize("k", [Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 5])
@@ -280,7 +298,50 @@ def test_coulomb_constraint_for_rational_k_matches_the_continuant_oracle(k, n):
 
 def test_coulomb_symbolic_constraint_matches_the_continuant_oracle():
     for n in range(1, 9):
-        assert coulomb_constraint_for_k(K, n) == continuant_constraint(K, n), n
+        assert coulomb_constraint_in_k(n) == sympy_continuant_constraint(n), n
+
+
+def test_symbolic_k_takes_no_polynomial():
+    # k symbolic is coulomb_constraint_in_k; the rational path reads a number
+    with pytest.raises(TypeError):
+        coulomb_constraint_for_k(K, 2)
+
+
+affine_parts = st.tuples(*(st.integers(-3, 3) for _ in range(4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4), st.lists(affine_parts, min_size=9, max_size=9))
+def test_determinant_in_k_matches_sympy_on_a_random_bilinear_equation(n, parts):
+    """Nine coefficients c0 + c1 k + c2 t + c3 k t, so every band entry is
+    affine in k and in t.  The determinant interpolated in k over the
+    packed band in t equals sympy's determinant of the matrix whose entry
+    (i, j) is minus the x^i coefficient of the equation applied to y = x^j,
+    built over Q[k, t] without the A..D formulas."""
+    def equation_at(k):
+        pairs = [(c0 + c1 * k, c2 + c3 * k) for c0, c1, c2, c3 in parts]
+        return EquationSpec(a3=pairs[:4], a2=pairs[4:7], tau=pairs[7:])
+
+    # the equation must keep a first- or second-order part at every sample
+    assume(all(any(c0 + c1 * k or c2 + c3 * k for c0, c1, c2, c3 in parts[:7])
+               for k in range(n + 2)))
+    x = sympy.Symbol("x")
+    a30, a31, a32, a33, a20, a21, a22, t10, t11 = (
+        c0 + c1 * K_SYM + c2 * T_SYM + c3 * K_SYM * T_SYM for c0, c1, c2, c3 in parts)
+    matrix = sympy.zeros(n + 1, n + 1)
+    for j in range(n + 1):
+        y = x ** j
+        residual = sympy.expand(
+            (a30 * x**3 + a31 * x**2 + a32 * x + a33) * sympy.diff(y, x, 2)
+            + (a20 * x**2 + a21 * x + a22) * sympy.diff(y, x)
+            - (t10 * x + t11) * y)
+        for i in range(n + 1):
+            matrix[i, j] = -residual.coeff(x, i)
+    det = applications._determinant_in_k(equation_at, n)
+    assert len(det) == n + 2
+    ours = sum(sympy.Rational(c.numerator, c.denominator) * K_SYM ** i * T_SYM ** power
+               for power, poly in enumerate(det) for i, c in enumerate(poly.coeffs))
+    assert sympy.expand(ours - matrix.det(method="berkowitz")) == 0
 
 
 def test_coulomb_constraint_numeric_k():

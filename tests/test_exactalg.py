@@ -13,8 +13,9 @@ from polyode.exactalg import (
     NEG_INFINITY,
     NotDivisibleError,
     UPoly,
-    banded_determinant,
+    banded_minors,
     bareiss_determinant,
+    format_polynomial,
     parse_rational,
     poly_gcd,
     squarefree_part,
@@ -259,7 +260,7 @@ def test_banded_determinant_matches_bareiss():
         for k in range(n):
             for j in range(max(0, k - 1), min(n, k + 3)):
                 rows[k][j] = UPoly([rng.randint(-4, 4), rng.randint(-2, 2)])
-        assert banded_determinant(bands_of(rows)) == bareiss_determinant(rows)
+        assert banded_minors(bands_of(rows))[-1] == bareiss_determinant(rows)
 
 
 def test_tridiagonal_continuant_matches_bareiss():
@@ -373,6 +374,41 @@ def test_format():
     assert UPoly([1, 3, 3]).format(var="t") == "3*t^2 + 3*t + 1"
     assert UPoly([-4, 0, 1]).format() == "x^2 - 4"
     assert UPoly().format() == "0"
+
+
+def rendered(coefficients, var):
+    """Independent rendering from the values themselves, highest power
+    first: a unit magnitude is dropped before a power of ``var``."""
+    terms = []
+    for i in reversed(range(len(coefficients))):
+        c = coefficients[i]
+        if c:
+            power = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            magnitude = "" if abs(c) == 1 and power else str(abs(c))
+            terms.append(("-" if c < 0 else "+", "*".join(filter(None, (magnitude, power)))))
+    if not terms:
+        return "0"
+    (sign, first), *rest = terms
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(small_fractions, st.integers(-3, 3),
+                          st.integers(-10**30, 10**30)), max_size=7),
+       st.sampled_from(["x", "t", "k"]))
+def test_format_reads_the_strings_str_writes(coefficients, var):
+    # the coefficient strings are all format_polynomial reads, zeros and
+    # trailing zeros included (a solution vector may end in zeros)
+    text = format_polynomial([str(c) for c in coefficients], var)
+    assert text == rendered(coefficients, var)
+    assert UPoly(coefficients).format(var) == text
+
+
+def test_a_polynomial_coefficient_is_rejected():
+    # every coefficient is a rational: a polynomial over polynomials is not
+    # representable
+    with pytest.raises(TypeError, match="UPoly"):
+        UPoly([UPoly([1])])
 
 
 # ---------------------------------------------------------------------------

@@ -34,3 +34,17 @@ def test_davidson_families_prints_its_table():
     proc = run_script("davidson_families.py", "--mu", "1/2", "--max-nodes", "1")
     assert proc.returncode == 0
     assert "nodes=1 degree=2 eps=8 aim_index=2: x^2 - 2" in proc.stdout
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["--max-n", "5"], "coulomb_conditions-max-n-5.txt"),
+    (["--d", "2", "--l", "1", "--Z", "3"], "coulomb_conditions-d-2-l-1-Z-3.txt"),
+    (["--d", "5", "--Z", "2", "--max-n", "6"], "coulomb_conditions-d-5-Z-2-max-n-6.txt"),
+])
+def test_coulomb_conditions_prints_its_table(args, expected):
+    # the symbolic table (one polynomial in k per power of t), the numeric
+    # constraints, their roots and the verified solutions, byte for byte
+    proc = run_script("coulomb_conditions.py", *args)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(ROOT, "tests", "script_output", expected), encoding="utf-8") as handle:
+        assert proc.stdout == handle.read()
