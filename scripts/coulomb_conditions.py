@@ -16,21 +16,14 @@ from polyode.applications import (
     coulomb_energy,
     coulomb_equation,
 )
+from polyode.cli import fraction
 from polyode.criteria import build_criterion_matrix, construct_solution
-from polyode.exactalg import parse_rational
 from polyode.solve import analyze_roots
-
-
-def rational(text: str):
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--Z", type=rational, default="1")
+    parser.add_argument("--Z", type=fraction, default="1")
     parser.add_argument("--d", type=int, default=3)
     parser.add_argument("--l", type=int, default=0)
     parser.add_argument("--max-n", type=int, default=4)

@@ -7,20 +7,13 @@ from fractions import Fraction
 
 from polyode.aim import aim_test_polynomial, default_iteration_cap
 from polyode.applications import davidson_eigenvalue, davidson_spec
+from polyode.cli import fraction
 from polyode.criteria import build_criterion_matrix, construct_solution
-from polyode.exactalg import parse_rational
-
-
-def rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mu", type=rational, nargs="*",
+    parser.add_argument("--mu", type=fraction, nargs="*",
                         default=[Fraction(0), Fraction(1, 2), Fraction(1)])
     parser.add_argument("--max-nodes", type=int, default=3)
     args = parser.parse_args()

@@ -40,7 +40,7 @@ from .criteria import (
     delta_determinant,
     verify_solution,
 )
-from .exactalg import UPoly, poly_gcd
+from .exactalg import UPoly, as_rational, poly_gcd
 
 
 class BadDegreeError(ValueError):
@@ -87,8 +87,8 @@ class CoulombProblem:
     l: int
 
     def __post_init__(self):
-        object.__setattr__(self, "Z", Fraction(self.Z))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "Z", as_rational(self.Z))
+        object.__setattr__(self, "beta", as_rational(self.beta))
         if self.Z <= 0:
             raise ValueError("charge Z must be positive")
         if self.beta <= 0:
@@ -171,7 +171,7 @@ def coulomb_constraint_for_k(k: Union[Fraction, int], n: int) -> UPoly:
     constant factor; both are stripped."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    det = delta_determinant(_coulomb_equation_in_t(Fraction(k), n), n)
+    det = delta_determinant(_coulomb_equation_in_t(as_rational(k), n), n)
     return _reduce_constraint(det)
 
 
@@ -261,7 +261,7 @@ def krylov_robnik_equation(alpha: ScalarLike, n: int) -> EquationSpec:
     unknown gamma; its beta is -t10."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    alpha_f = Fraction(alpha)
+    alpha_f = as_rational(alpha)
     beta = -Fraction(n * n) - (alpha_f - 1) * n
     return replace(krylov_robnik_spec(alpha_f, beta, UPoly.x()), unknown="gamma")
 
@@ -334,7 +334,7 @@ def hyper_build(m: int, n: int, l: int, a, b) -> HyperSolution:
     """
     if m < 1 or n < 0 or l < 2:
         raise ValueError("need m >= 1, n >= 0, l >= 2")
-    a, b = Fraction(a), Fraction(b)
+    a, b = as_rational(a), as_rational(b)
     if not b or m + n == 0:
         raise DegenerateParametersError("b must be nonzero and m + n positive")
     if l > 2 and n % (l - 1):
@@ -357,7 +357,7 @@ def hyper_equation_spec(m: int, n: int, l: int, a, b) -> EquationSpec:
     coefficient template."""
     if l != 2:
         raise ValueError("only l = 2 maps onto the generic equation form")
-    a, b = Fraction(a), Fraction(b)
+    a, b = as_rational(a), as_rational(b)
     s = m + n
     return EquationSpec(
         a3=(a, b * s, 0, 0),

@@ -49,9 +49,10 @@ from .criteria import (
     degree_condition_effective,
     delta_determinant,
     embed_classical,
+    scalar_from_json,
     verify_solution,
 )
-from .exactalg import UPoly, format_polynomial, parse_rational
+from .exactalg import format_polynomial, parse_rational
 from .solve import analyze_roots
 
 
@@ -83,7 +84,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fraction(text: str) -> Fraction:
+def fraction(text: str) -> Fraction:
+    """The option type of an exact rational: every form ``parse_rational``
+    reads."""
     try:
         return parse_rational(text)
     except ValueError as exc:
@@ -130,15 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kind, default in options:
             p.add_argument(flag, type=kind, default=default)
 
-    study("davidson", _demo_davidson, ("--mu", _fraction, Fraction(0)),
-          ("--eps", _fraction, None))
-    study("coulomb", _demo_coulomb, ("--Z", _fraction, Fraction(1)), ("--d", int, 3),
+    study("davidson", _demo_davidson, ("--mu", fraction, Fraction(0)),
+          ("--eps", fraction, None))
+    study("coulomb", _demo_coulomb, ("--Z", fraction, Fraction(1)), ("--d", int, 3),
           ("--l", int, 0))
-    study("krylov", _demo_krylov, ("--alpha", _fraction, Fraction(1)))
-    study("chhajlany", _demo_chhajlany, ("--p", _fraction, Fraction(1)))
+    study("krylov", _demo_krylov, ("--alpha", fraction, Fraction(1)))
+    study("chhajlany", _demo_chhajlany, ("--p", fraction, Fraction(1)))
     study("hyper", _demo_hyper, ("--m", int, 1), ("--l", int, 2),
-          ("--a", _fraction, Fraction(1)), ("--b", _fraction, Fraction(1)))
-    study("bessel", _demo_bessel, ("--tau00", _fraction, None))
+          ("--a", fraction, Fraction(1)), ("--b", fraction, Fraction(1)))
+    study("bessel", _demo_bessel, ("--tau00", fraction, None))
 
     p_heun = command(sub, "heun", cmd_heun,
                      help="Heun-family polynomial conditions")
@@ -329,12 +332,12 @@ def analyze_constraints(eq: EquationSpec, n: int) -> dict:
 # input plumbing
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -354,6 +357,8 @@ def _json_object(text: str, what: str) -> dict:
         ) from exc
     except ValueError as exc:  # an integer literal that parse_rational rejects
         raise CliError(f"{what}: {exc}") from exc
+    except RecursionError as exc:
+        raise CliError(f"{what} nests too deeply") from exc
     if not isinstance(data, dict):
         raise CliError(f"{what} must be a JSON object")
     return data
@@ -366,34 +371,14 @@ def _parse_equation(text: str) -> EquationSpec:
         raise CliError(str(exc)) from exc
 
 
-def _rational_from_json(value, where: str) -> Fraction:
-    if isinstance(value, (bool, float)):
-        raise CliError(
-            f"{where}: use exact strings like \"1/2\", not floats"
-        )
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise CliError(f"{where}: {exc}") from exc
-    raise CliError(f"{where}: bad scalar {value!r}")
-
-
-def _scalar_from_json(value, where: str):
-    """A ``--params`` scalar: a rational (an int or an exact string), or the
-    coefficients c0 + c1 t of the unknown, as a list or as {"t": list}."""
-    if isinstance(value, dict) and list(value) == ["t"] and isinstance(value["t"], list):
-        value = value["t"]
-    if isinstance(value, list):
-        return UPoly([_rational_from_json(v, where) for v in value])
-    return _rational_from_json(value, where)
-
-
 def _params_dict(args) -> dict:
-    data = _json_object(args.params, "--params")
-    return {k: _scalar_from_json(v, f"params[{k!r}]") for k, v in data.items()}
+    params = {}
+    for name, value in _json_object(args.params, "--params").items():
+        try:
+            params[name] = scalar_from_json(value, "t")
+        except ValueError as exc:
+            raise CliError(f"params[{name!r}]: {exc}") from exc
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ cubic-coefficient form so the two routes can be cross-checked.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
@@ -74,21 +75,47 @@ def as_scalar(value: ScalarLike) -> UPoly:
     """Coerce an equation coefficient to a degree <= 1 polynomial in t.
 
     Accepts a rational (int, Fraction, or "p/q" string), a pair (c0, c1)
-    meaning c0 + c1*t, or a UPoly of degree <= 1.
+    meaning c0 + c1*t, or a UPoly of degree <= 1.  ``UPoly`` reads each
+    rational with ``as_rational``, so a float or a bool raises TypeError.
     """
     if isinstance(value, UPoly):
         scalar = value
     elif isinstance(value, (int, Fraction, str)):
-        scalar = UPoly.constant(as_rational(value))
+        scalar = UPoly((value,))
     elif isinstance(value, Sequence):
         if len(value) > 2:
-            raise ValueError(f"scalar must have degree <= 1, got {value!r}")
-        scalar = UPoly(as_rational(v) for v in value)
+            raise ValueError(f"scalar must have degree <= 1, got {reprlib.repr(value)}")
+        scalar = UPoly(value)
     else:
-        raise TypeError(f"cannot coerce {value!r} to an equation scalar")
+        raise TypeError(f"cannot coerce {reprlib.repr(value)} to an equation scalar")
     if len(scalar.coeffs) > 2:
         raise ValueError(f"scalar must have degree <= 1 in t, got {scalar!r}")
     return scalar
+
+
+def scalar_from_json(value, unknown: str | None) -> UPoly:
+    """The equation scalar that a decoded JSON value spells: equation files
+    and ``--params`` both read theirs here.  It is an integer literal, an
+    exact rational string, or c0 + c1 u given as a list [c0, c1] or as
+    {u: [c0, c1]}, where u is ``unknown`` and each entry an integer or a
+    string.  Any other shape, and a list or an object when no unknown is
+    declared (``unknown`` None), raises ValueError."""
+    if isinstance(value, str):  # the common case, read first
+        return UPoly((parse_rational(value),))
+    if isinstance(value, (dict, list)):
+        if unknown is None:
+            raise ValueError('a list or object scalar needs a declared "unknown", '
+                             f"got {reprlib.repr(value)}")
+        if isinstance(value, dict):
+            if list(value) != [unknown] or not isinstance(value[unknown], list):
+                raise ValueError(
+                    f'expected {{"{unknown}": [c0, c1]}}, got {reprlib.repr(value)}')
+            value = value[unknown]
+    try:
+        return as_scalar(value)
+    except TypeError:
+        raise ValueError('use integers or exact strings like "1/2", '
+                         f"not {reprlib.repr(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -177,35 +204,25 @@ class EquationSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EquationSpec":
-        """Decode the wire format; every malformed input raises ValueError."""
+        """Decode the wire format, each scalar by ``scalar_from_json``; every
+        malformed input raises ValueError, which names where it is."""
         unknown = data.get("unknown")
-
-        def decode(s) -> UPoly:
-            if isinstance(s, str):
-                return UPoly((parse_rational(s),))
-            if isinstance(s, dict):
-                if len(s) != 1:
-                    raise ValueError(f"bad scalar {s!r}")
-                (name, coeffs), = s.items()
-                if unknown is None:
-                    raise ValueError(
-                        f"parameter {name!r} present but no unknown declared"
-                    )
-                if name != unknown:
-                    raise ValueError(
-                        f"parameter {name!r} does not match declared unknown {unknown!r}"
-                    )
-                if not isinstance(coeffs, list):
-                    raise ValueError(f"bad scalar {s!r}")
-                return UPoly(parse_rational(c) for c in coeffs)
-            raise ValueError(f"bad scalar {s!r}")
+        if unknown is not None and not (isinstance(unknown, str) and unknown):
+            raise ValueError("field 'unknown' must be a nonempty string, "
+                             f"got {reprlib.repr(unknown)}")
 
         def scalars(name: str) -> list[UPoly]:
             if name not in data:
                 raise ValueError(f"missing field {name!r}")
             if not isinstance(data[name], list):
                 raise ValueError(f"field {name!r} must be a list of scalars")
-            return [decode(s) for s in data[name]]
+            out = []
+            for i, value in enumerate(data[name]):
+                try:
+                    out.append(scalar_from_json(value, unknown))
+                except ValueError as exc:
+                    raise ValueError(f"{name}[{i}]: {exc}") from exc
+            return out
 
         return cls(a3=scalars("a3"), a2=scalars("a2"), tau=scalars("tau"),
                    unknown=unknown or "t")

@@ -17,6 +17,7 @@ all types here are safe to share between threads.
 from __future__ import annotations
 
 import operator
+import reprlib
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -75,19 +76,17 @@ def parse_rational(text) -> Fraction:
 
 
 def as_rational(value) -> Fraction:
-    """``Fraction(value)``, except that a string is read by ``parse_rational``
-    and so keeps its digit bound."""
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
-
-
-def _coerce(value) -> Fraction:
+    """The exact rational ``value`` stands for: a ``Fraction``, an int, or a
+    string read by ``parse_rational`` (so its digits are bounded).  A float
+    or a bool is not an exact input, and it raises TypeError like any other
+    type."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"unsupported coefficient type: {type(value).__name__}")
+    raise TypeError(f"not an exact rational: {reprlib.repr(value)}")
 
 
 class UPoly:
@@ -96,7 +95,7 @@ class UPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients: Iterable = ()) -> None:
-        cs = [_coerce(c) for c in coefficients]
+        cs = [as_rational(c) for c in coefficients]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 # squarefree_part is no longer called here; it stays bound so that
 # perfbench/tracing.py can count any call to it through this module
-from .exactalg import UPoly, squarefree_part  # noqa: F401
+from .exactalg import UPoly, as_rational, squarefree_part  # noqa: F401
 
 IntPoly = tuple[int, ...]
 #: a cell (a, b, den) of the real line: the interval (a/den, b/den]
@@ -504,7 +504,7 @@ def refine_root(p: UPoly, interval: tuple[Fraction, Fraction]) -> Optional[float
     ``_count(chain, None, lo)`` roots up to lo.
     """
     chain = _squarefree_sequence(_remainder_sequence(p))
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    lo, hi = as_rational(interval[0]), as_rational(interval[1])
     if _count(chain, lo, hi) != 1:
         raise NotIsolatingError(f"interval ({lo}, {hi}] does not isolate one root")
     return _refine(chain, *_isolate(chain)[_count(chain, None, lo)])[0]

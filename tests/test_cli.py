@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 import time
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyode import cli
 from polyode.aim import aim_test_polynomial, default_iteration_cap
 from polyode.cli import MAX_DEGREE, build_parser, main
 from polyode.criteria import (
@@ -23,7 +25,8 @@ from polyode.criteria import (
     rational_nullspace,
     verify_solution,
 )
-from polyode.exactalg import MAX_DIGITS, bareiss_determinant
+from polyode.exactalg import MAX_DIGITS, UPoly, bareiss_determinant
+from polyode.heun import biconfluent_to_spec
 
 from bandforms import entries, primitive_vector
 
@@ -287,7 +290,6 @@ def test_demo_coulomb_without_a_rational_shift_builds_no_band(monkeypatch, capsy
 
 def test_every_parametric_report_builds_its_solutions_in_one_step(
         monkeypatch, eq_file, capsys):
-    from polyode import cli
     calls = []
 
     def recording(eq, n, values, notes):
@@ -952,26 +954,95 @@ def test_the_ceiling_itself_is_accepted(flag, eq_file, capsys):
                           "tau": ["0", "6"]})),
     ("constraints", json.dumps({"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"],
                                 "tau": ["0", {"t": "12"}], "unknown": "t"})),
+    pytest.param("check", json.dumps({"a3": ["0", 6.0, "0", "0"], "a2": ["0", "2", "2"],
+                                      "tau": ["0", "6"]}), id="check-float"),
+    pytest.param("constraints", json.dumps({"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"],
+                                            "tau": ["0", {"": ["0", "1"]}], "unknown": ""}),
+                 id="constraints-empty-unknown"),
+    pytest.param("check", json.dumps({"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"],
+                                      "tau": ["0", "6"], "unknown": 7}), id="check-unknown-7"),
 ])
 def test_malformed_equation_shapes_are_input_errors(command, text, eq_file, capsys):
     code, report, err = run(capsys, command, eq_file(text), "--n", "1")
     assert code == 1
     assert report is None
-    assert "polyode: error:" in err
+    assert "polyode: error:" in err and "Traceback" not in err
 
 
-def test_params_scalar_shape_is_input_error(capsys):
-    # a --params scalar is an int, an exact string, or a list of those,
-    # bare or under the key "t"
-    for delta in ({"t": True}, {"t": "12"}, {"s": ["0", "1"]},
-                  {"t": ["0", "1"], "s": ["1"]}, [["1", "2"]], [{"t": ["1"]}],
-                  ["1", 0.5], None):
-        params = json.dumps({"alpha": "2", "beta": "4", "gamma": "4", "delta": delta})
-        code, report, err = run(capsys, "heun", "biconfluent", "--params", params,
-                                "--n", "0")
-        assert code == 1, delta
-        assert report is None
-        assert "polyode: error: params['delta']" in err, delta
+def scalar_inputs(scalar):
+    """An equation file's text holding ``scalar`` as t11, and a ``heun
+    biconfluent --params`` text holding it as delta."""
+    equation = {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"],
+                "tau": ["0", scalar], "unknown": "t"}
+    params = {"alpha": "2", "beta": "4", "gamma": "4", "delta": scalar}
+    return json.dumps(equation), json.dumps(params)
+
+
+@pytest.mark.parametrize("scalar, value", [
+    (0, UPoly()),
+    (-12, UPoly([-12])),
+    ("-3/4", UPoly([Fraction(-3, 4)])),
+    ("1.5e-3", UPoly([Fraction(3, 2000)])),
+    ([1, -2], UPoly([1, -2])),
+    (["1/2", 3], UPoly([Fraction(1, 2), 3])),
+    ({"t": ["0", "1"]}, UPoly([0, 1])),
+    ({"t": [5]}, UPoly([5])),
+])
+def test_files_and_params_read_each_scalar_form_alike(scalar, value, eq_file):
+    # one reader serves both inputs, so each form means the same in each
+    text, params = scalar_inputs(scalar)
+    from_file = cli._parse_equation(cli._read_input(eq_file(text)))
+    args = build_parser().parse_args(["heun", "biconfluent", "--params", params,
+                                      "--n", "0"])
+    from_params = cli._params_dict(args)
+    assert from_file.tau[1] == from_params["delta"] == value
+    assert biconfluent_to_spec(**from_params) == biconfluent_to_spec(
+        alpha=2, beta=4, gamma=4, delta=from_file.tau[1])
+
+
+def test_params_scalar_shape_is_input_error(eq_file, capsys):
+    # every shape that is not an integer, an exact string or [c0, c1] (bare
+    # or under the unknown's name) exits 1 from an equation file and from
+    # --params alike, and the message names where it is
+    for scalar in (0.5, 6.0, True, None, [["1", "2"]], [{"t": ["1"]}], ["1", 0.5],
+                   {"t": "12"}, {"t": True}, ["1", "2", "3"], ["1", "2", "0"],
+                   {"s": ["0", "1"]}, {"t": ["0", "1"], "s": ["1"]}, {}):
+        text, params = scalar_inputs(scalar)
+        for argv, where in (
+                (["constraints", eq_file(text), "--n", "1"], "tau[1]"),
+                (["heun", "biconfluent", "--params", params, "--n", "0"],
+                 "params['delta']")):
+            code, report, err = run(capsys, *argv)
+            assert code == 1, (scalar, argv[0])
+            assert report is None
+            assert f"polyode: error: {where}: " in err, (scalar, argv[0])
+            assert "Traceback" not in err
+
+
+DEEP = "[" * 2000 + "]" * 2000
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["check", "EQ", "--n", "1"], b"\xff\xfe"),
+    (["check", "EQ", "--n", "1"], ('{"a3": ' + DEEP + "}").encode()),
+    (["heun", "biconfluent", "--n", "0", "--params", '{"delta": ' + DEEP + "}"], None),
+], ids=["file-not-utf8", "file-deeply-nested", "params-deeply-nested"])
+def test_unreadable_or_deeply_nested_input_exits_1(argv, data, tmp_path, capsys):
+    # a file that is not UTF-8, and JSON nested past the interpreter's
+    # recursion limit, are input errors both in process and from the shell
+    path = tmp_path / "eq.json"
+    if data is not None:
+        path.write_bytes(data)
+    argv = [str(path) if a == "EQ" else a for a in argv]
+    code, report, err = run(capsys, *argv)
+    assert (code, report) == (1, None)
+    assert "polyode: error:" in err and "Traceback" not in err
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyode.cli", *argv], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(os.path.abspath(cli.__file__)))})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "polyode: error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, text", [

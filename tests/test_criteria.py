@@ -123,6 +123,8 @@ def test_json_requires_declared_unknown():
            "tau": ["0", {"t": ["0", "1"]}]}
     with pytest.raises(ValueError, match="unknown"):
         EquationSpec.from_json_dict(bad)
+    with pytest.raises(ValueError, match=r'^tau\[1\]: .*needs a declared "unknown"'):
+        EquationSpec.from_json_dict({**bad, "tau": ["0", ["0", "1"]]})
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyode import exactalg
+from polyode.criteria import as_scalar, classical_tau
 from polyode.exactalg import (
     MAX_DIGITS,
     NEG_INFINITY,
     NotDivisibleError,
     UPoly,
+    as_rational,
     banded_minors,
     bareiss_determinant,
     format_polynomial,
@@ -68,8 +70,15 @@ def test_trailing_zeros_stripped():
 def test_rational_coercion_and_float_rejection():
     p = UPoly(["1/2", 3])
     assert p.coeffs == (Fraction(1, 2), Fraction(3))
-    with pytest.raises(TypeError):
-        UPoly([0.5])
+    assert as_rational(Fraction(1, 3)) == Fraction(1, 3)
+    assert as_rational(-7) == -7 and as_rational("2/6") == Fraction(1, 3)
+    # a float or a bool is not an exact input, wherever it enters
+    for reject in (lambda: UPoly([0.5]), lambda: UPoly([True]),
+                   lambda: as_rational(0.1), lambda: as_rational(True),
+                   lambda: as_scalar((0.1, 1)), lambda: as_scalar(False),
+                   lambda: classical_tau(0.5, 1, 2)):
+        with pytest.raises(TypeError):
+            reject()
 
 
 def test_serialization_round_trip():
