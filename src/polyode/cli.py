@@ -293,11 +293,21 @@ def analyze_constraints(eq: EquationSpec, n: int) -> dict:
         "determinant": det.to_strings(),
     }
     root_report = None
+    solutions: list[dict] = []
     exists = False
     if cond == 0:
         if not det:
-            notes.append("determinant vanishes identically; every parameter value works")
-            exists = True
+            # a lower-degree solution for every value makes the determinant
+            # vanish identically too, so only a verified degree-n solution at
+            # a sample value, 0, answers yes
+            solutions = [s for s in _solutions_at(eq, n, [0], [])
+                         if s["verified"] and s["degree"] == n]
+            exists = bool(solutions)
+            notes.append(
+                f"determinant vanishes identically; {eq.unknown} = 0 gives "
+                f"{'a' if exists else 'no'} degree-{n} solution, and other values "
+                "are undecided until an elimination over Z[t] decides them"
+            )
         elif det.is_constant:
             notes.append("determinant is a nonzero constant; no parameter value works")
         else:
@@ -318,10 +328,10 @@ def analyze_constraints(eq: EquationSpec, n: int) -> dict:
     else:
         notes.append("degree condition cannot be satisfied for any parameter value")
     report["roots"] = {"intervals": [], "roots": [], "exact": [], "nonreal_count": 0}
-    report["solutions"] = []
     if root_report is not None:
         report["roots"] = root_report.to_json_dict()
-        report["solutions"] = _solutions_at(eq, n, root_report.exact_rational_roots, notes)
+        solutions = _solutions_at(eq, n, root_report.exact_rational_roots, notes)
+    report["solutions"] = solutions
     report["exists"] = exists
     report["notes"] = notes
     report["timing_seconds"] = time.monotonic() - start

@@ -89,7 +89,7 @@ def as_scalar(value: ScalarLike) -> UPoly:
     else:
         raise TypeError(f"cannot coerce {reprlib.repr(value)} to an equation scalar")
     if len(scalar.coeffs) > 2:
-        raise ValueError(f"scalar must have degree <= 1 in t, got {scalar!r}")
+        raise ValueError(f"scalar must have degree <= 1 in t, got {scalar.format(var='t')}")
     return scalar
 
 

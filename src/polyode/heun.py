@@ -43,6 +43,14 @@ class FuchsianViolationError(ValueError):
         self.residual = residual
 
 
+def _linear(product: UPoly, name: str) -> UPoly:
+    """product, checked to stay linear in the unknown; name spells it in
+    the error."""
+    if len(product.coeffs) > 2:
+        raise ValueError(f"{name} must stay linear in the unknown")
+    return product
+
+
 def confluent_to_spec(*, alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLike,
                       mu: ScalarLike, nu: ScalarLike) -> EquationSpec:
     """Degree condition for the output: mu + nu = -n alpha."""
@@ -61,10 +69,11 @@ def biconfluent_to_spec(*, alpha: ScalarLike, beta: ScalarLike, gamma: ScalarLik
     alpha, beta, gamma, delta = map(as_scalar, (alpha, beta, gamma, delta))
     two = UPoly.constant(2)
     half = UPoly.constant("1/2")
+    alpha_beta = _linear((alpha + UPoly.one()) * beta, "(alpha + 1) * beta")
     return EquationSpec(
         a3=(0, 0, 1, 0),
         a2=(-2, -beta, alpha + UPoly.one()),
-        tau=(-(gamma - alpha - two), half * (delta + (alpha + UPoly.one()) * beta)),
+        tau=(-(gamma - alpha - two), half * (delta + alpha_beta)),
     )
 
 
@@ -86,9 +95,7 @@ def general_to_spec(*, a: ScalarLike, alpha: ScalarLike, beta: ScalarLike,
         raise FuchsianViolationError(residual)
     a, alpha, beta, gamma, delta, epsilon, q = map(
         as_scalar, (a, alpha, beta, gamma, delta, epsilon, q))
-    alpha_beta = alpha * beta
-    if isinstance(alpha_beta.degree, int) and alpha_beta.degree > 1:
-        raise ValueError("alpha * beta must stay linear in the unknown")
+    alpha_beta = _linear(alpha * beta, "alpha * beta")
     return EquationSpec(
         a3=(1, -(UPoly.one() + a), a, 0),
         a2=(

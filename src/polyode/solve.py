@@ -17,16 +17,15 @@ power of two.  Refinement reports, for each root, the float nearest it,
 which the root alone fixes, so no tolerance is asked for; its number of
 sign tests grows as the logarithm of the depth of its final cell rather
 than as the depth (Abbott 2006; Kerber & Sagraloff 2011).
-Isolation and refinement evaluate only on a grid: every point is
-a / (den 2^k) with den fixed per cell (1 in isolation), so the
-coefficients are scaled once to c_i den^(d-i) and each value is Horner
-with shifts, one product per coefficient (``_grid_value``).  Cells pass
-from isolation to refinement as ints; the report's ``Fraction`` ends are
-built once.  The rational-root test takes the fraction nearest a cell's
-midpoint with denominator at most the leading coefficient from the
-continued fraction in ints (``_best_approximation``).  Complex roots are
-out of scope; their number is reported as the square-free degree minus
-the count of distinct real roots.
+Isolation and refinement evaluate only on a dyadic grid: every point is
+an int over 2^k, and each value is Horner with shifts, one product per
+coefficient (``_grid_value``).  Cells pass from isolation to refinement
+as ints (a, b, k); the report's ``Fraction`` ends are built once.  By the
+rational root theorem a rational root times the leading coefficient L of
+the primitive square-free part is an integer, so in a cell narrower than
+1/|L| one integer candidate decides whether the root is rational.
+Complex roots are out of scope; their number is reported as the
+square-free degree minus the count of distinct real roots.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from typing import Optional, Sequence
 from .exactalg import UPoly, as_rational, squarefree_part  # noqa: F401
 
 IntPoly = tuple[int, ...]
-#: a cell (a, b, den) of the real line: the interval (a/den, b/den]
+#: a cell (a, b, k) of the real line: the interval (a/2^k, b/2^k]
 Cell = tuple[int, int, int]
 
 
@@ -194,24 +193,12 @@ def _value_at(f: IntPoly, a: int, b: int) -> int:
     return acc
 
 
-def _scaled(f: IntPoly, den: int) -> IntPoly:
-    """The coefficients c_i den^(d-i) of f, which ``_grid_value`` reads for
-    the grid over den."""
-    scaled = []
-    scale = 1
-    for c in reversed(f):
-        scaled.append(c * scale)
-        scale *= den
-    return tuple(reversed(scaled))
-
-
-def _grid_value(g: IntPoly, a: int, k: int) -> int:
-    """``_value_at(f, a, den << k)`` from g = ``_scaled(f, den)``: the sum
-    of g_i a^i 2^(k(d-i)), by Horner with shifts, one product per
-    coefficient."""
+def _grid_value(f: IntPoly, a: int, k: int) -> int:
+    """``_value_at(f, a, 1 << k)``: the sum of c_i a^i 2^(k(d-i)), by
+    Horner with shifts, one product per coefficient."""
     acc = 0
     shift = 0
-    for c in reversed(g):
+    for c in reversed(f):
         acc = acc * a + (c << shift)
         shift += k
     return acc
@@ -279,9 +266,9 @@ def _root_bound_exponent(chain: Sequence[IntPoly]) -> int:
 
 
 def _isolate(chain: Sequence[IntPoly]) -> tuple[Cell, ...]:
-    """Sorted disjoint cells (a, b, den), one for each distinct real root
-    of chain[0], that root lying in (a/den, b/den], with den a power of
-    two.
+    """Sorted disjoint cells (a, b, k), one for each distinct real root
+    of chain[0], that root lying in (a/2^k, b/2^k], with k the least
+    such level.
 
     Bisection on Sturm counts from (-2^e, 2^e], with 2^e the Fujiwara bound
     of the whole chain (``_root_bound_exponent``): every root lies strictly
@@ -317,7 +304,7 @@ def _isolate(chain: Sequence[IntPoly]) -> tuple[Cell, ...]:
         if count == 1:
             # over the least power of two
             low = min(k, ((a | b) & -(a | b)).bit_length() - 1)
-            cells.append((a >> low, b >> low, 1 << (k - low)))
+            cells.append((a >> low, b >> low, k - low))
         if count < 2:
             continue
         shift = 0
@@ -342,15 +329,6 @@ def isolate_real_roots(p: UPoly) -> RootReport:
     return replace(analyze_roots(p), refined=(), exact_rational_roots=())
 
 
-def _first_level(width: int, den: int) -> int:
-    """The least k >= 0 with width < den 2^k, for positive ints, from
-    their bit lengths."""
-    k = width.bit_length() - den.bit_length()
-    if k < 0:
-        return 0
-    return k if width < den << k else k + 1
-
-
 def _nearest_float(a: int, b: int) -> Optional[float]:
     """The float nearest a/b for b > 0, ties to even, or None past the
     largest float."""
@@ -365,119 +343,84 @@ def _exact(root: Fraction) -> tuple[Optional[float], Fraction]:
     return _nearest_float(root.numerator, root.denominator), root
 
 
-def _best_approximation(n: int, d: int, limit: int) -> tuple[int, int]:
-    """(p, q), coprime with 0 < q <= limit, for the fraction nearest n/d
-    (d > 0) among those with denominators at most limit >= 1: exactly
-    ``Fraction(n, d).limit_denominator(limit)``, from the continued
-    fraction of n/d in ints, which need not be in lowest terms.
-
-    The convergents p1/q1 are taken while their denominators stay within
-    the limit; the answer is the last one or the semiconvergent
-    (p0 + s p1)/(q0 + s q1) with the largest s that the limit allows,
-    whichever is nearer n/d, the convergent on a tie.  n/d lies between
-    the two, at d'/(q1 d) from the convergent, d' the current remainder,
-    and they lie 1/(q1 q) apart, q the semiconvergent's denominator."""
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    whole = d
-    while d:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > limit:
-            s = (limit - q0) // q1
-            q = q0 + s * q1
-            if 2 * d * q <= whole:
-                return p1, q1
-            return p0 + s * p1, q
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    return p1, q1
-
-
-def _refine(chain: Sequence[IntPoly], x0: int, x1: int,
-            den: int) -> tuple[Optional[float], Optional[Fraction]]:
-    """Refine (x0/den, x1/den], a cell of ``_isolate`` that holds one root
-    of the square-free chain[0], on its bisection grid; den > 0 need not
-    be a power of two.  Neither end of such a cell is a root; an end that
-    is raises ``ArithmeticError``.
+def _refine(chain: Sequence[IntPoly], a: int, b: int,
+            k: int) -> tuple[Optional[float], Optional[Fraction]]:
+    """Refine (a/2^k, b/2^k], a cell of ``_isolate`` that holds one root of
+    the square-free chain[0], on its bisection grid.  Neither end of such a
+    cell is a root; an end that is raises ``ArithmeticError``.
 
     Returns the float nearest the root, ties to even (None when the root
     lies past the largest float), and the root when it is rational, else
     None.
 
-    A rational root of the primitive integer chain[0] has a denominator
-    dividing its leading coefficient L, and two distinct fractions with
-    denominators at most L lie at least 1/L^2 apart.  In the first cell
-    narrower than 1/(2 L^2), of level k_sep, the root is rational exactly
-    when the closest such fraction to the cell's midpoint
-    (``_best_approximation``) lies in the cell and is a root; a rational
-    root, like a tested point that is the root, reports its own nearest
-    float.  An irrational root lies strictly inside every cell that holds
-    it, so refinement goes on until both ends of the cell round to the
-    same float, which rounding, being monotone, gives the root too.
+    A rational root r of the primitive integer chain[0] has a denominator
+    dividing its leading coefficient L (the rational root theorem), so
+    |L| r is an integer.  In the first cell (lo, hi] narrower than 1/|L|,
+    of level k_test, (|L| lo, |L| hi] holds at most one integer, so the
+    only candidate is y = floor(|L| hi): the root is rational exactly when
+    y/|L| > lo and y/|L| is a root.  A rational root, like a tested point
+    that is the root, reports its own nearest float.  An irrational root lies strictly
+    inside every cell that holds it, so refinement goes on until both ends
+    of the cell round to the same float, which rounding, being monotone,
+    gives the root too.
 
-    The level-k cells are (x0 2^k + j w, x0 2^k + (j+1) w) over den 2^k,
-    with w = x1 - x0, and every value on them is ``_grid_value`` of the
-    coefficients c_i den^(d-i), scaled once.  The cell that holds the root
-    is found by quadratic interval refinement (Abbott 2006; Kerber &
+    The cell of level k' that holds the root is (x, x + w] over 2^k', with
+    w = b - a, and every value on it is ``_grid_value`` at level k'.  That
+    cell is found by quadratic interval refinement (Abbott 2006; Kerber &
     Sagraloff 2011) rather than one level at a time: the integer secant
     guess m = floor(N v_lo / (v_lo - v_hi)) from the homogenised values at
     the cell's ends picks one of its N = 2^s subcells, s = log_n levels
     down; when the subcell's ends bracket the root it is kept and N
     squares, else one bisection step follows and s halves.  A kept end
     value carries to the finer level shifted left by d s bits.  No step
-    passes level k_sep before the rational-root test has run there.
+    passes level k_test before the rational-root test has run there.
     """
     f = chain[0]
     lead = abs(f[-1])
     degree = len(f) - 1
-    width = x1 - x0
-    k_sep = _first_level(2 * lead * lead * width, den)
-    g = _scaled(f, den)
+    width = b - a
+    k_test = max(k, (lead * width).bit_length())
 
-    def value(k: int, j: int) -> int:
-        """The homogenised value at grid point j of level k."""
-        return _grid_value(g, (x0 << k) + j * width, k)
+    def hit(x: int, level: int) -> tuple[Optional[float], Fraction]:
+        """The report for a root at the grid point x over 2^level."""
+        return _exact(Fraction(x, 1 << level))
 
-    def hit(k: int, j: int) -> tuple[Optional[float], Fraction]:
-        """The report for a root at grid point j of level k."""
-        return _exact(Fraction((x0 << k) + j * width, den << k))
-
-    # cell j of level k holds the root, and v_lo, v_hi are the values at
-    # its ends; a subcell of N = 2^log_n cells is log_n levels down
-    k = j = 0
-    v_lo, v_hi = value(0, 0), value(0, 1)
+    # the cell (a, a + width] over 2^k holds the root, and v_lo, v_hi are
+    # the values at its ends; a subcell of N = 2^log_n cells is log_n
+    # levels down
+    v_lo, v_hi = _grid_value(f, a, k), _grid_value(f, b, k)
     if not v_lo or not v_hi:
-        raise ArithmeticError(f"the cell ({x0}/{den}, {x1}/{den}] ends on a root")
+        raise ArithmeticError(f"the cell ({a}/2^{k}, {b}/2^{k}] ends on a root")
     log_n = 2
     tested = False
     while True:
-        cell_lo, scale = (x0 << k) + j * width, den << k
         if tested:
-            nearest = _nearest_float(cell_lo, scale)
-            if nearest == _nearest_float(cell_lo + width, scale):
+            nearest = _nearest_float(a, 1 << k)
+            if nearest == _nearest_float(a + width, 1 << k):
                 return nearest, None
-        elif k == k_sep:
-            # the rational-root test, in the cell of level k_sep
-            a, b = _best_approximation(2 * cell_lo + width, 2 * scale, lead)
-            if cell_lo * b < a * scale <= (cell_lo + width) * b and not _value_at(f, a, b):
-                return _exact(Fraction(a, b))
+        elif k == k_test:
+            # the rational-root test, in the cell of level k_test
+            y = lead * (a + width) >> k
+            if y << k > lead * a and not _value_at(f, y, lead):
+                return _exact(Fraction(y, lead))
             tested = True
             continue
         else:
-            log_n = min(log_n, k_sep - k)
+            log_n = min(log_n, k_test - k)
         if log_n > 1:
-            fine, base, carry = k + log_n, j << log_n, degree * log_n
+            fine, carry = k + log_n, degree * log_n
             m = (v_lo << log_n) // (v_lo - v_hi)
-            v_m = value(fine, base + m) if m else v_lo << carry
+            x = (a << log_n) + m * width
+            v_m = _grid_value(f, x, fine) if m else v_lo << carry
             if not v_m:
-                return hit(fine, base + m)
+                return hit(x, fine)
             if (v_m > 0) == (v_lo > 0):
                 last = m + 1 == 1 << log_n
-                v_next = v_hi << carry if last else value(fine, base + m + 1)
+                v_next = v_hi << carry if last else _grid_value(f, x + width, fine)
                 if not v_next:
-                    return hit(fine, base + m + 1)
+                    return hit(x + width, fine)
                 if (v_next > 0) == (v_hi > 0):
-                    k, j, v_lo, v_hi = fine, base + m, v_m, v_next
+                    k, a, v_lo, v_hi = fine, x, v_m, v_next
                     log_n *= 2
                     continue
             log_n //= 2
@@ -485,12 +428,12 @@ def _refine(chain: Sequence[IntPoly], x0: int, x1: int,
             # a subcell of N = 2 is a bisection step, which always succeeds
             log_n = 2
         k += 1
-        j *= 2
-        v_mid = value(k, j + 1)
+        a *= 2
+        v_mid = _grid_value(f, a + width, k)
         if not v_mid:
-            return hit(k, j + 1)
+            return hit(a + width, k)
         if (v_mid > 0) == (v_lo > 0):
-            j += 1
+            a += width
             v_lo, v_hi = v_mid, v_hi << degree
         else:
             v_lo, v_hi = v_lo << degree, v_mid
@@ -531,7 +474,7 @@ def analyze_roots(p: UPoly) -> RootReport:
     results = [_refine(chain, *cell) for cell in cells]
     return RootReport(
         polynomial=p,
-        intervals=tuple((Fraction(a, den), Fraction(b, den)) for a, b, den in cells),
+        intervals=tuple((Fraction(a, 1 << k), Fraction(b, 1 << k)) for a, b, k in cells),
         refined=tuple(value for value, _ in results),
         exact_rational_roots=tuple(r for _, r in results if r is not None),
         nonreal_count=len(chain[0]) - 1 - len(cells),

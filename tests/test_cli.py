@@ -492,6 +492,36 @@ def test_constraints_skips_a_root_that_leaves_no_differential_part(eq_file, caps
     assert code == 0
 
 
+@pytest.mark.parametrize("equation, n, solutions", [
+    # x y'' + t y' = 0 has the solutions 1 and x^(1-t): degree 4 at t = -3
+    ({"a3": ["0", "0", "1", "0"], "a2": ["0", "0", {"t": ["0", "1"]}],
+      "tau": ["0", "0"], "unknown": "t"}, 4, []),
+    # t y'' = 0 has no degree-2 solution for any t, and none at t = 0
+    ({"a3": ["0", "0", "0", {"t": ["0", "1"]}], "a2": ["0", "0", "0"],
+      "tau": ["0", "0"], "unknown": "t"}, 2, []),
+    # x + t solves x y'' + (x + t) y' - y = 0 for every t
+    ({"a3": ["0", "1", "0", "0"], "a2": ["0", "1", {"t": ["0", "1"]}],
+      "tau": ["0", "1"], "unknown": "t"}, 1, ["x"]),
+])
+def test_a_vanishing_determinant_answers_yes_only_with_a_solution_at_zero(
+        equation, n, solutions, eq_file, capsys):
+    # the determinant vanishes for every t when a lower-degree solution
+    # exists for every t, so it certifies nothing at degree n: only a
+    # verified degree-n solution at t = 0 answers yes, and other values stay
+    # undecided
+    code, report, _ = run(capsys, "constraints", eq_file(json.dumps(equation)),
+                          "--n", str(n))
+    assert report["degree_condition"]["polynomial"] == []
+    assert report["determinant"] == []
+    assert [s["polynomial"] for s in report["solutions"]] == solutions
+    assert all(s["t"] == "0" and s["degree"] == n for s in report["solutions"])
+    assert report["exists"] is bool(solutions)
+    assert code == (0 if solutions else 2)
+    [note] = report["notes"]
+    assert note.startswith("determinant vanishes identically;")
+    assert "undecided" in note and "every parameter value works" not in note
+
+
 def test_constraints_round_trip_verification(eq_file, capsys):
     code, report, _ = run(
         capsys, "constraints", eq_file(KRYLOV_GAMMA_UNKNOWN), "--n", "1"
@@ -691,6 +721,17 @@ def test_heun_general_fuchsian_violation(capsys):
     code, _, err = run(capsys, "heun", "general", "--params", params, "--n", "1")
     assert code == 1
     assert "residual" in err
+
+
+def test_heun_biconfluent_names_a_product_that_leaves_the_linear_unknown(capsys):
+    # alpha = beta = t makes (alpha + 1) beta = t^2 + t in the y coefficient
+    params = json.dumps({"alpha": {"t": ["0", "1"]}, "beta": {"t": ["0", "1"]},
+                         "gamma": "1", "delta": "0"})
+    code, report, err = run(capsys, "heun", "biconfluent", "--params", params, "--n", "1")
+    assert code == 1
+    assert report is None
+    assert "(alpha + 1) * beta must stay linear in the unknown" in err
+    assert "UPoly(" not in err and "Fraction(" not in err
 
 
 def test_heun_rejects_float_params(capsys):

@@ -85,7 +85,7 @@ def davidson_eq(mu, eps):
 def test_spec_validation():
     with pytest.raises(ValueError):
         EquationSpec(a3=(0, 0, 0, 0), a2=(0, 0, 0), tau=(1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degree <= 1 in t, got t\^2$"):
         EquationSpec(a3=(0, 0, 0, 1), a2=(0, 0, 0), tau=(UPoly([0, 0, 1]), 0))
 
 

@@ -45,8 +45,8 @@ REPEATED_ROOT = {"a3": ["0", "1", "0", "0"], "a2": ["1", "2", "1"],
                  "tau": ["1", {"t": ["0", "1"]}], "unknown": "t"}
 # degree condition t - 15625/2^18 at n = 1, with a determinant that vanishes
 # identically: its root -2 + (2^19 + 15625) 4 / 2^20 is a grid point of
-# level 20 of its isolating interval (-2, 2], which a refinement step hits
-# before level 40, where the rational-root test would run
+# level 20 of its isolating interval (-2, 2], which the refinement step
+# into level 21, where the rational-root test would run, hits first
 GRID_ROOT = {"a3": ["0", "1", "0", "0"], "a2": ["15625/262144", "1", "0"],
              "tau": [{"t": ["0", "1"]}, "0"], "unknown": "t"}
 HEUN_GENERAL = json.dumps({"a": 2, "alpha": -3, "beta": 1, "gamma": 0,
@@ -124,7 +124,7 @@ def test_a_refinement_step_hits_the_root_on_the_grid(tmp_path, monkeypatch):
     def rational_root_test(*args):
         raise AssertionError("the rational-root test ran")
 
-    monkeypatch.setattr(solve, "_best_approximation", rational_root_test)
+    monkeypatch.setattr(solve, "_value_at", rational_root_test)
     with pytest.raises(AssertionError, match="the rational-root test ran"):
         solve.analyze_roots(UPoly([-1, 3]))
     result = run_case("constraints-root-on-the-grid", tmp_path)

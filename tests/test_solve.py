@@ -19,13 +19,11 @@ from polyode.solve import (
     NotIsolatingError,
     ZeroPolynomialError,
     _count,
-    _best_approximation,
     _exact_division,
     _grid_value,
     _isolate,
     _remainder_sequence,
     _root_bound_exponent,
-    _scaled,
     _squarefree_sequence,
     _value_at,
     analyze_roots,
@@ -424,9 +422,9 @@ def test_large_demo_roots_finish_and_match_sympy(argv, capsys):
 # quadratic interval refinement and integer isolation against bisection
 
 def refine(chain, lo: Fraction, hi: Fraction):
-    """``_refine`` on the cell (lo, hi], given by its ends."""
-    return solve._refine(chain, lo.numerator * hi.denominator,
-                         hi.numerator * lo.denominator, lo.denominator * hi.denominator)
+    """``_refine`` on the dyadic cell (lo, hi], given by its ends."""
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    return solve._refine(chain, int(lo * 2**k), int(hi * 2**k), k)
 
 
 DYADIC_ROOTS = st.builds(lambda k, e: Fraction(k, 2**e),
@@ -451,7 +449,7 @@ def test_isolation_and_refinement_match_the_bisection_oracle(p):
     chain = _squarefree_sequence(_remainder_sequence(p))
     bound = Fraction(2 ** _root_bound_exponent(chain))
     cells = _isolate(chain)
-    intervals = tuple((Fraction(a, den), Fraction(b, den)) for a, b, den in cells)
+    intervals = tuple((Fraction(a, 2**k), Fraction(b, 2**k)) for a, b, k in cells)
     assert intervals == bisection.isolate(chain, -bound, bound)
     for cell, (a, b) in zip(cells, intervals):
         value, exact = solve._refine(chain, *cell)
@@ -467,14 +465,14 @@ def test_isolation_and_refinement_match_the_bisection_oracle(p):
 
 def test_a_root_on_the_grid_is_reported_as_bisection_reports_it():
     # 2^18 t - 15625 on (-2, 2], from its root bound 2^1: the root
-    # 15625/2^18 is the grid point of level 20, which a refinement step hits
-    # well before level 40 of the rational-root test; a root at the upper
-    # end of an interval given to refine_root is reported as it is
+    # 15625/2^18 is the grid point of level 20, which the refinement step
+    # into level 21, that of the rational-root test, hits first; a root at
+    # the upper end of an interval given to refine_root is reported as it is
     chain = [(-15625, 2**18), (1,)]
     root = Fraction(15625, 2**18)
-    assert _isolate(chain) == ((-2, 2, 1),)
+    assert _isolate(chain) == ((-2, 2, 0),)
     lo, hi = Fraction(-2), Fraction(2)
-    assert solve._refine(chain, -2, 2, 1) == bisection.refine(chain, lo, hi) == (
+    assert solve._refine(chain, -2, 2, 0) == bisection.refine(chain, lo, hi) == (
         float(root), root)
     assert refine_root(UPoly([-15625, 2**18]), (0, root)) == float(root)
     assert bisection.refine(chain, Fraction(0), root) == (float(root), root)
@@ -552,13 +550,13 @@ def counting_evaluations(monkeypatch):
 @pytest.mark.parametrize("coeffs, lo, hi", [
     ((-1, 3 * 2**6650), Fraction(0), Fraction(1)),
     ((-2**6650, 3 * 2**6650 + 1), Fraction(0), Fraction(1)),
-    ((-7 * 10**2000 - 1, 10**2001), Fraction(1, 3), Fraction(3, 4)),
+    ((-7 * 10**2000 - 1, 10**2001), Fraction(1, 4), Fraction(3, 4)),
 ])
 def test_secant_guesses_are_exact_on_a_linear_polynomial(coeffs, lo, hi,
                                                          monkeypatch):
     # every subcell guess holds the root, so N squares at every step: log N
     # doubles from 2 and reaches the level of the rational-root test (about
-    # 13 300, for a leading coefficient near 2^6650) in 13 steps of at most
+    # 6 650, for a leading coefficient near 2^6650) in 12 steps of at most
     # two evaluations, besides the values at the two ends and the test; no
     # root is dyadic, so the test runs, once
     counts = counting_evaluations(monkeypatch)
@@ -566,7 +564,63 @@ def test_secant_guesses_are_exact_on_a_linear_polynomial(coeffs, lo, hi,
     root = Fraction(-coeffs[0], coeffs[1])
     assert refine(chain, lo, hi) == (float(root), root)
     assert counts["roots"] == counts["candidates"] == 1
-    assert 3 <= counts["evaluations"] <= 2 + 2 * 13 + 1
+    assert 3 <= counts["evaluations"] <= 2 + 2 * 12 + 1
+
+
+def test_the_rational_root_test_runs_in_a_cell_narrower_than_one_over_lead(
+        monkeypatch):
+    # 3 2^6650 x - 1 on (0, 1]: the cell of level L.bit_length() = 6652 is
+    # narrower than 1/L, and there the one candidate floor(L hi)/L is the
+    # root, so no value is taken deeper
+    levels = []
+    grid_value = solve._grid_value
+
+    def recorded(f, a, k):
+        levels.append(k)
+        return grid_value(f, a, k)
+
+    monkeypatch.setattr(solve, "_grid_value", recorded)
+    lead = 3 * 2**6650
+    root = Fraction(1, lead)
+    assert refine([(-1, lead), (lead,)], Fraction(0), Fraction(1)) == (float(root), root)
+    assert max(levels) <= lead.bit_length() + 3
+
+
+@st.composite
+def large_denominator_roots(draw):
+    """(p, rational roots): linear factors at rational roots whose
+    denominators reach 2^200 and 10^60, some repeated, times irreducible
+    quadratics, so that the leading coefficient of the square-free part
+    has hundreds of bits."""
+    denominators = st.one_of(
+        st.integers(1, 2**200), st.integers(1, 10**60),
+        st.builds(lambda e: 2**e, st.integers(0, 200)),
+        st.builds(lambda e: 10**e, st.integers(0, 60)))
+    rationals = draw(st.lists(st.builds(Fraction, st.integers(-10**60, 10**60),
+                                        denominators),
+                              min_size=1, max_size=3, unique=True))
+    p = UPoly([1])
+    for root in rationals:
+        p = p * UPoly([-root, 1]) ** draw(st.integers(1, 2))
+    for quadratic in draw(st.lists(IRREDUCIBLE_QUADRATICS, max_size=2)):
+        p = p * quadratic
+    return p, rationals
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_denominator_roots())
+def test_rational_roots_with_large_denominators_match_sympy_and_bisection(case):
+    p, rationals = case
+    report = analyze_roots(p)
+    assert list(report.exact_rational_roots) == sorted(
+        Fraction(int(r.p), int(r.q)) for r in sympy_poly(p.coeffs).ground_roots())
+    assert set(report.exact_rational_roots) == set(rationals)
+    chain = _squarefree_sequence(_remainder_sequence(p))
+    bound = Fraction(2 ** _root_bound_exponent(chain))
+    assert report.intervals == bisection.isolate(chain, -bound, bound)
+    oracle = [bisection.refine(chain, lo, hi) for lo, hi in report.intervals]
+    assert list(report.refined) == [value for value, _ in oracle]
+    assert list(report.exact_rational_roots) == [r for _, r in oracle if r is not None]
 
 
 @pytest.mark.parametrize("coeffs", [(0, -15, -9, 2), (-20, 2, 15, 30, 2),
@@ -584,37 +638,17 @@ def test_carried_values_keep_the_secant_guesses_good(coeffs, monkeypatch):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=10),
-       st.integers(-10**40, 10**40), st.integers(1, 10**12), st.integers(0, 80))
-@example([3, 0, -5, 2], -7, 3, 0)
-@example([1, -1, 0, 0, 4], -5, 12, 7)
-def test_the_grid_kernel_equals_homogenised_horner(f, a, den, k):
-    # g_i = c_i den^(d-i), scaled once, then one product per coefficient:
-    # the value (den 2^k)^d f(a / (den 2^k)), at any int point a, for a
-    # denominator den that need not be a power of two
+       st.integers(-10**40, 10**40), st.integers(0, 80))
+@example([3, 0, -5, 2], -7, 0)
+@example([1, -1, 0, 0, 4], -5, 7)
+def test_the_grid_kernel_equals_homogenised_horner(f, a, k):
+    # one product per coefficient: the value 2^(k d) f(a / 2^k), at any int
+    # point a
     f = tuple(f)
-    b = den << k
-    value = _grid_value(_scaled(f, den), a, k)
+    b = 1 << k
+    value = _grid_value(f, a, k)
     assert value == _value_at(f, a, b)
     assert value == sum(Fraction(c) * Fraction(a, b) ** i for i, c in enumerate(f)) * b ** (len(f) - 1)
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.integers(-10**12, 10**12), st.integers(1, 10**12),
-       st.one_of(st.integers(1, 30), st.integers(1, 10**13)))
-@example(1, 2, 1)  # a tie at L = 1: 0 and 1 lie equally near
-@example(-1, 2, 1)
-@example(3, 2, 1)
-@example(2, 4, 1)  # a tie written over 4
-@example(5, 4, 2)
-@example(10, 15, 3)  # 2/3, in lowest terms within the limit
-@example(-7, 21, 2)
-@example(355, 113, 112)
-def test_the_best_approximation_is_limit_denominator(n, d, limit):
-    # n/d need not be in lowest terms; a denominator within the limit and
-    # L = 1 included, and ties go the same way
-    p, q = _best_approximation(n, d, limit)
-    assert Fraction(p, q) == Fraction(n, d).limit_denominator(limit)
-    assert 0 < q <= limit and math.gcd(p, q) == 1
 
 
 PLANTED_EXPONENTS = st.integers(-300, 300)
