@@ -168,14 +168,23 @@ def _solution_dict(sol: PolySolution) -> dict:
 
 def _construct_solutions(eq: EquationSpec, matrix: CriterionMatrix,
                          notes: list[str]) -> list[PolySolution]:
+    """The verified nullspace basis of the degree-n matrix when its last
+    vector, that of the last free column, has degree n; else none."""
     try:
-        return [construct_solution(eq, matrix)]
+        solutions = [construct_solution(eq, matrix)]
     except AmbiguousNullspaceError as exc:
-        notes.append("nullspace dimension exceeds one; reporting the whole basis")
-        return list(exc.solutions)
+        solutions = list(exc.solutions)
     except NoNullspaceError:
         notes.append("determinant vanished but no nullspace vector was found")
         return []
+    if solutions[-1].reported_degree != matrix.n:
+        degrees = ", ".join(str(s.reported_degree) for s in solutions)
+        notes.append(f"no degree-{matrix.n} solution: the nullspace holds only "
+                     f"solutions of degree {degrees}")
+        return []
+    if len(solutions) > 1:
+        notes.append("nullspace dimension exceeds one; reporting the whole basis")
+    return solutions
 
 
 def _solutions_at(eq: EquationSpec, n: int, values, notes: list[str]) -> list[dict]:
@@ -189,8 +198,10 @@ def _solutions_at(eq: EquationSpec, n: int, values, notes: list[str]) -> list[di
         except ValueError:  # the equation loses its y'' and y' terms there
             notes.append(f"{eq.unknown} = {value} leaves no y'' or y' term; no solution there")
             continue
-        for sol in _construct_solutions(fixed, build_criterion_matrix(fixed, n), notes):
+        found: list[str] = []
+        for sol in _construct_solutions(fixed, build_criterion_matrix(fixed, n), found):
             entries.append({**_solution_dict(sol), eq.unknown: str(value)})
+        notes += [f"{eq.unknown} = {value}: {note}" for note in found]
     return entries
 
 
@@ -201,7 +212,7 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     the top degree, and serves them all.  AIM's first qualifying index f
     answers degree n exactly when f <= cap(n), since no smaller index
     qualifies; ``aim`` answers "yes" only where the degree condition holds
-    too.  The degree-n criterion matrix is the leading (n+1) x (n+1)
+    too, and the determinant only with a degree-n vector.  The degree-n criterion matrix is the leading (n+1) x (n+1)
     block of the top one, so its determinant is a running minor of the top
     band, and only the minors of ``degrees`` are divided back by D^m.  A
     report's ``timing_seconds`` covers its own stages; the top degree's
@@ -300,8 +311,7 @@ def analyze_constraints(eq: EquationSpec, n: int) -> dict:
             # a lower-degree solution for every value makes the determinant
             # vanish identically too, so only a verified degree-n solution at
             # a sample value, 0, answers yes
-            solutions = [s for s in _solutions_at(eq, n, [0], [])
-                         if s["verified"] and s["degree"] == n]
+            solutions = _solutions_at(eq, n, [0], [])
             exists = bool(solutions)
             notes.append(
                 f"determinant vanishes identically; {eq.unknown} = 0 gives "
@@ -313,24 +323,23 @@ def analyze_constraints(eq: EquationSpec, n: int) -> dict:
         else:
             root_report = analyze_roots(det)
             exists = bool(root_report.intervals)
+            solutions = _solutions_at(eq, n, root_report.exact_rational_roots, notes)
     elif isinstance(cond.degree, int) and cond.degree == 1:
         required = -cond.coeffs[0] / cond.coeffs[1]
         report["degree_condition"]["required_value"] = str(required)
-        if det(required) == 0:
-            # the linear condition's one root is exactly ``required``
-            root_report = analyze_roots(cond)
-            exists = True
+        if det(required):
+            notes.append("the degree condition pins the parameter but the "
+                         "determinant does not vanish there")
         else:
-            notes.append(
-                "the degree condition pins the parameter but the determinant "
-                "does not vanish there"
-            )
+            solutions = _solutions_at(eq, n, [required], notes)
+        exists = bool(solutions)
+        if exists:  # the linear condition's one root is exactly ``required``
+            root_report = analyze_roots(cond)
     else:
         notes.append("degree condition cannot be satisfied for any parameter value")
     report["roots"] = {"intervals": [], "roots": [], "exact": [], "nonreal_count": 0}
     if root_report is not None:
         report["roots"] = root_report.to_json_dict()
-        solutions = _solutions_at(eq, n, root_report.exact_rational_roots, notes)
     report["solutions"] = solutions
     report["exists"] = exists
     report["notes"] = notes

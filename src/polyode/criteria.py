@@ -9,7 +9,8 @@ degree condition
 
     t10 = n (n-1) a30 + n a20,
 
-which is the vanishing of the x^(n+1) coefficient of the residual.  Second,
+which is the vanishing of the x^(n+1) coefficient of the residual (or, where
+that vanishes identically, of its first lower one that does not).  Second,
 substituting y = sum c_k x^k produces the four-term coefficient recurrence
 
     A_k c_{k-1} + B_k c_k + C_k c_{k+1} + D_k c_{k+2} = 0,   c_{-1} = 0,
@@ -43,7 +44,6 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
 from typing import Sequence, Union
 
@@ -231,11 +231,9 @@ class EquationSpec:
 # ---------------------------------------------------------------------------
 # degree condition
 
-def _degree_condition(coefficients: Sequence, n: int):
-    """t10 - n(n-1) a30 - n a20 from the nine coefficients a30..a33,
-    a20..a22, t10, t11, in the ring of those coefficients."""
-    a30, _, _, _, a20, _, _, t10, _ = coefficients
-    return t10 - n * (n - 1) * a30 - n * a20
+#: each level of the degree condition with the slots of the nine
+#: coefficients a30..a33, a20..a22, t10, t11 that it reads
+_LEVEL_SLOTS = ((1, (0, 4, 7)), (0, (1, 5, 8)), (-1, (2, 6)), (-2, (3,)))
 
 
 def _integer_parts(eq: EquationSpec) -> tuple[int, tuple]:
@@ -245,12 +243,12 @@ def _integer_parts(eq: EquationSpec) -> tuple[int, tuple]:
     return scale, (coefficients,) if eq.is_numeric else tuple(zip(*coefficients))
 
 
-def _condition(eq: EquationSpec, n: int, shift: int = 0) -> UPoly:
-    """``_degree_condition`` on the ints of each part, not on pairs (a pair
-    (0, 0) is truthy), divided by D once.  With shift 1 the nine move one
-    slot down, so a31, a21 and t11 stand where a30, a20 and t10 stood."""
+def _level_condition(eq: EquationSpec, n: int, level: int) -> UPoly:
+    """The level-``level`` degree condition at n: minus the x^(n+level)
+    coefficient of the residual of x^n, the entry of c_n in band row
+    n + level, read on the ints of each part and divided by D once."""
     scale, parts = _integer_parts(eq)
-    return UPoly(Fraction(_degree_condition(part[shift:] + (0,) * shift, n), scale)
+    return UPoly(Fraction(_recurrence_row(part, n + level)[1 - level], scale)
                  for part in parts)
 
 
@@ -259,21 +257,25 @@ def degree_condition(eq: EquationSpec, n: int) -> UPoly:
     close its leading coefficient."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return _condition(eq, n)
+    return _level_condition(eq, n, 1)
 
 
 def degree_condition_effective(eq: EquationSpec, n: int) -> tuple[int, UPoly]:
-    """The degree condition at the equation's effective leading level.
+    """(level, condition) at the equation's first level that is not
+    identically zero.  Substituting y = x^n leaves a residual whose
+    x^(n+L) coefficient is minus the level-L condition, for L = 1 .. -2:
 
-    When a30, a20, and t10 all vanish the cubic-level condition is vacuous;
-    the equation then lies in the quadratic-coefficient class and the same
-    leading-coefficient argument applies one level down.  Returns
-    (level, condition) with level 1 for the generic case, 0 for the fallback.
+        t10 - n(n-1) a30 - n a20,   t11 - n(n-1) a31 - n a21,
+        -n(n-1) a32 - n a22,        -n(n-1) a33.
+
+    A degree-n solution needs the first level whose coefficients do not
+    all vanish to vanish at n.  In the criterion band that level is the
+    lowest diagonal, and its entries are the condition at each degree.
     """
     _, parts = _integer_parts(eq)
-    if any(part[i] for part in parts for i in (0, 4, 7)):
-        return 1, degree_condition(eq, n)
-    return 0, _condition(eq, n, shift=1)
+    level = next(level for level, slots in _LEVEL_SLOTS
+                 if any(part[i] for part in parts for i in slots))
+    return level, _level_condition(eq, n, level)
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +411,12 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
     the equation scaled to integer coefficients (see ``CriterionMatrix``).
     For an equation with an unknown the recurrence, being linear in the
     coefficients, runs once on the constant parts and once on the slopes,
-    and each entry pairs the two.
-
-    The suppressed row k = n+1 would multiply c_n by exactly the degree
-    condition times the scale, which is the degree condition of the scaled
-    coefficients; that closure is checked on every build, on the ints (both
-    parts of each pair, for an equation with an unknown), and a mismatch
-    raises ``ArithmeticError``.
+    and each entry pairs the two.  The suppressed row k = n+1 would
+    multiply c_n by the degree condition, read off the same row formula.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     scale, parts = _integer_parts(eq)
-    for part in parts:
-        if _recurrence_row(part, n + 1)[0] != _degree_condition(part, n):
-            raise ArithmeticError(
-                "row n+1 closure does not reproduce the degree condition")
     if eq.is_numeric:
         bands = tuple(_recurrence_row(parts[0], k) for k in range(n + 1))
     else:
@@ -460,7 +453,7 @@ class PolySolution:
 
 def band_nullspace(bands: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis of the nullspace of a square integer matrix with the criterion
-    band, by exact row-echelon band elimination and back-substitution.
+    band, by back-substitution along its lowest diagonal.
 
     ``bands[k] = (A_k, B_k, C_k, D_k)`` holds row k at columns k-1..k+2, as
     in ``CriterionMatrix.bands`` of a numeric equation, and every entry is
@@ -470,55 +463,40 @@ def band_nullspace(bands: Sequence[Sequence[int]]) -> list[list[int]]:
     positive, and 0 at every other free column.  Divided by that entry it
     equals the Gauss-Jordan basis of ``rational_nullspace`` entry for entry.
 
-    A row enters elimination at the column where its band starts and waits
-    under its actual leading column, so zero leading entries (an
-    upper-triangular matrix, a zero diagonal, a zero row) need no special
-    case.  The rows leading at column j all come from rows 0..j+1, which end
-    by column j+3, so every update touches at most four entries.
+    Entry (k, j) lies on diagonal k - j, from 1 (A) down to -2 (D).  Let
+    ``low`` be the lowest diagonal with an entry in the square: row j + low
+    is zero left of column j, so it gives c_j from the columns right of it
+    where its entry there is nonzero, and column j is a parameter where
+    that entry is zero or the row lies outside the square.  In an
+    equation's band the entry of c_j on diagonal L is the level-L degree
+    condition at degree j (``degree_condition_effective``), a quadratic in
+    j, so at most two columns that a row reaches are parameters.
 
-    The elimination is fraction-free (Bareiss 1968): an updated row is
-    pivot[0] * row - row[0] * pivot divided by its content.  Each basis
-    vector is back-substituted as integers over the common denominator at
-    its free column, and stays primitive throughout: a step that scales it
-    by m = pivot[0] / g, g = gcd(total, pivot[0]), writes the new entry
-    -total / g, which is coprime to m.  Only its sign is left to fix.
+    One vector per parameter is back-substituted as integers over the
+    common denominator at its parameter column, and stays primitive
+    throughout: a step that scales it by m = pivot / g, g = gcd(total,
+    pivot), writes the new entry -total / g, which is coprime to m.  Only
+    its sign is left to fix.  The rows that pivot no column, at most three
+    in an equation's band, are left: their nullspace over the parameters,
+    by ``rational_nullspace``, combines the vectors.  Each combination ends
+    at its own free column, which no other one holds, so it is the
+    reduced-echelon vector there.
     """
     size = len(bands)
-    waiting: dict[int, list[Sequence[int]]] = {}
-
-    def enqueue(start: int, entries: Sequence[int]) -> None:
-        for offset, value in enumerate(entries):
-            if value:
-                waiting.setdefault(start + offset, []).append(entries[offset:])
-                return
-
-    pivot_rows: dict[int, Sequence[int]] = {}
-    fed = 0
-    for col in range(size):
-        while fed < size and fed - 1 <= col:
-            enqueue(max(fed - 1, 0), bands[fed][max(1 - fed, 0):size - fed + 1])
-            fed += 1
-        candidates = waiting.pop(col, None)
-        if candidates is None:
-            continue
-        pivot, *others = candidates
-        lead = pivot[0]
-        for row in others:
-            factor = row[0]
-            reduced = [lead * a - factor * b
-                       for a, b in zip_longest(row[1:], pivot[1:], fillvalue=0)]
-            content = gcd(*reduced)
-            if content > 1:
-                reduced = [value // content for value in reduced]
-            enqueue(col + 1, reduced)
-        pivot_rows[col] = pivot
-    basis = []
-    for free in range(size):
-        if free in pivot_rows:
+    low = next((d for d in (1, 0, -1, -2)
+                if any(bands[k][1 - d] for k in range(max(d, 0), min(size + d, size)))), 0)
+    pivot_rows = {}
+    for col in range(max(-low, 0), min(size - low, size)):
+        row = col + low
+        if bands[row][1 - low]:
+            pivot_rows[col] = bands[row][1 - low:size - row + 1]
+    vectors = []
+    for param in range(size):
+        if param in pivot_rows:
             continue
         vec = [0] * size
-        vec[free] = 1
-        for col in range(free - 1, -1, -1):
+        vec[param] = 1
+        for col in range(param - 1, -1, -1):
             pivot = pivot_rows.get(col)
             if pivot is None:
                 continue
@@ -527,17 +505,29 @@ def band_nullspace(bands: Sequence[Sequence[int]]) -> list[list[int]]:
                 common = gcd(total, pivot[0])
                 multiplier = pivot[0] // common
                 if multiplier != 1:
-                    for i in range(col + 1, free + 1):
+                    for i in range(col + 1, param + 1):
                         vec[i] *= multiplier
                 vec[col] = -total // common
-        basis.append(vec if vec[free] > 0 else [-value for value in vec])
+        vectors.append(vec if vec[param] > 0 else [-value for value in vec])
+    left = [[sum(bands[row][j - row + 1] * vec[j]
+                 for j in range(max(row - 1, 0), min(row + 3, size))) for vec in vectors]
+            for row in range(size) if row - low not in pivot_rows]
+    if not any(map(any, left)):
+        return vectors
+    basis = []
+    for weights in rational_nullspace(left):
+        _, weights = _integers(weights)
+        combined = [sum(w * vec[j] for w, vec in zip(weights, vectors) if w)
+                    for j in range(size)]
+        content = gcd(*combined)
+        basis.append([value // content for value in combined])
     return basis
 
 
 def rational_nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Basis of the nullspace of a square rational matrix, by exact dense
-    Gauss-Jordan elimination.  Production code uses ``band_nullspace``; this
-    stays as its independent test oracle."""
+    Gauss-Jordan elimination.  ``band_nullspace`` solves its few leftover
+    rows with it; on whole matrices it is that kernel's test oracle."""
     m = [list(map(Fraction, row)) for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0

@@ -151,19 +151,6 @@ def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
         coulomb_spec(CoulombProblem(1, 2, 3, 0), 2)
 
 
-def test_coulomb_constraint_runs_the_closure_check(monkeypatch):
-    # a rational k and a symbolic one both build their bands with
-    # build_criterion_matrix, which checks that row n+1 closes the degree
-    # condition
-    original = criteria._degree_condition
-    monkeypatch.setattr(criteria, "_degree_condition",
-                        lambda coefficients, n: original(coefficients, n) + 1)
-    with pytest.raises(ArithmeticError, match="closure"):
-        coulomb_constraint_for_k(Fraction(1, 2), 3)
-    with pytest.raises(ArithmeticError, match="closure"):
-        coulomb_constraint_in_k(3)
-
-
 def test_coulomb_spec_entries_assert_internally():
     # the closed-form entry check runs inside coulomb_spec
     for (d, l, n) in ((3, 0, 1), (3, 1, 2), (2, 0, 3), (5, 2, 2)):

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -167,7 +168,8 @@ def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: 
     """Every degree of one ``check --max-n`` pass against oracles run for
     that degree alone: AIM to the degree's own cap, the Bareiss determinant
     of the dense degree-n matrix (its rational entries) and its Gauss-Jordan
-    nullspace."""
+    nullspace, whose whole basis is the answer exactly when its last vector
+    has degree n."""
     code, report, _ = check_sweep(equation, max_n, method)
     eq = EquationSpec.from_json_dict(equation)
     assert [entry["n"] for entry in report["sweep"]] == list(range(max_n + 1))
@@ -189,8 +191,9 @@ def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: 
             assert entry["determinant"] == {
                 "coefficients": [str(det)] if det else [], "is_zero": det == 0}
             if entry["degree_condition"]["holds"] and det == 0:
-                expected = [[str(c) for c in primitive_vector(v)]
-                            for v in rational_nullspace(rows)]
+                basis = [primitive_vector(v) for v in rational_nullspace(rows)]
+                if basis[-1][-1]:
+                    expected = [[str(c) for c in v] for v in basis]
         assert [s["coefficients"] for s in entry["solutions"]] == expected
         if method == "aim":
             # the degree condition is necessary; AIM's index alone can come
@@ -234,6 +237,9 @@ BESSEL_DEGREE_6 = {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0
        st.sampled_from(["both", "aim", "determinant"]))
 @example(BESSEL_DEGREE_6, 8, "both")
 @example(BESSEL_DEGREE_6, 8, "aim")
+# x^2 y'' + y' = 0: the determinant vanishes at n = 1 through the constant
+@example({"a3": ["0", "1", "0", "0"], "a2": ["0", "0", "1"], "tau": ["0", "0"]},
+         2, "determinant")
 def test_sweep_matches_per_degree_oracles(equation, max_n, method):
     assert_sweep_matches_per_degree_oracles(equation, max_n, method)
 
@@ -249,6 +255,90 @@ def test_sweep_of_rational_equations_matches_per_degree_oracles(equation, max_n,
     # unlike denominators: the band is the integer band of the equation
     # times D, and the reported minors must be the unscaled ones
     assert_sweep_matches_per_degree_oracles(equation, max_n, method)
+
+
+X = sympy.Symbol("x")
+
+
+def sympy_residual(equation: dict, y):
+    """P3 y'' + P2 y' - P1 y of the equation's dict, expanded by sympy."""
+    a3, a2, tau = ([sympy.Rational(v) for v in equation[key]] for key in ("a3", "a2", "tau"))
+    p3, p2, p1 = (sum(c * X ** (len(cs) - 1 - i) for i, c in enumerate(cs))
+                  for cs in (a3, a2, tau))
+    return sympy.expand(p3 * y.diff(X, 2) + p2 * y.diff(X) - p1 * y)
+
+
+def has_solution_of_degree(equation: dict, n: int) -> bool:
+    """Whether y = x^n + sum_(k<n) c_k x^k solves the equation for some
+    rationals c_k: the residual's coefficients in x, solved by sympy."""
+    unknowns = sympy.symbols(f"c0:{n}")
+    y = X ** n + sum(c * X ** k for k, c in enumerate(unknowns))
+    residual = sympy_residual(equation, y)
+    if not n:
+        return residual == 0
+    return sympy.linsolve(sympy.Poly(residual, X).all_coeffs(), unknowns) != sympy.EmptySet
+
+
+def _numbers(*values) -> dict:
+    a3, a2, tau = values[:4], values[4:7], values[7:]
+    return {"a3": [str(v) for v in a3], "a2": [str(v) for v in a2],
+            "tau": [str(v) for v in tau]}
+
+
+@st.composite
+def classical_equations(draw):
+    """(a20 x^2 + a21 x + a22) y'' + (a10 x + a11) y' - t00 y = 0 with t00
+    on its ladder at a drawn degree m, embedded in the cubic form."""
+    a20, a21, a22, a10, a11 = draw(st.tuples(*[coefficient] * 5).filter(any))
+    m = draw(st.integers(0, 12))
+    return _numbers(0, a20, a21, a22, 0, a10, a11, 0, m * (m - 1) * a20 + m * a10)
+
+
+@st.composite
+def euler_equations(draw):
+    """x^2 y'' + (1 - r - s) x y' + r s y = 0, solved by x^r and x^s."""
+    r, s = sorted(draw(st.integers(0, 12)) for _ in range(2))
+    return _numbers(0, 1, 0, 0, 0, 1 - r - s, 0, 0, -r * s)
+
+
+# x y'' + c y' = 0, solved by 1 and x^(1-c)
+x_ypp_plus_c_yp = st.integers(-12, 3).map(lambda c: _numbers(0, 0, 1, 0, 0, 0, c, 0, 0))
+
+# a dense cubic whose one solution is the constant 1
+CONSTANT_ONLY = {"a3": ["1", "2", "-1", "3"], "a2": ["-3", "1", "2"], "tau": ["0", "0"]}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(cubic_equations(), classical_equations(), euler_equations(),
+                 x_ypp_plus_c_yp))
+@example(CONSTANT_ONLY)
+@example(_numbers(0, 0, 1, 0, 0, 0, -2, 0, 0))  # x y'' - 2y' = 0: 1 and x^3
+@example(_numbers(0, 0, 0, 1, 0, 0, 0, 0, 0))  # y'' = 0: 1 and x
+def test_check_answers_every_degree_as_the_linear_system_does(equation):
+    # degree n is a "yes" exactly when a monic degree-n polynomial solves
+    # the equation, whatever the solutions of lower degree
+    code, report, _ = check_sweep(equation, 12, "determinant")
+    degrees = [n for n in range(13) if has_solution_of_degree(equation, n)]
+    assert report["degrees_with_solutions"] == degrees
+    for n, entry in enumerate(report["sweep"]):
+        solutions = entry["solutions"]
+        assert bool(solutions) is entry["exists"]
+        if solutions:
+            assert solutions[-1]["degree"] == n
+        for sol in solutions:
+            y = sum(sympy.Rational(c) * X ** k for k, c in enumerate(sol["coefficients"]))
+            assert sympy_residual(equation, y) == 0
+    assert code == (0 if degrees else 2)
+
+
+def test_a_lower_degree_solution_answers_no(eq_file, capsys):
+    code, report, _ = run(capsys, "check", eq_file(json.dumps(CONSTANT_ONLY)), "--n", "4",
+                          "--method", "determinant")
+    assert report["determinant"]["is_zero"] is True
+    assert report["solutions"] == [] and report["exists"] is False
+    assert report["notes"] == [
+        "no degree-4 solution: the nullspace holds only solutions of degree 0"]
+    assert code == 2
 
 
 def coulomb_band_builds(monkeypatch, capsys, n: int):
@@ -479,27 +569,29 @@ def test_constraints_no_real_roots(eq_file, capsys):
 
 def test_constraints_skips_a_root_that_leaves_no_differential_part(eq_file, capsys):
     # t x^3 y'' = 0: the degree condition -2t at n = 2 pins t = 0, where the
-    # equation is 0 = 0; that root is reported, named in a note, and gets no
-    # solution, and the exit code still follows "exists"
+    # equation is 0 = 0; the pin is named in a note, gets no solution and so
+    # no "yes", and no root is reported
     eq = json.dumps({"a3": [{"t": ["0", "1"]}, "0", "0", "0"], "a2": ["0", "0", "0"],
                      "tau": ["0", "0"], "unknown": "t"})
     code, report, _ = run(capsys, "constraints", eq_file(eq), "--n", "2")
     assert report["degree_condition"]["required_value"] == "0"
-    assert report["roots"]["exact"] == ["0"]
+    assert report["roots"]["exact"] == []
     assert report["solutions"] == []
-    assert "t = 0 leaves no y'' or y' term; no solution there" in report["notes"]
-    assert report["exists"] is True
-    assert code == 0
+    assert report["notes"] == ["t = 0 leaves no y'' or y' term; no solution there"]
+    assert report["exists"] is False
+    assert code == 2
 
 
 @pytest.mark.parametrize("equation, n, solutions", [
-    # x y'' + t y' = 0 has the solutions 1 and x^(1-t): degree 4 at t = -3
+    # x y'' + t y' = 0 has the solutions 1 and x^(1-t): the level -1
+    # condition -4(3 + t) pins t = -3, where the basis is 1, x^4
     ({"a3": ["0", "0", "1", "0"], "a2": ["0", "0", {"t": ["0", "1"]}],
-      "tau": ["0", "0"], "unknown": "t"}, 4, []),
-    # t y'' = 0 has no degree-2 solution for any t, and none at t = 0
+      "tau": ["0", "0"], "unknown": "t"}, 4, ["1", "x^4"]),
+    # t y'' = 0: the level -2 condition -2t pins t = 0, which leaves no
+    # y'' term
     ({"a3": ["0", "0", "0", {"t": ["0", "1"]}], "a2": ["0", "0", "0"],
       "tau": ["0", "0"], "unknown": "t"}, 2, []),
-    # x + t solves x y'' + (x + t) y' - y = 0 for every t
+    # x + t solves x^2 y'' + (x + t) y' - y = 0 for every t
     ({"a3": ["0", "1", "0", "0"], "a2": ["0", "1", {"t": ["0", "1"]}],
       "tau": ["0", "1"], "unknown": "t"}, 1, ["x"]),
 ])
@@ -507,19 +599,22 @@ def test_a_vanishing_determinant_answers_yes_only_with_a_solution_at_zero(
         equation, n, solutions, eq_file, capsys):
     # the determinant vanishes for every t when a lower-degree solution
     # exists for every t, so it certifies nothing at degree n: only a
-    # verified degree-n solution at t = 0 answers yes, and other values stay
-    # undecided
+    # verified degree-n solution answers yes, at the value the degree
+    # condition pins, or at t = 0 where it holds for every t, and then
+    # other values stay undecided
     code, report, _ = run(capsys, "constraints", eq_file(json.dumps(equation)),
                           "--n", str(n))
-    assert report["degree_condition"]["polynomial"] == []
     assert report["determinant"] == []
+    value = report["degree_condition"].get("required_value", "0")
     assert [s["polynomial"] for s in report["solutions"]] == solutions
-    assert all(s["t"] == "0" and s["degree"] == n for s in report["solutions"])
+    assert all(s["t"] == value for s in report["solutions"])
+    assert not solutions or report["solutions"][-1]["degree"] == n
     assert report["exists"] is bool(solutions)
     assert code == (0 if solutions else 2)
     [note] = report["notes"]
-    assert note.startswith("determinant vanishes identically;")
-    assert "undecided" in note and "every parameter value works" not in note
+    assert "every parameter value works" not in note
+    if report["degree_condition"]["polynomial"] == []:
+        assert note.startswith("determinant vanishes identically;") and "undecided" in note
 
 
 def test_constraints_round_trip_verification(eq_file, capsys):

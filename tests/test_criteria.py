@@ -165,6 +165,14 @@ def test_degree_condition_effective_falls_back():
     assert cond == 0
     level, _ = degree_condition_effective(krylov_eq(1, 1, 1), 3)
     assert level == 1
+    # x y'' - 2y' = 0 (solutions 1 and x^3): level -1, -n((n-1) - 2)
+    eq = EquationSpec(a3=(0, 0, 1, 0), a2=(0, 0, -2), tau=(0, 0))
+    for n in range(7):
+        assert degree_condition_effective(eq, n) == (-1, UPoly([-n * (n - 3)]))
+    # y'' = 0 (solutions 1 and x): level -2, -n(n-1)
+    eq = EquationSpec(a3=(0, 0, 0, 1), a2=(0, 0, 0), tau=(0, 0))
+    for n in range(7):
+        assert degree_condition_effective(eq, n) == (-2, UPoly([-n * (n - 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,23 +199,34 @@ def test_necessary_condition_n0():
 unlike_denominators = st.fractions(min_value=-40, max_value=40, max_denominator=60)
 
 
+#: the slots of the a3, a2 and tau coefficients of each level of the
+#: degree condition, None where the level has none
+CONDITION_SLOTS = {1: (0, 4, 7), 0: (1, 5, 8), -1: (2, 6, None), -2: (3, None, None)}
+
+
 @st.composite
 def condition_cases(draw):
     """(nine (c0, c1) pairs of Fractions, n): each coefficient c0 + c1 t,
-    with c1 = 0 throughout for a numeric equation.  Some equations have
-    a30 = a20 = t10 = 0 (level 0, zero pairs), and some meet the condition
-    at n on their level."""
+    with c1 = 0 throughout for a numeric equation.  The slots of the first
+    0 to 3 levels are zero pairs, so every level can be the effective one,
+    and some equations meet the condition at n on their first level that
+    keeps a slot (at levels 1, 0 and -1)."""
     n = draw(st.integers(0, 30))
     parametric = draw(st.booleans())
     nine = [(draw(unlike_denominators),
              draw(unlike_denominators) if parametric else Fraction(0)) for _ in range(9)]
-    if draw(st.booleans()):
-        for i in (0, 4, 7):
-            nine[i] = (Fraction(0), Fraction(0))
-    level = int(any(c for i in (0, 4, 7) for c in nine[i]))
-    a3, a2, t = (0, 4, 7) if level else (1, 5, 8)
-    if draw(st.booleans()):
-        nine[t] = tuple(n * (n - 1) * x + n * y for x, y in zip(nine[a3], nine[a2]))
+    for level in list(CONDITION_SLOTS)[:draw(st.integers(0, 3))]:
+        for i in CONDITION_SLOTS[level]:
+            if i is not None:
+                nine[i] = (Fraction(0), Fraction(0))
+    first = next((slots for slots in CONDITION_SLOTS.values()
+                  if any(c for i in slots if i is not None for c in nine[i])), None)
+    if first and draw(st.booleans()):
+        a3, a2, t = first
+        if t is not None:
+            nine[t] = tuple(n * (n - 1) * x + n * y for x, y in zip(nine[a3], nine[a2]))
+        elif a2 is not None and n:
+            nine[a2] = tuple(-(n - 1) * x for x in nine[a3])
     return nine, n
 
 
@@ -219,13 +238,15 @@ def test_degree_condition_is_the_rational_formula(case):
     eq = EquationSpec(a3=tuple(nine[:4]), a2=tuple(nine[4:7]), tau=tuple(nine[7:]))
 
     def condition(a3, a2, t):
-        return UPoly([nine[t][p] - n * (n - 1) * nine[a3][p] - n * nine[a2][p]
+        def value(slot, p):
+            return nine[slot][p] if slot is not None else 0
+        return UPoly([value(t, p) - n * (n - 1) * value(a3, p) - n * value(a2, p)
                       for p in (0, 1)])
 
-    level = int(any(c for i in (0, 4, 7) for c in nine[i]))
-    assert degree_condition(eq, n) == condition(0, 4, 7)
-    assert degree_condition_effective(eq, n) == (
-        (1, condition(0, 4, 7)) if level else (0, condition(1, 5, 8)))
+    level = next(level for level, slots in CONDITION_SLOTS.items()
+                 if any(c for i in slots if i is not None for c in nine[i]))
+    assert degree_condition(eq, n) == condition(*CONDITION_SLOTS[1])
+    assert degree_condition_effective(eq, n) == (level, condition(*CONDITION_SLOTS[level]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,30 +344,31 @@ def test_truncation_closure_symbolically():
         assert sub == degree_condition(eq, n)
 
 
-def test_broken_closure_raises_even_without_asserts(monkeypatch):
-    # the check must not be an assert, which python -O removes; it compares
-    # row n+1 with the degree condition of the scaled coefficients
-    original = criteria._degree_condition
-    monkeypatch.setattr(criteria, "_degree_condition",
-                        lambda coefficients, n: original(coefficients, n) + 1)
-    with pytest.raises(ArithmeticError, match="closure"):
-        build_criterion_matrix(krylov_eq(1, 4, 9), 2)
+@settings(max_examples=80, deadline=None)
+@given(condition_cases())
+def test_band_entries_are_the_residual_coefficients_of_the_powers(case):
+    # one row formula gives the band and every level of the degree
+    # condition: entry (k, j) is minus the x^k coefficient of the residual
+    # of x^j, and the effective condition at n is minus the top coefficient
+    # of the residual of x^n that does not vanish for every equation of
+    # its shape
+    pairs, n = case
+    nine = [c0 for c0, _ in pairs]
+    assume(any(nine[:7]))
+    eq = EquationSpec(a3=tuple(nine[:4]), a2=tuple(nine[4:7]), tau=tuple(nine[7:]))
+    matrix = build_criterion_matrix(eq, n)
 
+    def coefficients(j):
+        power = residual(eq, [0] * j + [1]).coeffs
+        return list(power) + [0] * (n + 2 - len(power))
 
-def test_broken_closure_row_raises_for_a_scaled_equation(monkeypatch):
-    # D = 6 here; a wrong A_(n+1) must not pass as D times the degree condition
-    eq = krylov_eq(Fraction(1, 2), Fraction(-5, 3), 2)
-    n = 2
-    assert build_criterion_matrix(eq, n).scale == 6
-    original = criteria._recurrence_row
-
-    def broken(coefficients, k):
-        a, b, c, d = original(coefficients, k)
-        return (a + 1 if k == n + 1 else a), b, c, d
-
-    monkeypatch.setattr(criteria, "_recurrence_row", broken)
-    with pytest.raises(ArithmeticError, match="closure"):
-        build_criterion_matrix(eq, n)
+    for j in range(n + 1):
+        column = coefficients(j)
+        assert [matrix.entry(k, j) for k in range(n + 1)] == [-c for c in column[:n + 1]]
+    level, cond = degree_condition_effective(eq, n)
+    top = coefficients(n)
+    assert cond == UPoly([-top[n + level]]) if n + level >= 0 else cond == 0
+    assert not any(top[max(n + level + 1, 0):])
 
 
 def test_library_has_no_assert_statements():
@@ -860,6 +882,71 @@ def test_band_nullspace_spans_the_sympy_nullspace(rows):
     assert matrix * ours == sympy.zeros(len(rows), len(basis))
     assert ours.rank() == len(basis)
     assert ours.row_join(sympy.Matrix.hstack(*reference)).rank() == len(basis)
+
+
+@st.composite
+def lowest_diagonal_bands(draw, max_size=9):
+    """Square rational band matrices whose lowest diagonal with an entry
+    (k - j = 1 for A_k down to -2 for D_k) is drawn: every entry below it
+    is zero, and its own entries are nonzero except at up to two planted
+    columns, the zero pivots that a second candidate degree makes.  The
+    entries above it are zero half the time, so nullity >= 1 is common."""
+    size = draw(st.integers(1, max_size))
+    low = draw(st.sampled_from([1, 0, -1, -2]))
+    zero_pivots = draw(st.sets(st.integers(0, size - 1), max_size=2))
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for k in range(size):
+        for j in range(max(k - 1, 0), min(k + 3, size)):
+            if k - j == low and j not in zero_pivots:
+                rows[k][j] = draw(band_entries.filter(bool))
+            elif k - j < low:
+                rows[k][j] = draw(st.one_of(st.just(Fraction(0)), band_entries))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(lowest_diagonal_bands())
+def test_band_nullspace_on_each_lowest_diagonal(rows):
+    basis = band_nullspace(bands_of(integer_rows(rows)))
+    assert gauss_jordan_form(basis) == rational_nullspace(rows)
+
+
+@st.composite
+def laddered_equations(draw):
+    """(equation, n, level): a numeric cubic whose first level with a
+    nonzero coefficient is ``level``, its other coefficients small and
+    mostly zero, and whose condition on that level vanishes at n and at a
+    second candidate degree: any m <= n at levels 1 and 0, where it is
+    -a (j - m)(j - n) at degree j, and 0 at level -1.  At level -2 it is
+    -a j (j - 1), which vanishes only at 0 and 1."""
+    level = draw(st.sampled_from([1, 0, -1, -2]))
+    small = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)])
+    nine = [draw(small) for _ in range(9)]
+    for above in [key for key in CONDITION_SLOTS if key > level]:
+        for i in CONDITION_SLOTS[above]:
+            if i is not None:
+                nine[i] = 0
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, n))
+    a = draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+    a3, a2, t = CONDITION_SLOTS[level]
+    nine[a3] = a
+    if t is not None:
+        nine[a2], nine[t] = a * (1 - m - n), -a * m * n
+    elif a2 is not None:
+        nine[a2] = a * (1 - n)
+    eq = EquationSpec(a3=tuple(nine[:4]), a2=tuple(nine[4:7]), tau=tuple(nine[7:]))
+    return eq, n, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(laddered_equations())
+def test_band_nullspace_of_equations_with_a_second_candidate(case):
+    eq, n, level = case
+    assert degree_condition_effective(eq, n) == (
+        level, 0 if level > -2 else UPoly([-n * (n - 1) * eq.a3[3].constant_value()]))
+    matrix = build_criterion_matrix(eq, n)
+    assert gauss_jordan_form(band_nullspace(matrix.bands)) == rational_nullspace(entries(matrix))
 
 
 @settings(max_examples=150, deadline=None)
