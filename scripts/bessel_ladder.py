@@ -2,7 +2,7 @@
 """Generate the Bessel polynomial family two independent ways and compare.
 
 The ladder route uses the two-step recurrence of the quadratic-coefficient
-class; the matrix route solves the banded criterion system at each degree.
+class; the matrix route is the degree-n report of ``polyode check``.
 Agreement up to scale is checked at every degree, and tabulated; a
 disagreement exits with its message.
 """
@@ -10,14 +10,9 @@ disagreement exits with its message.
 import argparse
 import time
 
-from polyode.criteria import (
-    build_criterion_matrix,
-    classical_polynomials,
-    classical_tau,
-    construct_solution,
-    embed_classical,
-)
-from polyode.aim import aim_test_polynomial, default_iteration_cap
+from polyode.cli import analyze_check
+from polyode.criteria import classical_polynomials, classical_tau, embed_classical
+from polyode.exactalg import UPoly
 
 
 def main() -> None:
@@ -30,13 +25,11 @@ def main() -> None:
     print(f"{'n':>3}  {'tau00':>6}  {'aim':>4}  polynomial (ladder form)")
     for n, y in enumerate(ladder):
         tau = classical_tau(1, 2, n)
-        eq = embed_classical((1, 0, 0), (2, 2), tau)
-        built = construct_solution(eq, build_criterion_matrix(eq, n))
-        same = built.polynomial() * y.leading == y * built.polynomial().leading
-        if not same:
+        report = analyze_check(embed_classical((1, 0, 0), (2, 2), tau), [n], "both")[0]
+        built = [UPoly(s["coefficients"]) for s in report["solutions"]]
+        if len(built) != 1 or built[0] * y.leading != y * built[0].leading:
             raise SystemExit(f"ladder and matrix constructions disagree at n={n}")
-        index = aim_test_polynomial(eq, default_iteration_cap(n))
-        print(f"{n:>3}  {str(tau):>6}  {index!s:>4}  {y.format()}")
+        print(f"{n:>3}  {str(tau):>6}  {report['aim']['found_index']!s:>4}  {y.format()}")
     print(f"all degrees agree up to scale ({time.perf_counter() - start:.3f}s)")
 
 

@@ -24,7 +24,6 @@ from .applications import (
     coulomb_constraint_in_k,
     coulomb_energy,
     coulomb_equation,
-    coulomb_spec,
     davidson_eigenvalue,
     davidson_spec,
     hyper_build,

@@ -77,22 +77,18 @@ def davidson_eigenvalue(mu: ScalarLike, n: int):
 
 @dataclass(frozen=True)
 class CoulombProblem:
-    """Positive charge Z, positive shift beta, dimension d >= 2, angular
-    momentum l >= 0.  A bound state needs Z > 0: alpha = Z/(n+k+1) then
-    is positive, so e^(-alpha r) decays."""
+    """Positive charge Z, dimension d >= 2, angular momentum l >= 0; the
+    shift beta is ``coulomb_equation``'s unknown.  A bound state needs
+    Z > 0: alpha = Z/(n+k+1) then is positive, so e^(-alpha r) decays."""
 
     Z: Fraction
-    beta: Fraction
     d: int
     l: int
 
     def __post_init__(self):
         object.__setattr__(self, "Z", as_rational(self.Z))
-        object.__setattr__(self, "beta", as_rational(self.beta))
         if self.Z <= 0:
             raise ValueError("charge Z must be positive")
-        if self.beta <= 0:
-            raise ValueError("shift beta must be positive")
         if self.d < 2:
             raise ValueError("dimension must be at least 2")
         if self.l < 0:
@@ -118,7 +114,7 @@ def coulomb_energy(p: CoulombProblem, n: int) -> Fraction:
 
 def coulomb_equation(p: CoulombProblem, n: int) -> EquationSpec:
     """Equation for the polynomial factor, with alpha = Z/(n+k+1) applied
-    and the shift beta as its unknown (``p.beta`` is not read).
+    and the shift beta as its unknown.
 
     Its degree-n criterion matrix is tridiagonal, and on every call its
     entries are checked, identically in beta, against the closed forms
@@ -147,11 +143,6 @@ def coulomb_equation(p: CoulombProblem, n: int) -> EquationSpec:
                 raise ArithmeticError(
                     f"Coulomb matrix entry ({j}, {col}) differs from its closed form")
     return eq
-
-
-def coulomb_spec(p: CoulombProblem, n: int) -> EquationSpec:
-    """``coulomb_equation`` at the shift ``p.beta``."""
-    return coulomb_equation(p, n).substitute(p.beta)
 
 
 def _coulomb_equation_in_t(k: Fraction, n: int) -> EquationSpec:

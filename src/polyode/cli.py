@@ -35,7 +35,7 @@ from typing import Sequence
 
 from . import applications as apps
 from . import heun as heun_mod
-from .aim import NotSecondOrderError, aim_test_polynomial, default_iteration_cap
+from .aim import aim_test_polynomial, default_iteration_cap
 from .criteria import (
     AmbiguousNullspaceError,
     CriterionMatrix,
@@ -68,15 +68,19 @@ class CliError(Exception):
     """Input problem; maps to exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """Exits 1 on a usage error, and reads every "-" before a digit or a
-    "." as the start of a negative value, so that a rational option takes
-    every form ``parse_rational`` reads ("-1/2", "-1e2", "-.5"); argparse
-    itself counts only "-2" and "-0.5" as negative numbers."""
+class RationalParser(argparse.ArgumentParser):
+    """Reads every "-" before a digit or a "." as the start of a negative
+    value, so that a rational option takes every form ``parse_rational``
+    reads ("-1/2", "-1e2", "-.5"); argparse itself counts only "-2" and
+    "-0.5" as negative numbers."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+class _Parser(RationalParser):
+    """Exits 1 on a usage error."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -133,15 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kind, default in options:
             p.add_argument(flag, type=kind, default=default)
 
-    study("davidson", _demo_davidson, ("--mu", fraction, Fraction(0)),
+    study("davidson", _demo(_davidson), ("--mu", fraction, Fraction(0)),
           ("--eps", fraction, None))
     study("coulomb", _demo_coulomb, ("--Z", fraction, Fraction(1)), ("--d", int, 3),
           ("--l", int, 0))
-    study("krylov", _demo_krylov, ("--alpha", fraction, Fraction(1)))
-    study("chhajlany", _demo_chhajlany, ("--p", fraction, Fraction(1)))
+    study("krylov", _demo(_krylov), ("--alpha", fraction, Fraction(1)))
+    study("chhajlany", _demo(_chhajlany), ("--p", fraction, Fraction(1)))
     study("hyper", _demo_hyper, ("--m", int, 1), ("--l", int, 2),
           ("--a", fraction, Fraction(1)), ("--b", fraction, Fraction(1)))
-    study("bessel", _demo_bessel, ("--tau00", fraction, None))
+    study("bessel", _demo(_bessel), ("--tau00", fraction, None))
 
     p_heun = command(sub, "heun", cmd_heun,
                      help="Heun-family polynomial conditions")
@@ -205,6 +209,18 @@ def _solutions_at(eq: EquationSpec, n: int, values, notes: list[str]) -> list[di
     return entries
 
 
+def _aim_obstacle(eq: EquationSpec) -> str | None:
+    """Why AIM cannot decide ``eq``, or None.  It iterates on y'' only, and
+    with neither a y' nor a y term every lambda_n is zero, so its guard
+    lambda_n lambda_(n-1) != 0 rejects every index."""
+    if not eq.p3():
+        return "y'' coefficient is identically zero: the iteration criterion needs a y'' term"
+    if not (eq.p2() or eq.p1()):
+        return ("y' and y coefficients are identically zero: every lambda_n of the "
+                "iteration criterion vanishes")
+    return None
+
+
 def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list[dict]:
     """One report per degree of the ascending ``degrees``.
 
@@ -216,8 +232,8 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     block of the top one, so its determinant is a running minor of the top
     band, and only the minors of ``degrees`` are divided back by D^m.  A
     report's ``timing_seconds`` covers its own stages; the top degree's
-    report also carries the shared ones, which are its own.  AIM needs a
-    y'' term: without one, ``both`` notes that and answers as
+    report also carries the shared ones, which are its own.  Where AIM
+    cannot answer (``_aim_obstacle``), ``both`` notes why and answers as
     ``determinant``, and ``aim`` is an input error.
     """
     start = time.monotonic()
@@ -229,15 +245,14 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
     if use_det:
         matrix = build_criterion_matrix(eq, top)
         minors = dict(zip(degrees, matrix._minors([n + 1 for n in degrees])))
-    if use_aim:
-        try:
-            found = aim_test_polynomial(eq, default_iteration_cap(top))
-        except NotSecondOrderError as exc:
-            if method == "aim":
-                raise CliError(str(exc)) from exc
-            method, use_aim = "determinant", False
-            skipped.append(f"{exc}: the iteration criterion needs a y'' term, "
-                           "so the determinant answers alone")
+    obstacle = _aim_obstacle(eq) if use_aim else None
+    if obstacle and method == "aim":
+        raise CliError(obstacle)
+    if obstacle:
+        method, use_aim = "determinant", False
+        skipped.append(f"{obstacle}, so the determinant answers alone")
+    elif use_aim:
+        found = aim_test_polynomial(eq, default_iteration_cap(top))
     shared = time.monotonic() - start
     reports = []
     for n in degrees:
@@ -456,31 +471,54 @@ def cmd_heun(args) -> dict:
     return report
 
 
-def _demo_davidson(args) -> dict:
+def _demo(build):
+    """The run function of a case study whose ``build(args)`` gives its
+    equation, degree and header: the degree report with the study's name and
+    that header added.  A ValueError from the build is an input error."""
+    def run(args) -> dict:
+        try:
+            eq, degree, header = build(args)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
+        return {**_report(eq, degree), "name": args.name, **header}
+    return run
+
+
+def _davidson(args):
     mu, n = args.mu, args.n
     eps = args.eps if args.eps is not None else apps.davidson_eigenvalue(mu, n)
-    degree = 2 * n
-    report = _report(apps.davidson_spec(mu, eps), degree)
-    report.update({
-        "name": "davidson",
-        "mu": str(mu),
-        "node_count": n,
-        "degree": degree,
-        "eigenvalue": str(eps),
-    })
-    return report
+    header = {"mu": str(mu), "node_count": n, "degree": 2 * n, "eigenvalue": str(eps)}
+    return apps.davidson_spec(mu, eps), 2 * n, header
 
 
-def _demo_coulomb(args) -> dict:
+def _krylov(args):
+    eq = apps.krylov_robnik_equation(args.alpha, args.n)
+    return eq, args.n, {"alpha": str(args.alpha), "beta": str(-eq.tau[0].constant_value())}
+
+
+def _chhajlany(args):
+    eq = apps.chhajlany_equation(args.p, args.n)
+    return eq, args.n, {"p": str(args.p), "delta": str(2 * args.n)}
+
+
+def _bessel(args):
     n = args.n
-    try:
-        # k, alpha, the energy and the constraint do not depend on the shift,
-        # and each solution takes its own beta = root / alpha, so the problem
-        # behind the report's header takes the unit shift
-        problem = apps.CoulombProblem(Z=args.Z, beta=1, d=args.d, l=args.l)
-        constraint = apps.coulomb_constraint(problem, n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    tau00 = args.tau00 if args.tau00 is not None else classical_tau(1, 2, n)
+    eq = embed_classical((1, 0, 0), (2, 2), tau00)
+    ladder = classical_polynomials((1, 0, 0), (2, 2), n + 1)[n]
+    return eq, n, {
+        "tau00": str(tau00),
+        "ladder_polynomial": ladder.format(),
+        "ladder_solves_equation": (tau00 == classical_tau(1, 2, n)
+                                   and verify_solution(eq, list(ladder.coeffs))),
+    }
+
+
+def coulomb_report(problem: apps.CoulombProblem, n: int) -> dict:
+    """The shifted-Coulomb report at degree n >= 1: alpha, the energy, the
+    constraint in t = alpha beta with its real roots, and the verified
+    solutions at each positive rational shift beta = t / alpha."""
+    constraint = apps.coulomb_constraint(problem, n)
     alpha = apps.coulomb_alpha(problem, n)
     roots = analyze_roots(constraint)
     # the constraint is in t = alpha beta; only a positive shift is physical
@@ -506,25 +544,11 @@ def _demo_coulomb(args) -> dict:
     }
 
 
-def _demo_krylov(args) -> dict:
+def _demo_coulomb(args) -> dict:
     try:
-        eq = apps.krylov_robnik_equation(args.alpha, args.n)
+        return coulomb_report(apps.CoulombProblem(Z=args.Z, d=args.d, l=args.l), args.n)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    report = _report(eq, args.n)
-    report.update({"name": "krylov", "alpha": str(args.alpha),
-                   "beta": str(-eq.tau[0].constant_value())})
-    return report
-
-
-def _demo_chhajlany(args) -> dict:
-    try:
-        eq = apps.chhajlany_equation(args.p, args.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    report = _report(eq, args.n)
-    report.update({"name": "chhajlany", "p": str(args.p), "delta": str(2 * args.n)})
-    return report
 
 
 def _demo_hyper(args) -> dict:
@@ -547,22 +571,6 @@ def _demo_hyper(args) -> dict:
         "verified": verified,
         "exists": verified,
     }
-
-
-def _demo_bessel(args) -> dict:
-    n = args.n
-    tau00 = args.tau00 if args.tau00 is not None else classical_tau(1, 2, n)
-    eq = embed_classical((1, 0, 0), (2, 2), tau00)
-    report = _report(eq, n)
-    report.update({"name": "bessel", "tau00": str(tau00)})
-    ladder = classical_polynomials((1, 0, 0), (2, 2), n + 1)
-    ladder_poly = ladder[n]
-    report["ladder_polynomial"] = ladder_poly.format()
-    report["ladder_solves_equation"] = (
-        tau00 == classical_tau(1, 2, n)
-        and verify_solution(eq, list(ladder_poly.coeffs))
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from polyode.applications import (
     chhajlany_spec,
     coulomb_constraint_in_k,
     coulomb_energy,
-    coulomb_spec,
+    coulomb_equation,
     davidson_eigenvalue,
     davidson_spec,
     hyper_build,
@@ -223,11 +223,11 @@ def test_criterion_6_shifted_coulomb():
     for n, expected in COULOMB_CONSTRAINTS.items():
         ok = ok and coulomb_constraint_in_k(n) == tuple(expected)
     energies = (
-        (CoulombProblem(1, 1, 3, 0), 0, Fraction(-1, 2)),
-        (CoulombProblem(1, 1, 3, 1), 0, Fraction(-1, 8)),
-        (CoulombProblem(1, 1, 3, 0), 1, Fraction(-1, 8)),
-        (CoulombProblem(2, 1, 2, 0), 0, Fraction(-8)),
-        (CoulombProblem(3, 1, 5, 2), 1, Fraction(-9, 50)),
+        (CoulombProblem(1, 3, 0), 0, Fraction(-1, 2)),
+        (CoulombProblem(1, 3, 1), 0, Fraction(-1, 8)),
+        (CoulombProblem(1, 3, 0), 1, Fraction(-1, 8)),
+        (CoulombProblem(2, 2, 0), 0, Fraction(-8)),
+        (CoulombProblem(3, 5, 2), 1, Fraction(-9, 50)),
     )
     ok = ok and all(coulomb_energy(p, n) == e for p, n, e in energies)
     # generic band entries match the tridiagonal closed forms with k symbolic
@@ -352,12 +352,9 @@ def _corpus():
         "krylov a=1 g=1",
         krylov_robnik_spec(1, -1, 1), 3, True,
     ))
-    entries.append((
-        "coulomb beta=2", coulomb_spec(CoulombProblem(1, 2, 3, 0), 1), 3, True,
-    ))
-    entries.append((
-        "coulomb beta=3", coulomb_spec(CoulombProblem(1, 3, 3, 0), 1), 3, False,
-    ))
+    coulomb = coulomb_equation(CoulombProblem(1, 3, 0), 1)
+    entries.append(("coulomb beta=2", coulomb.substitute(2), 3, True))
+    entries.append(("coulomb beta=3", coulomb.substitute(3), 3, False))
     entries.append(("hyper m=1 n=1", hyper_equation_spec(1, 1, 2, 1, 1), 4, True))
     entries.append(("hyper m=2 n=2", hyper_equation_spec(2, 2, 2, 1, 2), 6, True))
     entries.append((

@@ -19,7 +19,6 @@ from polyode.applications import (
     coulomb_constraint_in_k,
     coulomb_energy,
     coulomb_equation,
-    coulomb_spec,
     davidson_eigenvalue,
     davidson_spec,
     hyper_build,
@@ -117,28 +116,30 @@ def test_davidson_odd_degrees_balk():
 # shifted Coulomb
 
 def test_coulomb_problem_k():
-    assert CoulombProblem(1, 1, 3, 0).k == 0
-    assert CoulombProblem(1, 1, 3, 1).k == 1
-    assert CoulombProblem(2, 1, 2, 0).k == Fraction(-1, 2)
+    assert CoulombProblem(1, 3, 0).k == 0
+    assert CoulombProblem(1, 3, 1).k == 1
+    assert CoulombProblem(2, 2, 0).k == Fraction(-1, 2)
     with pytest.raises(ValueError):
-        CoulombProblem(1, 0, 3, 0)
+        CoulombProblem(1, 1, 0)
     with pytest.raises(ValueError):
-        CoulombProblem(1, 1, 1, 0)
+        CoulombProblem(1, 3, -1)
     # Z <= 0 makes alpha = Z/(n+k+1) nonpositive, so e^(-alpha r) does not decay
     for Z in (0, -1, Fraction(-1, 2)):
         with pytest.raises(ValueError, match="charge Z must be positive"):
-            CoulombProblem(Z, 1, 3, 0)
+            CoulombProblem(Z, 3, 0)
+    # the shift is the unknown of coulomb_equation, not a field
+    assert [f.name for f in dataclasses.fields(CoulombProblem)] == ["Z", "d", "l"]
 
 
 def test_coulomb_energy():
-    assert coulomb_energy(CoulombProblem(1, 1, 3, 0), 0) == Fraction(-1, 2)
-    assert coulomb_energy(CoulombProblem(1, 1, 3, 1), 0) == Fraction(-1, 8)
-    assert coulomb_energy(CoulombProblem(1, 1, 3, 0), 1) == Fraction(-1, 8)
+    assert coulomb_energy(CoulombProblem(1, 3, 0), 0) == Fraction(-1, 2)
+    assert coulomb_energy(CoulombProblem(1, 3, 1), 0) == Fraction(-1, 8)
+    assert coulomb_energy(CoulombProblem(1, 3, 0), 1) == Fraction(-1, 8)
     # k = -1/2 here, so n + k + 1 = 1/2 and E = -(1/2) * 4 / (1/4)
-    assert coulomb_energy(CoulombProblem(2, 1, 2, 0), 0) == -8
+    assert coulomb_energy(CoulombProblem(2, 2, 0), 0) == -8
 
 
-def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
+def test_coulomb_equation_rejects_entries_off_their_closed_forms(monkeypatch):
     def tampered(eq, n):
         matrix = build_criterion_matrix(eq, n)
         bands = [list(band) for band in matrix.bands]
@@ -148,21 +149,20 @@ def test_coulomb_spec_rejects_entries_off_their_closed_forms(monkeypatch):
 
     monkeypatch.setattr(applications, "build_criterion_matrix", tampered)
     with pytest.raises(ArithmeticError, match="closed form"):
-        coulomb_spec(CoulombProblem(1, 2, 3, 0), 2)
+        coulomb_equation(CoulombProblem(1, 3, 0), 2)
 
 
-def test_coulomb_spec_entries_assert_internally():
-    # the closed-form entry check runs inside coulomb_spec
+def test_coulomb_equation_checks_its_band_on_every_call():
+    # the closed-form entry check runs inside coulomb_equation, and passes
     for (d, l, n) in ((3, 0, 1), (3, 1, 2), (2, 0, 3), (5, 2, 2)):
-        p = CoulombProblem(1, 2, d, l)
-        eq = coulomb_spec(p, n)
-        assert eq.is_numeric
+        eq = coulomb_equation(CoulombProblem(1, d, l), n)
+        assert eq.substitute(2).is_numeric
 
 
 @pytest.mark.parametrize("Z, beta, d, l, n", [
     (1, 2, 3, 0, 1), (3, Fraction(1, 3), 2, 1, 4), (Fraction(5, 2), 7, 5, 2, 3)])
 def test_coulomb_equation_in_beta_fixes_to_the_equation_at_each_shift(Z, beta, d, l, n):
-    p = CoulombProblem(Z, beta, d, l)
+    p = CoulombProblem(Z, d, l)
     k, alpha = p.k, coulomb_alpha(p, n)
     eq = coulomb_equation(p, n)
     assert eq.unknown == "beta" and not eq.is_numeric
@@ -174,7 +174,6 @@ def test_coulomb_equation_in_beta_fixes_to_the_equation_at_each_shift(Z, beta, d
         -2 * alpha, 2 * (k + 1 - alpha * beta), 2 * beta * (k + 1))))
     assert fixed.tau == tuple(map(UPoly.constant, (
         2 * alpha * (k + 1) - 2 * Z, 2 * alpha * beta * (k + 1))))
-    assert coulomb_spec(p, n) == fixed
 
 
 def test_coulomb_generic_entries_match_closed_forms_symbolically():
@@ -334,25 +333,23 @@ def test_determinant_in_k_matches_sympy_on_a_random_bilinear_equation(n, parts):
 def test_coulomb_constraint_numeric_k():
     assert coulomb_constraint_for_k(Fraction(0), 1) == UPoly([-1, 1])
     assert coulomb_constraint_for_k(Fraction(0), 2) == UPoly([3, -6, 2])
-    p = CoulombProblem(1, 2, 3, 0)
+    p = CoulombProblem(1, 3, 0)
     assert coulomb_constraint(p, 1) == UPoly([-1, 1])
 
 
 def test_coulomb_constraint_consistent_with_generic_determinant():
     # the generic path determinant vanishes exactly on constraint roots
-    p = CoulombProblem(1, 2, 3, 0)  # k=0, n=1: root alpha*beta = 1
+    p = CoulombProblem(1, 3, 0)  # k=0, n=1: root alpha*beta = 1
     n = 1
     alpha = coulomb_alpha(p, n)
     assert alpha == Fraction(1, 2)
-    assert p.beta * alpha == 1
-    eq = coulomb_spec(p, n)
+    eq = coulomb_equation(p, n).substitute(2)  # beta = 2
     assert degree_condition(eq, n) == 0
     assert delta_determinant(eq, n) == 0
     sol = construct_solution(eq, build_criterion_matrix(eq, n))
     assert sol.residual_is_zero
 
-    off = CoulombProblem(1, 3, 3, 0)  # alpha*beta = 3/2, not a root
-    eq_off = coulomb_spec(off, n)
+    eq_off = coulomb_equation(p, n).substitute(3)  # alpha*beta = 3/2, not a root
     assert delta_determinant(eq_off, n) != 0
 
 
@@ -375,15 +372,14 @@ def test_coulomb_end_to_end_n2():
     # Verify instead by exact evaluation at both roots of the quadratic in
     # an extension-free way: plug the constraint into the determinant path
     # on a fine rational grid and compare signs.
-    p = CoulombProblem(1, 1, 4, 0)
+    p = CoulombProblem(1, 4, 0)
     n = 2
     c = coulomb_constraint(p, n)
     assert c.degree == 2
     alpha = coulomb_alpha(p, n)
     for tval in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
         beta = tval / alpha
-        q = CoulombProblem(1, beta, 4, 0)
-        det = delta_determinant(coulomb_spec(q, n), n)
+        det = delta_determinant(coulomb_equation(p, n).substitute(beta), n)
         if c(tval) == 0:
             assert det == 0
         else:

@@ -151,6 +151,14 @@ def test_check_sweep(eq_file, capsys):
     assert report["degrees_with_solutions"] == [2]
 
 
+# y'' = 0 and x^3 y'' = 0: no y' or y term, and the solutions 1 and x
+ONLY_SECOND_ORDER = [
+    {"a3": ["0", "0", "0", "1"], "a2": ["0", "0", "0"], "tau": ["0", "0"]},
+    {"a3": ["1", "0", "0", "0"], "a2": ["0", "0", "0"], "tau": ["0", "0"]},
+]
+NO_LOWER_TERM = "y' and y coefficients are identically zero"
+
+
 def check_sweep(equation: dict, max_n: int, method: str):
     """``check --max-n`` in-process: (exit code, report, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -169,9 +177,15 @@ def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: 
     that degree alone: AIM to the degree's own cap, the Bareiss determinant
     of the dense degree-n matrix (its rational entries) and its Gauss-Jordan
     nullspace, whose whole basis is the answer exactly when its last vector
-    has degree n."""
+    has degree n.  Without a y' or a y term AIM cannot answer: ``aim`` is
+    an input error, and ``both`` answers as ``determinant``."""
     code, report, _ = check_sweep(equation, max_n, method)
     eq = EquationSpec.from_json_dict(equation)
+    if not (eq.p2() or eq.p1()) and method != "determinant":
+        if method == "aim":
+            assert code == 1 and report is None
+            return report
+        method = "determinant"
     assert [entry["n"] for entry in report["sweep"]] == list(range(max_n + 1))
     degrees = []
     for n, entry in enumerate(report["sweep"]):
@@ -240,6 +254,8 @@ BESSEL_DEGREE_6 = {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0
 # x^2 y'' + y' = 0: the determinant vanishes at n = 1 through the constant
 @example({"a3": ["0", "1", "0", "0"], "a2": ["0", "0", "1"], "tau": ["0", "0"]},
          2, "determinant")
+@example(ONLY_SECOND_ORDER[0], 3, "both")
+@example(ONLY_SECOND_ORDER[1], 3, "aim")
 def test_sweep_matches_per_degree_oracles(equation, max_n, method):
     assert_sweep_matches_per_degree_oracles(equation, max_n, method)
 
@@ -445,6 +461,24 @@ def test_first_order_equation_gets_the_determinant_answer(degrees, eq_file, caps
         assert "the iteration criterion needs a y'' term" in note
         entry.pop("timing_seconds"), alone.pop("timing_seconds")
     assert report == determinant
+
+
+@pytest.mark.parametrize("equation", ONLY_SECOND_ORDER, ids=["y''", "x^3 y''"])
+def test_without_a_first_or_zeroth_order_term_the_determinant_answers_alone(equation):
+    # every lambda_n of AIM is zero, so its guard would reject every index:
+    # ``both`` says so and answers as ``determinant``, ``aim`` is an input error
+    code, report, _ = check_sweep(equation, 4, "both")
+    alone = check_sweep(equation, 4, "determinant")[1]
+    assert code == 0 and report["degrees_with_solutions"] == [0, 1]
+    for entry, single in zip(report["sweep"], alone["sweep"]):
+        note, *entry["notes"] = entry["notes"]
+        assert note.startswith(NO_LOWER_TERM) and "needs a y'' term" not in note
+        assert note.endswith("so the determinant answers alone")
+        entry.pop("timing_seconds"), single.pop("timing_seconds")
+    assert report == alone
+    code, report, err = check_sweep(equation, 4, "aim")
+    assert code == 1 and report is None
+    assert f"polyode: error: {NO_LOWER_TERM}" in err
 
 
 def test_check_malformed_json(eq_file, capsys):

@@ -36,6 +36,43 @@ def test_davidson_families_prints_its_table():
     assert "nodes=1 degree=2 eps=8 aim_index=2: x^2 - 2" in proc.stdout
 
 
+def expected_output(name):
+    with open(os.path.join(ROOT, "tests", "script_output", name), encoding="utf-8") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("mu", ["-3/2", "-1e0", "-.5"])
+def test_davidson_families_takes_a_negative_rational_after_a_space(mu):
+    # as ``polyode demo davidson --mu -3/2`` does: "-3/2" is a value, not a flag
+    spaced = run_script("davidson_families.py", "--mu", mu, "--max-nodes", "2")
+    joined = run_script("davidson_families.py", f"--mu={mu}", "--max-nodes", "2")
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout
+
+
+@pytest.mark.parametrize("args, expected", [
+    ([], "davidson_families-default.txt"),
+    (["--mu=-3/2", "--max-nodes", "4"], "davidson_families-mu--3-2-max-nodes-4.txt"),
+])
+def test_davidson_families_prints_its_pinned_table(args, expected):
+    proc = run_script("davidson_families.py", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected_output(expected)
+
+
+@pytest.mark.parametrize("args, expected", [
+    ([], "bessel_ladder-default.txt"),
+    (["--max-n", "14"], "bessel_ladder-max-n-14.txt"),
+])
+def test_bessel_ladder_prints_its_pinned_table(args, expected):
+    # every line but the last, which carries the run's wall time
+    proc = run_script("bessel_ladder.py", *args)
+    assert proc.returncode == 0, proc.stderr
+    *table, timing = proc.stdout.splitlines(keepends=True)
+    assert "".join(table) == expected_output(expected)
+    assert timing.startswith("all degrees agree up to scale (")
+
+
 @pytest.mark.parametrize("args, expected", [
     (["--max-n", "5"], "coulomb_conditions-max-n-5.txt"),
     (["--d", "2", "--l", "1", "--Z", "3"], "coulomb_conditions-d-2-l-1-Z-3.txt"),
@@ -46,5 +83,4 @@ def test_coulomb_conditions_prints_its_table(args, expected):
     # constraints, their roots and the verified solutions, byte for byte
     proc = run_script("coulomb_conditions.py", *args)
     assert proc.returncode == 0, proc.stderr
-    with open(os.path.join(ROOT, "tests", "script_output", expected), encoding="utf-8") as handle:
-        assert proc.stdout == handle.read()
+    assert proc.stdout == expected_output(expected)
