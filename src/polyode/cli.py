@@ -3,8 +3,9 @@
 Commands
 --------
 check        decide whether a numeric equation has a degree-n polynomial
-             solution (determinant criterion, iteration criterion, or both)
-             and construct it; --max-n sweeps all degrees up to a cap
+             solution by the determinant criterion and construct it, with
+             the iteration criterion as a cross-check unless --method
+             determinant; --max-n sweeps all degrees up to a cap
 constraints  for an equation with one unknown parameter, emit the degree
              condition, the determinant constraint polynomial, its real
              roots, and verified solutions at every exact rational root
@@ -40,7 +41,6 @@ from .criteria import (
     AmbiguousNullspaceError,
     CriterionMatrix,
     EquationSpec,
-    NoNullspaceError,
     PolySolution,
     build_criterion_matrix,
     classical_polynomials,
@@ -62,6 +62,10 @@ from .solve import analyze_roots
 #: ``demo davidson --n 30``, whose degree is 60) take 3 to 4 s on one 2.1 GHz
 #: Xeon vCPU under Python 3.11, and ``check --max-n 40`` takes about 10 s.
 MAX_DEGREE = 30
+
+#: The values of ``check --method``: the determinant decides with either;
+#: ``both`` also runs the iteration criterion and notes where it disagrees.
+METHODS = ("determinant", "both")
 
 
 class CliError(Exception):
@@ -118,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     degrees.add_argument("--n", type=int, help="target polynomial degree")
     degrees.add_argument("--max-n", type=int, dest="max_n",
                          help="sweep degrees 0..max-n instead of a single n")
-    p_check.add_argument("--method", choices=("determinant", "aim", "both"),
-                         default="both")
+    p_check.add_argument("--method", choices=METHODS, default="both")
 
     p_con = command(sub, "constraints", cmd_constraints,
                     help="solve for the unknown parameter")
@@ -165,7 +168,7 @@ def _solution_dict(sol: PolySolution) -> dict:
     return {
         "coefficients": coefficients,
         "degree": sol.reported_degree,
-        "verified": sol.residual_is_zero,
+        "verified": True,
         "polynomial": format_polynomial(coefficients),
     }
 
@@ -178,9 +181,6 @@ def _construct_solutions(eq: EquationSpec, matrix: CriterionMatrix,
         solutions = [construct_solution(eq, matrix)]
     except AmbiguousNullspaceError as exc:
         solutions = list(exc.solutions)
-    except NoNullspaceError:
-        notes.append("determinant vanished but no nullspace vector was found")
-        return []
     if solutions[-1].reported_degree != matrix.n:
         degrees = ", ".join(str(s.reported_degree) for s in solutions)
         notes.append(f"no degree-{matrix.n} solution: the nullspace holds only "
@@ -224,34 +224,30 @@ def _aim_obstacle(eq: EquationSpec) -> str | None:
 def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list[dict]:
     """One report per degree of the ascending ``degrees``.
 
+    The determinant decides: degree n is a "yes" only with a verified
+    solution of degree n.  With ``method`` "both" the iteration criterion
+    runs as a cross-check, and a report notes where it disagrees; where it
+    cannot answer (``_aim_obstacle``), a note says why and it does not run.
     Neither criterion depends on the target degree, so each runs once, for
     the top degree, and serves them all.  AIM's first qualifying index f
     answers degree n exactly when f <= cap(n), since no smaller index
-    qualifies; ``aim`` answers "yes" only where the degree condition holds
-    too, and the determinant only with a degree-n vector.  The degree-n criterion matrix is the leading (n+1) x (n+1)
+    qualifies.  The degree-n criterion matrix is the leading (n+1) x (n+1)
     block of the top one, so its determinant is a running minor of the top
     band, and only the minors of ``degrees`` are divided back by D^m.  A
     report's ``timing_seconds`` covers its own stages; the top degree's
-    report also carries the shared ones, which are its own.  Where AIM
-    cannot answer (``_aim_obstacle``), ``both`` notes why and answers as
-    ``determinant``, and ``aim`` is an input error.
+    report also carries the shared ones, which are its own.
     """
+    if method not in METHODS:
+        raise ValueError(f"method must be {' or '.join(map(repr, METHODS))}, got {method!r}")
     start = time.monotonic()
     top = degrees[-1]
     equation = eq.to_json_dict()
-    use_det = method in ("determinant", "both")
-    use_aim = method in ("aim", "both")
-    skipped: list[str] = []
-    if use_det:
-        matrix = build_criterion_matrix(eq, top)
-        minors = dict(zip(degrees, matrix._minors([n + 1 for n in degrees])))
-    obstacle = _aim_obstacle(eq) if use_aim else None
-    if obstacle and method == "aim":
-        raise CliError(obstacle)
-    if obstacle:
-        method, use_aim = "determinant", False
-        skipped.append(f"{obstacle}, so the determinant answers alone")
-    elif use_aim:
+    matrix = build_criterion_matrix(eq, top)
+    minors = dict(zip(degrees, matrix.leading_minors([n + 1 for n in degrees])))
+    obstacle = _aim_obstacle(eq) if method == "both" else None
+    skipped = [f"{obstacle}, so the determinant answers alone"] if obstacle else []
+    use_aim = method == "both" and not obstacle
+    if use_aim:
         found = aim_test_polynomial(eq, default_iteration_cap(top))
     shared = time.monotonic() - start
     reports = []
@@ -260,6 +256,7 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
         notes: list[str] = list(skipped)
         level, cond = degree_condition_effective(eq, n)
         cond_holds = cond == 0
+        det = minors[n]
         report: dict = {
             "equation": equation,
             "n": n,
@@ -268,37 +265,24 @@ def analyze_check(eq: EquationSpec, degrees: Sequence[int], method: str) -> list
                 "polynomial": cond.to_strings(),
                 "holds": cond_holds,
             },
+            "determinant": {"coefficients": [str(det)] if det else [], "is_zero": not det},
         }
         solutions: list[PolySolution] = []
-        det_exists = False
-        if use_det:
-            det = minors[n]
-            report["determinant"] = {
-                "coefficients": [str(det)] if det else [],
-                "is_zero": not det,
-            }
-            if cond_holds and not det:
-                solutions = _construct_solutions(eq, matrix.leading(n), notes)
-                det_exists = any(s.residual_is_zero for s in solutions)
-        aim_index = None
+        if cond_holds and not det:
+            solutions = _construct_solutions(eq, matrix.leading(n), notes)
         if use_aim:
             cap = default_iteration_cap(n)
             aim_index = found if found is not None and found <= cap else None
             report["aim"] = {"found_index": aim_index, "cap": cap}
-        # the degree condition is necessary, and the index alone can come
-        # from a solution of another degree
-        aim_exists = cond_holds and aim_index is not None
-        if method == "aim":
-            exists = aim_exists
-        else:
-            exists = det_exists
-            if method == "both" and det_exists != aim_exists:
+            # the degree condition is necessary, and the index alone can come
+            # from a solution of another degree
+            if (cond_holds and aim_index is not None) != bool(solutions):
                 notes.append(
                     "criterion paths disagree at this degree; the iteration index "
                     "tracks the solution degree, not the requested one"
                 )
         report["solutions"] = [_solution_dict(s) for s in solutions]
-        report["exists"] = exists
+        report["exists"] = bool(solutions)
         report["notes"] = notes
         report["timing_seconds"] = time.monotonic() - start
         reports.append(report)
@@ -552,6 +536,12 @@ def _demo_coulomb(args) -> dict:
 
 
 def _demo_hyper(args) -> dict:
+    # the check pads l + 1 zeros and the polynomial has degree n + m + 1, so
+    # m and l get ceilings as the degree does; past l = MAX_DEGREE + 1, l - 1
+    # divides no positive degree up to MAX_DEGREE
+    for flag, value, ceiling in (("--m", args.m, MAX_DEGREE), ("--l", args.l, MAX_DEGREE + 1)):
+        if value > ceiling:
+            raise CliError(f"{flag} is at most {ceiling}, got {value}")
     try:
         sol = apps.hyper_build(args.m, args.n, args.l, args.a, args.b)
     except (apps.BadDegreeError, apps.DegenerateParametersError, ValueError) as exc:

@@ -134,11 +134,12 @@ class EquationSpec:
     unknown: str = "t"
     #: whether no coefficient carries the unknown
     is_numeric: bool = field(init=False, repr=False, compare=False)
-    #: (D, (D a30, ..., D t11)), D the least common denominator of the
-    #: rationals in the nine coefficients (c0 and c1 of each c0 + c1 t):
-    #: multiplied by D, the equation has integer coefficients and still the
-    #: same solutions.  For a numeric equation the nine are ints, for a
-    #: parametric one pairs (D c0, D c1) of ints.
+    #: (D, parts), D the least common denominator of the rationals in the
+    #: nine coefficients (c0 and c1 of each c0 + c1 t): multiplied by D, the
+    #: equation has integer coefficients and still the same solutions.  Each
+    #: part is a nine-tuple of ints, D a30 .. D t11: one part for a numeric
+    #: equation, two for a parametric one, the constants D c0 and the slopes
+    #: D c1.
     integer_form: tuple[int, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,7 +157,7 @@ class EquationSpec:
         scale, flat = _integers([c for s in scalars for c in (*s.coeffs, 0, 0)[:width]])
         object.__setattr__(self, "is_numeric", numeric)
         object.__setattr__(self, "integer_form",
-                           (scale, flat if numeric else tuple(zip(flat[::2], flat[1::2]))))
+                           (scale, (flat,) if numeric else (flat[::2], flat[1::2])))
 
     def _numeric(self, which) -> list[Fraction]:
         if not self.is_numeric:
@@ -236,18 +237,11 @@ class EquationSpec:
 _LEVEL_SLOTS = ((1, (0, 4, 7)), (0, (1, 5, 8)), (-1, (2, 6)), (-2, (3,)))
 
 
-def _integer_parts(eq: EquationSpec) -> tuple[int, tuple]:
-    """(D, parts): the nine coefficients of ``integer_form`` as one part of
-    ints for a numeric equation, else two, the constant parts and slopes."""
-    scale, coefficients = eq.integer_form
-    return scale, (coefficients,) if eq.is_numeric else tuple(zip(*coefficients))
-
-
 def _level_condition(eq: EquationSpec, n: int, level: int) -> UPoly:
     """The level-``level`` degree condition at n: minus the x^(n+level)
     coefficient of the residual of x^n, the entry of c_n in band row
     n + level, read on the ints of each part and divided by D once."""
-    scale, parts = _integer_parts(eq)
+    scale, parts = eq.integer_form
     return UPoly(Fraction(_recurrence_row(part, n + level)[1 - level], scale)
                  for part in parts)
 
@@ -272,7 +266,7 @@ def degree_condition_effective(eq: EquationSpec, n: int) -> tuple[int, UPoly]:
     all vanish to vanish at n.  In the criterion band that level is the
     lowest diagonal, and its entries are the condition at each degree.
     """
-    _, parts = _integer_parts(eq)
+    _, parts = eq.integer_form
     level = next(level for level, slots in _LEVEL_SLOTS
                  if any(part[i] for part in parts for i in slots))
     return level, _level_condition(eq, n, level)
@@ -385,17 +379,14 @@ class CriterionMatrix:
             raise ValueError(f"degree {n} outside 0..{self.n}")
         return CriterionMatrix(bands=self.bands[:n + 1], scale=self.scale)
 
-    def leading_minors(self) -> list:
-        """Leading principal minors of orders 1..n+1 of the criterion matrix,
-        so entry n is the degree-n determinant: rationals for a numeric
-        equation, UPolys in t otherwise."""
-        return self._minors(range(1, self.n + 2))
-
-    def _minors(self, orders) -> list:
-        """The leading minors of the given orders: running minors of the
-        band in Z, or in Z[t] packed into ints (``_packed_minors``), where
-        the order-m one is scale^m times the matrix's own (not always
-        divisible by it); only those asked for are unpacked and unscaled."""
+    def leading_minors(self, orders) -> list:
+        """The leading principal minors of the given orders, each in 1..n+1,
+        of the criterion matrix; that of order m + 1 is the degree-m
+        determinant.  Rationals for a numeric equation, UPolys in t
+        otherwise.  They are running minors of the band in Z, or in Z[t]
+        packed into ints (``_packed_minors``), where the order-m one is
+        scale^m times the matrix's own (not always divisible by it); only
+        those asked for are unpacked and unscaled."""
         if isinstance(self.bands[0][0], tuple):
             minors, shift = _packed_minors(self.bands)
             return [_unscale(_unpack(minors[m - 1], shift), self.scale ** m)
@@ -416,7 +407,7 @@ def build_criterion_matrix(eq: EquationSpec, n: int) -> CriterionMatrix:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    scale, parts = _integer_parts(eq)
+    scale, parts = eq.integer_form
     if eq.is_numeric:
         bands = tuple(_recurrence_row(parts[0], k) for k in range(n + 1))
     else:
@@ -431,7 +422,7 @@ def delta_determinant(eq: EquationSpec, n: int) -> UPoly:
     the unknown parameter (a constant when the equation is numeric), by the
     O(n) leading-minor recurrence of its band; of its minors only the last
     is unpacked and unscaled."""
-    det, = build_criterion_matrix(eq, n)._minors((n + 1,))
+    det, = build_criterion_matrix(eq, n).leading_minors((n + 1,))
     return UPoly.constant(det) if eq.is_numeric else det
 
 
@@ -441,11 +432,11 @@ def delta_determinant(eq: EquationSpec, n: int) -> UPoly:
 @dataclass(frozen=True)
 class PolySolution:
     """Exact polynomial solution: a primitive integer coefficient vector
-    c_0..c_N with positive leading entry and a residual certificate."""
+    c_0..c_N with positive leading entry.  ``construct_solution`` makes one
+    only once its residual vanishes, so every one is verified."""
 
     coefficients: tuple[int, ...]
     reported_degree: int
-    residual_is_zero: bool
 
     def polynomial(self) -> UPoly:
         return UPoly(self.coefficients)
@@ -570,7 +561,7 @@ def verify_solution(eq: EquationSpec, coefficients: Sequence[Fraction]) -> bool:
     ints."""
     if not eq.is_numeric:
         raise ValueError("equation carries an unknown parameter")
-    _, (a30, a31, a32, a33, a20, a21, a22, t10, t11) = eq.integer_form
+    _, ((a30, a31, a32, a33, a20, a21, a22, t10, t11),) = eq.integer_form
     _, y = _integers(coefficients)
     y1 = [k * c for k, c in enumerate(y)][1:]
     y2 = [k * c for k, c in enumerate(y1)][1:]
@@ -604,15 +595,10 @@ def construct_solution(eq: EquationSpec, matrix: CriterionMatrix) -> PolySolutio
 
     def finish(vec) -> PolySolution:
         coeffs = tuple(vec)
-        top = max(i for i, c in enumerate(coeffs) if c)
-        verified = verify_solution(eq, coeffs)
-        if not verified:
-            raise ArithmeticError(
-                "nullspace vector failed residual verification"
-            )
-        return PolySolution(
-            coefficients=coeffs, reported_degree=top, residual_is_zero=verified
-        )
+        if not verify_solution(eq, coeffs):
+            raise ArithmeticError("nullspace vector failed residual verification")
+        return PolySolution(coefficients=coeffs,
+                            reported_degree=max(i for i, c in enumerate(coeffs) if c))
 
     if len(basis) > 1:
         raise AmbiguousNullspaceError([finish(v) for v in basis])

@@ -97,27 +97,44 @@ def test_check_davidson_demo_values(eq_file, capsys):
 
 
 def test_check_method_aim_only(eq_file, capsys):
-    code, report, _ = run(
+    # the iteration criterion never decides alone: its index certifies no
+    # solution, so --method aim is a usage error
+    code, report, err = run(
         capsys, "check", eq_file(BESSEL6), "--n", "2", "--method", "aim"
     )
-    assert code == 0
-    assert report["aim"]["found_index"] == 2
-    assert report["solutions"] == []
+    assert code == 1
+    assert report is None
+    assert "invalid choice: 'aim'" in err and "Traceback" not in err
 
 
-def test_check_method_aim_needs_the_degree_condition(eq_file, capsys):
-    # AIM's index 2, from the degree-2 solution, is within cap(0) = 4, but
-    # the degree condition fails at 0, so degree 0 has no solution
-    code, report, _ = run(
-        capsys, "check", eq_file(BESSEL6), "--n", "0", "--method", "aim"
-    )
-    assert report["aim"]["found_index"] == 2
-    assert report["degree_condition"]["holds"] is False
-    assert report["exists"] is False
-    assert code == 2
+def test_analyze_check_takes_only_the_two_methods():
+    eq = EquationSpec.from_json_dict(json.loads(BESSEL6))
+    with pytest.raises(ValueError, match="'determinant' or 'both', got 'aim'"):
+        cli.analyze_check(eq, [2], "aim")
 
 
 DISAGREE = "criterion paths disagree at this degree"
+
+# (x^3 - x^2 - 3x) y'' + (-3x^2 + 3x) y' + 3x y = 0: its level-1 condition
+# -(n-1)(n-3) holds at 1 and 3, AIM qualifies at index 1, and the one
+# solution, x - 1, has degree 1
+TWO_CONDITION_ROOTS = {"a3": ["1", "-1", "-3", "0"], "a2": ["-3", "3", "0"], "tau": ["-3", "0"]}
+
+
+def test_check_method_aim_needs_the_degree_condition(eq_file, capsys):
+    # the iteration index and the degree condition both hold at degree 3,
+    # yet no degree-3 solution exists: ``both`` answers "no" with a note
+    path = eq_file(json.dumps(TWO_CONDITION_ROOTS))
+    code, report, _ = run(capsys, "check", path, "--n", "3")
+    assert report["degree_condition"] == {"level": 1, "polynomial": [], "holds": True}
+    assert report["aim"] == {"found_index": 1, "cap": 10}
+    assert report["solutions"] == [] and report["exists"] is False
+    assert any(DISAGREE in note for note in report["notes"])
+    assert code == 2
+    code, report, _ = run(capsys, "check", path, "--max-n", "4")
+    assert report["degrees_with_solutions"] == [1]
+    assert code == 0
+    assert run(capsys, "check", path, "--n", "3", "--method", "aim")[0] == 1
 
 
 def test_both_criteria_agree_where_the_degree_condition_fails(eq_file, capsys):
@@ -174,47 +191,39 @@ def check_sweep(equation: dict, max_n: int, method: str):
 
 def assert_sweep_matches_per_degree_oracles(equation: dict, max_n: int, method: str):
     """Every degree of one ``check --max-n`` pass against oracles run for
-    that degree alone: AIM to the degree's own cap, the Bareiss determinant
-    of the dense degree-n matrix (its rational entries) and its Gauss-Jordan
-    nullspace, whose whole basis is the answer exactly when its last vector
-    has degree n.  Without a y' or a y term AIM cannot answer: ``aim`` is
-    an input error, and ``both`` answers as ``determinant``."""
+    that degree alone: the Bareiss determinant of the dense degree-n matrix
+    (its rational entries) and its Gauss-Jordan nullspace, whose whole
+    basis is the answer exactly when its last vector has degree n, and with
+    ``both`` AIM to the degree's own cap, which a note contradicts where
+    its index and the degree condition disagree with that answer.  Without
+    a y' or a y term AIM cannot answer, and ``both`` answers as
+    ``determinant``."""
     code, report, _ = check_sweep(equation, max_n, method)
     eq = EquationSpec.from_json_dict(equation)
-    if not (eq.p2() or eq.p1()) and method != "determinant":
-        if method == "aim":
-            assert code == 1 and report is None
-            return report
+    if not (eq.p2() or eq.p1()):
         method = "determinant"
     assert [entry["n"] for entry in report["sweep"]] == list(range(max_n + 1))
     degrees = []
     for n, entry in enumerate(report["sweep"]):
-        index = None
+        rows = entries(build_criterion_matrix(eq, n))
+        det = bareiss_determinant(rows)
+        assert entry["determinant"] == {
+            "coefficients": [str(det)] if det else [], "is_zero": det == 0}
+        expected = []
+        if entry["degree_condition"]["holds"] and det == 0:
+            basis = [primitive_vector(v) for v in rational_nullspace(rows)]
+            if basis[-1][-1]:
+                expected = [[str(c) for c in v] for v in basis]
+        assert [s["coefficients"] for s in entry["solutions"]] == expected
+        exists = bool(expected)
         if method == "determinant":
             assert "aim" not in entry
         else:
             cap = default_iteration_cap(n)
             index = aim_test_polynomial(eq, cap)
             assert entry["aim"] == {"found_index": index, "cap": cap}
-        expected = []
-        if method == "aim":
-            assert "determinant" not in entry
-        else:
-            rows = entries(build_criterion_matrix(eq, n))
-            det = bareiss_determinant(rows)
-            assert entry["determinant"] == {
-                "coefficients": [str(det)] if det else [], "is_zero": det == 0}
-            if entry["degree_condition"]["holds"] and det == 0:
-                basis = [primitive_vector(v) for v in rational_nullspace(rows)]
-                if basis[-1][-1]:
-                    expected = [[str(c) for c in v] for v in basis]
-        assert [s["coefficients"] for s in entry["solutions"]] == expected
-        if method == "aim":
-            # the degree condition is necessary; AIM's index alone can come
-            # from a solution of another degree
-            exists = index is not None and entry["degree_condition"]["holds"]
-        else:
-            exists = bool(expected)
+            aim_says = index is not None and entry["degree_condition"]["holds"]
+            assert any(DISAGREE in note for note in entry["notes"]) is (aim_says != exists)
         assert entry["exists"] is exists
         if exists:
             degrees.append(n)
@@ -247,15 +256,15 @@ BESSEL_DEGREE_6 = {"a3": ["0", "1", "0", "0"], "a2": ["0", "2", "2"], "tau": ["0
 
 
 @settings(max_examples=80, deadline=None)
-@given(cubic_equations(), st.integers(0, 5),
-       st.sampled_from(["both", "aim", "determinant"]))
+@given(cubic_equations(), st.integers(0, 5), st.sampled_from(["both", "determinant"]))
 @example(BESSEL_DEGREE_6, 8, "both")
-@example(BESSEL_DEGREE_6, 8, "aim")
+@example(BESSEL_DEGREE_6, 8, "determinant")
+@example(TWO_CONDITION_ROOTS, 4, "both")
 # x^2 y'' + y' = 0: the determinant vanishes at n = 1 through the constant
 @example({"a3": ["0", "1", "0", "0"], "a2": ["0", "0", "1"], "tau": ["0", "0"]},
          2, "determinant")
 @example(ONLY_SECOND_ORDER[0], 3, "both")
-@example(ONLY_SECOND_ORDER[1], 3, "aim")
+@example(ONLY_SECOND_ORDER[1], 3, "determinant")
 def test_sweep_matches_per_degree_oracles(equation, max_n, method):
     assert_sweep_matches_per_degree_oracles(equation, max_n, method)
 
@@ -330,21 +339,35 @@ CONSTANT_ONLY = {"a3": ["1", "2", "-1", "3"], "a2": ["-3", "1", "2"], "tau": ["0
 @example(CONSTANT_ONLY)
 @example(_numbers(0, 0, 1, 0, 0, 0, -2, 0, 0))  # x y'' - 2y' = 0: 1 and x^3
 @example(_numbers(0, 0, 0, 1, 0, 0, 0, 0, 0))  # y'' = 0: 1 and x
+@example(TWO_CONDITION_ROOTS)  # AIM and the condition hold at 3; only x - 1 solves
 def test_check_answers_every_degree_as_the_linear_system_does(equation):
     # degree n is a "yes" exactly when a monic degree-n polynomial solves
-    # the equation, whatever the solutions of lower degree
-    code, report, _ = check_sweep(equation, 12, "determinant")
+    # the equation, whatever the solutions of lower degree, with either
+    # method; ``both`` notes exactly where AIM's index, with the degree
+    # condition holding, says otherwise
     degrees = [n for n in range(13) if has_solution_of_degree(equation, n)]
-    assert report["degrees_with_solutions"] == degrees
-    for n, entry in enumerate(report["sweep"]):
-        solutions = entry["solutions"]
-        assert bool(solutions) is entry["exists"]
-        if solutions:
-            assert solutions[-1]["degree"] == n
-        for sol in solutions:
-            y = sum(sympy.Rational(c) * X ** k for k, c in enumerate(sol["coefficients"]))
-            assert sympy_residual(equation, y) == 0
-    assert code == (0 if degrees else 2)
+    reports = {}
+    for method in ("determinant", "both"):
+        code, report, _ = check_sweep(equation, 12, method)
+        assert report["degrees_with_solutions"] == degrees
+        assert code == (0 if degrees else 2)
+        for n, entry in enumerate(report["sweep"]):
+            solutions = entry["solutions"]
+            assert bool(solutions) is entry["exists"] is (n in degrees)
+            if solutions:
+                assert solutions[-1]["degree"] == n
+            for sol in solutions:
+                y = sum(sympy.Rational(c) * X ** k for k, c in enumerate(sol["coefficients"]))
+                assert sympy_residual(equation, y) == 0
+            disagree = any(DISAGREE in note for note in entry["notes"])
+            if "aim" in entry:
+                aim_says = (entry["aim"]["found_index"] is not None
+                            and entry["degree_condition"]["holds"])
+                assert disagree is (aim_says != (n in degrees))
+            else:
+                assert not disagree
+        reports[method] = [entry["solutions"] for entry in report["sweep"]]
+    assert reports["both"] == reports["determinant"]
 
 
 def test_a_lower_degree_solution_answers_no(eq_file, capsys):
@@ -434,11 +457,16 @@ def test_sweep_reports_no_index_below_the_degrees_cap():
 
 @pytest.mark.parametrize("method", ["aim"])
 def test_sweep_without_a_second_order_term_is_an_input_error(method):
+    # no method lets the iteration criterion answer alone, whatever the
+    # equation; ``both`` answers as ``determinant`` here
     equation = {"a3": ["0", "0", "0", "0"], "a2": ["1", "2", "3"], "tau": ["2", "1"]}
     code, report, err = check_sweep(equation, 4, method)
     assert code == 1
     assert report is None
-    assert "polyode: error: y'' coefficient is identically zero" in err
+    assert f"invalid choice: '{method}'" in err
+    code, report, _ = check_sweep(equation, 4, "both")
+    assert "needs a y'' term" in report["sweep"][0]["notes"][0]
+    assert "aim" not in report["sweep"][0]
 
 
 # x y' - 2y = 0: no y'' term, and the solution x^2
@@ -466,7 +494,7 @@ def test_first_order_equation_gets_the_determinant_answer(degrees, eq_file, caps
 @pytest.mark.parametrize("equation", ONLY_SECOND_ORDER, ids=["y''", "x^3 y''"])
 def test_without_a_first_or_zeroth_order_term_the_determinant_answers_alone(equation):
     # every lambda_n of AIM is zero, so its guard would reject every index:
-    # ``both`` says so and answers as ``determinant``, ``aim`` is an input error
+    # ``both`` says so and answers as ``determinant``
     code, report, _ = check_sweep(equation, 4, "both")
     alone = check_sweep(equation, 4, "determinant")[1]
     assert code == 0 and report["degrees_with_solutions"] == [0, 1]
@@ -476,9 +504,6 @@ def test_without_a_first_or_zeroth_order_term_the_determinant_answers_alone(equa
         assert note.endswith("so the determinant answers alone")
         entry.pop("timing_seconds"), single.pop("timing_seconds")
     assert report == alone
-    code, report, err = check_sweep(equation, 4, "aim")
-    assert code == 1 and report is None
-    assert f"polyode: error: {NO_LOWER_TERM}" in err
 
 
 def test_check_malformed_json(eq_file, capsys):
@@ -723,6 +748,27 @@ def test_demo_hyper_default_l_is_readmes_example(capsys):
     code, report, _ = run(capsys, "demo", "hyper")
     assert code == 0
     assert (code, report) == run(capsys, "demo", "hyper", "--l", "2")[:2]
+
+
+@pytest.mark.parametrize("flag, ceiling, degree", [
+    ("--m", MAX_DEGREE, "2"),
+    # the largest l whose l - 1 divides a degree up to MAX_DEGREE
+    ("--l", MAX_DEGREE + 1, str(MAX_DEGREE)),
+])
+def test_demo_hyper_bounds_m_and_l_as_the_degree(flag, ceiling, degree, monkeypatch, capsys):
+    code, report, _ = run(capsys, "demo", "hyper", "--n", degree, flag, str(ceiling))
+    assert code == 0 and report["verified"] is True
+    # past the ceiling nothing is built, however large the value
+    monkeypatch.setattr(cli.apps, "hyper_build", None)
+    for value in (ceiling + 1, 2 * 10**6):
+        code, report, err = run(capsys, "demo", "hyper", "--n", degree, flag, str(value))
+        assert code == 1 and report is None
+        assert f"polyode: error: {flag} is at most {ceiling}, got {value}" in err
+
+
+def test_demo_coulomb_takes_an_angular_momentum_past_the_hyper_ceiling(capsys):
+    code, report, _ = run(capsys, "demo", "coulomb", "--n", "1", "--l", str(MAX_DEGREE + 10))
+    assert code in (0, 2) and report["l"] == MAX_DEGREE + 10
 
 
 def test_demo_unknown_name(capsys):
@@ -1282,7 +1328,7 @@ def test_a_report_value_past_the_digit_limit_is_written(argv, equation, exit_cod
     eq = EquationSpec.from_json_dict(equation)
     with unlimited_int_strings():
         if argv[0] == "check":
-            det = build_criterion_matrix(eq, 3).leading_minors()[3]
+            det, = build_criterion_matrix(eq, 3).leading_minors([4])
             assert report["determinant"]["coefficients"] == [str(det)]
             assert len(str(det)) > MAX_DIGITS
         else:

@@ -331,8 +331,10 @@ def test_leading_minors_are_the_unscaled_minors(eq):
     matrix = build_criterion_matrix(eq, 6)
     rows = entries(matrix)
     expected = [bareiss_determinant([row[:m] for row in rows[:m]]) for m in range(1, 8)]
-    assert matrix.leading_minors() == expected
-    assert matrix.leading(4).leading_minors() == expected[:5]
+    assert matrix.leading_minors(range(1, 8)) == expected
+    assert matrix.leading(4).leading_minors(range(1, 6)) == expected[:5]
+    # any orders, in the order asked
+    assert matrix.leading_minors([7, 1, 4]) == [expected[6], expected[0], expected[3]]
     for n in range(7):
         assert delta_determinant(eq, n) == UPoly.constant(expected[n])
 
@@ -447,7 +449,7 @@ def test_construct_davidson_degree2():
     sol = construct_solution(eq, build_criterion_matrix(eq, 2))
     assert sol.coefficients == (-3, 0, 2)
     assert sol.reported_degree == 2
-    assert sol.residual_is_zero
+    assert verify_solution(eq, sol.coefficients)
 
 
 def test_construct_bessel_degree1():
@@ -477,7 +479,7 @@ def test_construct_ambiguous_nullspace():
         construct_solution(eq, build_criterion_matrix(eq, 1))
     sols = excinfo.value.solutions
     assert len(sols) == 2
-    assert all(s.residual_is_zero for s in sols)
+    assert all(verify_solution(eq, s.coefficients) for s in sols)
 
 
 def test_reported_degree_below_requested():
@@ -982,7 +984,7 @@ def test_running_minors_of_parametric_and_upper_triangular_bands():
     # Krylov band has a nonzero subdiagonal
     for eq in (bessel_eq(T), krylov_eq(1, T, 2)):
         matrix = build_criterion_matrix(eq, 7)
-        assert matrix.leading_minors() == leading_minors(entries(matrix))
+        assert matrix.leading_minors(range(1, 9)) == leading_minors(entries(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -1061,7 +1063,7 @@ def test_integer_band_minors_match_the_rational_band(n, constants, slopes, slot,
     assert [[UPoly(pair) for pair in band] for band in matrix.bands] == [
         [matrix.scale * entry for entry in band] for band in rational_band]
     expected = banded_minors(rational_band)
-    assert matrix.leading_minors() == expected
+    assert matrix.leading_minors(range(1, n + 2)) == expected
     assert expected[-1] == bareiss_determinant(dense(rational_band))
     assert delta_determinant(eq, n) == expected[-1]
     assert entries(matrix) == dense(rational_band)
@@ -1120,7 +1122,7 @@ def test_packed_minors_match_sympy(case):
     assert not eq.is_numeric
     matrix = build_criterion_matrix(eq, n)
     expected = sympy_minors(matrix)
-    got = matrix.leading_minors()
+    got = matrix.leading_minors(range(1, n + 2))
     assert [sympy.expand(sympy_of(m) - e) for m, e in zip(got, expected)] == [0] * (n + 1)
     det = delta_determinant(eq, n)
     assert det == got[-1]
@@ -1136,7 +1138,7 @@ def test_packed_minors_with_a_negative_leading_term():
     eq = EquationSpec(a3=(UPoly([1, -3]), 2, 0, 5), a2=(UPoly([-2, -7]), 1, 4),
                       tau=(UPoly([0, -5]), UPoly([3, -1])))
     matrix = build_criterion_matrix(eq, 5)
-    minors = matrix.leading_minors()
+    minors = matrix.leading_minors(range(1, 7))
     assert all(minor.leading < 0 for minor in minors[::2])
     expected = sympy_minors(matrix)
     assert [sympy.expand(sympy_of(m) - e) for m, e in zip(minors, expected)] == [0] * 6
@@ -1211,8 +1213,7 @@ def assert_construct_matches_oracle(eq, n):
             construct_solution(eq, matrix)
         solutions = excinfo.value.solutions
         assert [s.coefficients for s in solutions] == expected
-        assert all(s.residual_is_zero and verify_solution(eq, s.coefficients)
-                   for s in solutions)
+        assert all(verify_solution(eq, s.coefficients) for s in solutions)
     return len(expected)
 
 

@@ -99,7 +99,6 @@ def test_confluent_end_to_end_solution():
     assert degree_condition(eq, 1) == 0
     assert delta_determinant(eq, 1) == 0
     sol = construct_solution(eq, build_criterion_matrix(eq, 1))
-    assert sol.residual_is_zero
     assert verify_solution(eq, sol.coefficients)
 
 
@@ -257,4 +256,4 @@ def test_general_end_to_end_degree1():
         assert constraint(q0) == 0
         eq = eq_sym.substitute(q0)
         sol = construct_solution(eq, build_criterion_matrix(eq, 1))
-        assert sol.residual_is_zero and sol.reported_degree == 1
+        assert verify_solution(eq, sol.coefficients) and sol.reported_degree == 1
