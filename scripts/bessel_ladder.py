@@ -19,6 +19,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=10)
     args = parser.parse_args()
+    if args.max_n < 0:
+        parser.error(f"--max-n must be nonnegative, got {args.max_n}")
 
     start = time.perf_counter()
     ladder = classical_polynomials((1, 0, 0), (2, 2), args.max_n + 1)

@@ -19,6 +19,8 @@ def main() -> None:
     parser.add_argument("--l", type=int, default=0)
     parser.add_argument("--max-n", type=int, default=4)
     args = parser.parse_args()
+    if args.max_n < 0:
+        parser.error(f"--max-n must be nonnegative, got {args.max_n}")
     try:
         problem = CoulombProblem(Z=args.Z, d=args.d, l=args.l)
     except ValueError as exc:

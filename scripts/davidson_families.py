@@ -14,6 +14,8 @@ def main() -> None:
                         default=[Fraction(0), Fraction(1, 2), Fraction(1)])
     parser.add_argument("--max-nodes", type=int, default=3)
     args = parser.parse_args()
+    if args.max_nodes < 0:
+        parser.error(f"--max-nodes must be nonnegative, got {args.max_nodes}")
 
     for mu in args.mu:
         print(f"mu = {mu}:")

@@ -49,6 +49,7 @@ from .criteria import (
     degree_condition_effective,
     delta_determinant,
     embed_classical,
+    residual_vanishes,
     verify_solution,
 )
 from .exactalg import (

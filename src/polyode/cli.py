@@ -508,8 +508,7 @@ def coulomb_report(problem: apps.CoulombProblem, n: int) -> dict:
     # the constraint is in t = alpha beta; only a positive shift is physical
     shifts = [root / alpha for root in roots.exact_rational_roots if root / alpha > 0]
     notes: list[str] = []
-    solutions = (_solutions_at(apps.coulomb_equation(problem, n), n, shifts, notes)
-                 if shifts else [])
+    solutions = _solutions_at(apps.coulomb_equation(problem, n), n, shifts, notes)
     return {
         "name": "coulomb",
         "Z": str(problem.Z),
@@ -536,9 +535,9 @@ def _demo_coulomb(args) -> dict:
 
 
 def _demo_hyper(args) -> dict:
-    # the check pads l + 1 zeros and the polynomial has degree n + m + 1, so
-    # m and l get ceilings as the degree does; past l = MAX_DEGREE + 1, l - 1
-    # divides no positive degree up to MAX_DEGREE
+    # the check's dense lists hold l + 2 coefficients and the polynomial has
+    # degree n + m + 1, so m and l get ceilings as the degree does; past
+    # l = MAX_DEGREE + 1, l - 1 divides no positive degree up to MAX_DEGREE
     for flag, value, ceiling in (("--m", args.m, MAX_DEGREE), ("--l", args.l, MAX_DEGREE + 1)):
         if value > ceiling:
             raise CliError(f"{flag} is at most {ceiling}, got {value}")

@@ -552,27 +552,38 @@ def rational_nullspace(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction
     return basis
 
 
-def verify_solution(eq: EquationSpec, coefficients: Sequence[Fraction]) -> bool:
-    """Substitute y = sum c_k x^k into the equation and test the residual
-    for identical vanishing.  Exact, and independent of how the coefficients
-    were produced: it reads the equation, never its band.  The equation and
-    y are each scaled to integers by the lcm of their denominators, which
-    leaves the residual's vanishing unchanged, so the residual is a list of
-    ints."""
-    if not eq.is_numeric:
-        raise ValueError("equation carries an unknown parameter")
-    _, ((a30, a31, a32, a33, a20, a21, a22, t10, t11),) = eq.integer_form
-    _, y = _integers(coefficients)
-    y1 = [k * c for k, c in enumerate(y)][1:]
+def residual_vanishes(p3: Sequence, p2: Sequence, p1: Sequence,
+                      y: Sequence) -> bool:
+    """Whether P3 y'' + P2 y' - P1 y vanishes identically; each polynomial
+    is an ascending list of rationals (ints or Fractions), of any length.
+    The equation is scaled to integers by one common denominator and y by
+    its own, which leaves the residual's vanishing unchanged, so the
+    residual is a list of ints."""
+    _, ints = _integers([*p3, *p2, *p1])
+    cut, end = len(p3), len(p3) + len(p2)
+    _, y0 = _integers(y)
+    y1 = [k * c for k, c in enumerate(y0)][1:]
     y2 = [k * c for k, c in enumerate(y1)][1:]
-    residual = [0] * (len(y) + 1)
-    for factors, series in (((a33, a32, a31, a30), y2), ((a22, a21, a20), y1),
-                            ((-t11, -t10), y)):
+    residual = [0] * (max(len(p3), len(p2), len(p1)) + len(y0))
+    for factors, series in ((ints[:cut], y2), (ints[cut:end], y1),
+                            ([-c for c in ints[end:]], y0)):
         for shift, factor in enumerate(factors):
             if factor:
                 for power, c in enumerate(series, start=shift):
                     residual[power] += factor * c
     return not any(residual)
+
+
+def verify_solution(eq: EquationSpec, coefficients: Sequence[Fraction]) -> bool:
+    """Substitute y = sum c_k x^k into the equation and test the residual
+    for identical vanishing (``residual_vanishes``, on the equation's
+    integer form).  Exact, and independent of how the coefficients were
+    produced: it reads the equation, never its band."""
+    if not eq.is_numeric:
+        raise ValueError("equation carries an unknown parameter")
+    _, ((a30, a31, a32, a33, a20, a21, a22, t10, t11),) = eq.integer_form
+    return residual_vanishes((a33, a32, a31, a30), (a22, a21, a20), (t11, t10),
+                             coefficients)
 
 
 def construct_solution(eq: EquationSpec, matrix: CriterionMatrix) -> PolySolution:
@@ -666,6 +677,8 @@ def classical_polynomials(
     a2: Sequence[ScalarLike], a1: Sequence[ScalarLike], count: int
 ) -> list[UPoly]:
     """The first ``count`` ladder polynomials y_0, y_1, ..."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     y0, y1 = classical_seed(a1)
     out = [y0, y1][:count]
     for n in range(count - 2):

@@ -405,13 +405,13 @@ def test_demo_coulomb_builds_each_band_once(monkeypatch, capsys):
     report, builds = coulomb_band_builds(monkeypatch, capsys, 1)
     assert report["beta_values"] == ["2"]
     assert report["solutions"][0]["verified"] and report["solutions"][0]["beta"] == "2"
-    # one band in beta, checked against its closed forms, then one numeric
-    # band for the solution at the one admissible shift
-    assert builds == [(1, "beta"), (1, None)]
+    # one numeric band, for the solution at the one admissible shift; the
+    # equation in beta is only substituted into
+    assert builds == [(1, None)]
 
 
 def test_demo_coulomb_without_a_rational_shift_builds_no_band(monkeypatch, capsys):
-    # three irrational roots: the band in beta is neither built nor checked
+    # three irrational roots: no shift to solve at, so no band is built
     report, builds = coulomb_band_builds(monkeypatch, capsys, 3)
     assert len(report["roots"]["intervals"]) == 3 and report["beta_values"] == []
     assert builds == []

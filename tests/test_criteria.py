@@ -30,6 +30,7 @@ from polyode.criteria import (
     delta_determinant,
     embed_classical,
     rational_nullspace,
+    residual_vanishes,
     verify_solution,
 )
 from polyode.exactalg import (
@@ -538,6 +539,12 @@ def test_bessel_y2_value():
     assert ys[2] == UPoly([4, 12, 12])
 
 
+def test_classical_polynomials_rejects_a_negative_count():
+    assert classical_polynomials(BESSEL_A2, BESSEL_A1, 0) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        classical_polynomials(BESSEL_A2, BESSEL_A1, -1)
+
+
 def test_classical_degenerate_denominator():
     with pytest.raises(DegenerateDenominatorError):
         classical_recurrence_step((1, 0, 0), (0, 1), UPoly.one(), UPoly([1, 0]), 0)
@@ -719,6 +726,45 @@ def test_criterion_band_and_determinant_match_sympy(n, values, t_slot):
             assert sympy.expand(sympy_of(value) - oracle[k, j]) == 0, (k, j)
     det = delta_determinant(eq, n)
     assert sympy.expand(sympy_of(det) - expected.det(method="berkowitz")) == 0
+
+
+def sympy_poly(coeffs):
+    """An ascending list of rationals as a sympy polynomial in X."""
+    return sum(sympy.Rational(c.numerator, c.denominator) * X**i
+               for i, c in enumerate(coeffs))
+
+
+def rational_coeffs(expr):
+    """The ascending Fractions of a sympy polynomial in X."""
+    return [Fraction(int(c.p), int(c.q))
+            for c in reversed(sympy.Poly(expr, X).all_coeffs())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_residual_vanishes_matches_sympy(data):
+    """P3, P2 and P1 of degree up to 6 and lists of any length, drawn at
+    random, or planted around y as A y', B y - A y'' and B y', which makes
+    P3 y'' + P2 y' = P1 y; y is then perturbed or not.  sympy's expanded
+    residual decides."""
+    def lists(top):
+        return data.draw(st.lists(small_fractions, max_size=top + 1))
+
+    if data.draw(st.booleans(), label="plant"):
+        y, a, b = lists(3), sympy_poly(lists(3)), sympy_poly(lists(3))
+        dy = sympy.diff(sympy_poly(y), X)
+        p3, p2, p1 = (rational_coeffs(sympy.expand(e)) for e in (
+            a * dy, b * sympy_poly(y) - a * sympy.diff(dy, X), b * dy))
+    else:
+        p3, p2, p1, y = lists(6), lists(6), lists(6), lists(6)
+    if data.draw(st.booleans(), label="perturb"):
+        slot = data.draw(st.integers(0, len(y)), label="slot")
+        y = y + [Fraction(0)]
+        y[slot] += data.draw(small_fractions.filter(bool), label="bump")
+    ys = sympy_poly(y)
+    residual = sympy.expand(sympy_poly(p3) * sympy.diff(ys, X, 2)
+                            + sympy_poly(p2) * sympy.diff(ys, X) - sympy_poly(p1) * ys)
+    assert residual_vanishes(p3, p2, p1, y) == (residual == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,21 @@ def test_a_rational_past_the_digit_limit_is_a_usage_error(name, args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name, args", [
+    ("bessel_ladder.py", ["--max-n", "-2"]),
+    ("davidson_families.py", ["--max-nodes", "-1"]),
+    ("coulomb_conditions.py", ["--max-n", "-3"]),
+])
+def test_a_negative_range_is_a_usage_error(name, args):
+    # a negative bound once printed a table (the n = 0 row, or the headers)
+    # and exited 0
+    proc = run_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage:")
+    assert f"{args[0]} must be nonnegative, got {args[1]}" in proc.stderr
+
+
 def test_davidson_families_prints_its_table():
     proc = run_script("davidson_families.py", "--mu", "1/2", "--max-nodes", "1")
     assert proc.returncode == 0
