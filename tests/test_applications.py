@@ -146,23 +146,54 @@ def test_coulomb_builders_reject_a_negative_degree(build):
         build(CoulombProblem(1, 3, 0), -1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
-       st.integers(2, 6), st.integers(0, 3), st.integers(1, 12))
-def test_coulomb_band_entries_match_their_closed_forms(Z, d, l, n):
-    # row j of the degree-n band is tridiagonal, identically in beta:
-    #   diagonal       2 alpha beta (k+j+1) - j (j+2k+1)
-    #   subdiagonal    2 alpha (j-n-1)
-    #   superdiagonal  -(j+1) beta (j+2k+2)
-    p = CoulombProblem(Z, d, l)
+def _entries_off_closed_forms(p, n, eq):
+    """(row, column) of each entry of eq's degree-n band that differs from
+    the Coulomb closed forms; row j is tridiagonal, identically in beta:
+        diagonal       2 alpha beta (k+j+1) - j (j+2k+1)
+        subdiagonal    2 alpha (j-n-1)
+        superdiagonal  -(j+1) beta (j+2k+2)"""
     k, alpha = p.k, coulomb_alpha(p, n)
-    matrix = build_criterion_matrix(coulomb_equation(p, n), n)
+    matrix = build_criterion_matrix(eq, n)
+    off = []
     for j in range(n + 1):
         closed = {j: UPoly([-j * (j + 2 * k + 1), 2 * alpha * (k + j + 1)]),
                   j - 1: UPoly([2 * alpha * (j - n - 1)]),
                   j + 1: UPoly([0, -(j + 1) * (j + 2 * k + 2)])}
-        for col in range(n + 1):
-            assert matrix.entry(j, col) == closed.get(col, UPoly()), (j, col)
+        off += [(j, col) for col in range(n + 1)
+                if matrix.entry(j, col) != closed.get(col, UPoly())]
+    return off
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+       st.integers(2, 6), st.integers(0, 3), st.integers(1, 12))
+def test_coulomb_band_entries_match_their_closed_forms(Z, d, l, n):
+    p = CoulombProblem(Z, d, l)
+    assert _entries_off_closed_forms(p, n, coulomb_equation(p, n)) == []
+
+
+def test_coulomb_equation_rejects_entries_off_their_closed_forms():
+    # the closed-form check flags a change of any one of the nine
+    # coefficients of coulomb_equation, in its constant or its beta part
+    p, n = CoulombProblem(1, 3, 0), 3
+    eq = coulomb_equation(p, n)
+    for name, size in (("a3", 4), ("a2", 3), ("tau", 2)):
+        for i in range(size):
+            for bump in (UPoly([1]), UPoly([0, 1])):
+                coeffs = list(getattr(eq, name))
+                coeffs[i] = coeffs[i] + bump
+                tampered = dataclasses.replace(eq, **{name: tuple(coeffs)})
+                assert _entries_off_closed_forms(p, n, tampered), (name, i, bump)
+
+
+def test_coulomb_equation_checks_its_band_on_every_call():
+    # the closed-form band check runs here, on the equation of each call,
+    # n = 0 included, which the hypothesis draw above skips
+    for (d, l, n) in ((3, 0, 0), (3, 0, 1), (3, 1, 2), (2, 0, 3), (5, 2, 2)):
+        p = CoulombProblem(1, d, l)
+        eq = coulomb_equation(p, n)
+        assert _entries_off_closed_forms(p, n, eq) == []
+        assert eq.substitute(2).is_numeric
 
 
 @pytest.mark.parametrize("Z, beta, d, l, n", [
