@@ -10,7 +10,7 @@ disagreement exits with its message.
 import argparse
 import time
 
-from polyode.cli import analyze_check
+from polyode.cli import MAX_DEGREE, analyze_check
 from polyode.criteria import classical_polynomials, classical_tau, embed_classical
 from polyode.exactalg import UPoly
 
@@ -21,6 +21,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.max_n < 0:
         parser.error(f"--max-n must be nonnegative, got {args.max_n}")
+    if args.max_n > MAX_DEGREE:
+        parser.error(f"--max-n is at most {MAX_DEGREE}, got {args.max_n}")
 
     start = time.perf_counter()
     ladder = classical_polynomials((1, 0, 0), (2, 2), args.max_n + 1)

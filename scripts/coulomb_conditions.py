@@ -8,7 +8,7 @@ the exact energy for a chosen (Z, d, l), from the report of
 """
 
 from polyode.applications import CoulombProblem, coulomb_constraint_in_k
-from polyode.cli import RationalParser, coulomb_report, fraction
+from polyode.cli import MAX_DEGREE, RationalParser, coulomb_report, fraction
 from polyode.exactalg import format_polynomial
 
 
@@ -21,6 +21,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.max_n < 0:
         parser.error(f"--max-n must be nonnegative, got {args.max_n}")
+    if args.max_n > MAX_DEGREE:
+        parser.error(f"--max-n is at most {MAX_DEGREE}, got {args.max_n}")
     try:
         problem = CoulombProblem(Z=args.Z, d=args.d, l=args.l)
     except ValueError as exc:

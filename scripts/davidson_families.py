@@ -5,7 +5,7 @@ over a grid of mu values."""
 from fractions import Fraction
 
 from polyode.applications import davidson_eigenvalue, davidson_spec
-from polyode.cli import RationalParser, analyze_check, fraction
+from polyode.cli import MAX_DEGREE, RationalParser, analyze_check, fraction
 
 
 def main() -> None:
@@ -16,6 +16,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.max_nodes < 0:
         parser.error(f"--max-nodes must be nonnegative, got {args.max_nodes}")
+    if args.max_nodes > MAX_DEGREE:
+        parser.error(f"--max-nodes is at most {MAX_DEGREE}, got {args.max_nodes}")
 
     for mu in args.mu:
         print(f"mu = {mu}:")

@@ -16,15 +16,19 @@ lambda_n lambda_{n-1} != 0 guarantees a polynomial solution of degree at
 most n.
 
 Instead of reduced rational functions, lambda_n and s_n are carried as
-polynomial numerators over the implicit common denominator P3^(n+1):
+polynomial numerators over the implicit common denominator (D P3)^(n+1),
+with D the common denominator of the equation's integer form
+(``integer_form``), so that every coefficient is an integer:
 
-    L_n = L_{n-1}' P3 - n L_{n-1} P3' + S_{n-1} P3 - P2 L_{n-1}
-    S_n = S_{n-1}' P3 - n S_{n-1} P3' + P1 L_{n-1}
+    L_n = L_{n-1}' DP3 - n L_{n-1} DP3' + S_{n-1} DP3 - DP2 L_{n-1}
+    S_n = S_{n-1}' DP3 - n S_{n-1} DP3' + DP1 L_{n-1}
 
-with L_0 = -P2 and S_0 = P1.  This keeps every step linear in polynomial
-operations and avoids gcd computation.  The numerator of delta_n over
-P3^(2n+1) is L_n S_{n-1} - L_{n-1} S_n, and since P3 is not identically
-zero, the numerator vanishes identically exactly when delta_n does.
+with L_0 = -DP2 and S_0 = DP1, where DP3 = D P3 and so on.  Multiplying
+P3, P2 and P1 by D leaves lambda_0 and s_0 unchanged.  This keeps every
+step linear in polynomial operations and avoids gcd computation.  The
+numerator of delta_n over (D P3)^(2n+1) is L_n S_{n-1} - L_{n-1} S_n,
+and since P3 is not identically zero, the numerator vanishes identically
+exactly when delta_n does.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class NotSecondOrderError(ValueError):
 @dataclass(frozen=True)
 class AimState:
     """Iteration index n with the numerators L, S of lambda_n, s_n over
-    the implicit denominator P3^(n+1)."""
+    the implicit denominator (D P3)^(n+1)."""
 
     n: int
     L: UPoly
@@ -51,20 +55,25 @@ class AimState:
 
 
 def _coefficients(eq: EquationSpec) -> tuple[UPoly, UPoly, UPoly]:
-    p3 = eq.p3()
+    """D P3, D P2, D P1 in ascending powers of x: the integer form."""
+    if not eq.is_numeric:
+        raise ValueError("equation carries an unknown parameter")
+    _, ((a30, a31, a32, a33, a20, a21, a22, t10, t11),) = eq.integer_form
+    p3 = UPoly((a33, a32, a31, a30))
     if not p3:
         raise NotSecondOrderError("y'' coefficient is identically zero")
-    return p3, eq.p2(), eq.p1()
+    return p3, UPoly((a22, a21, a20)), UPoly((t11, t10))
 
 
 def aim_init(eq: EquationSpec) -> AimState:
-    """State at n = 0: L_0 = -P2, S_0 = P1."""
+    """State at n = 0: L_0 = -D P2, S_0 = D P1."""
     p3, p2, p1 = _coefficients(eq)
     return AimState(n=0, L=-p2, S=p1)
 
 
 def aim_iterate(state: AimState, eq: EquationSpec) -> AimState:
-    """Advance one iteration by the cleared-denominator recurrence."""
+    """Advance one iteration by the cleared-denominator recurrence, to the
+    numerators over (D P3)^(n+1)."""
     p3, p2, p1 = _coefficients(eq)
     n = state.n + 1
     p3d = p3.derivative()

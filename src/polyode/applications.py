@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Union
+from typing import Union
 
 # build_criterion_matrix is not called here; it stays bound so that
 # perfbench/tracing.py can count any call to it through this module
@@ -173,14 +173,20 @@ def coulomb_constraint_in_k(n: int) -> tuple[UPoly, ...]:
     """The Coulomb constraint with k symbolic: the coefficients of t^0,
     t^1, ... of ``coulomb_constraint_for_k``, each a UPoly in k.
 
-    The band determinant is interpolated in k (``_determinant_in_k``) and
-    reduced once: the factor t^j and the gcd in k of the coefficients are
-    stripped, the rationals of what is left made coprime integers, and the
-    top coefficient in k of the top power of t made positive.
+    Every band entry of the equation in t is affine in k and in t, so the
+    determinant has degree at most n+1 in each: it is taken at k = 0..n+1
+    by ``delta_determinant``, and each t-coefficient is interpolated over
+    those points.  It is then reduced once: the factor t^j and the gcd in
+    k of the coefficients are stripped, the rationals of what is left made
+    coprime integers, and the top coefficient in k of the top power of t
+    made positive.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    det = _determinant_in_k(lambda k: _coulomb_equation_in_t(k, n), n)
+    samples = [delta_determinant(_coulomb_equation_in_t(Fraction(k), n), n).coeffs
+               for k in range(n + 2)]
+    det = [_interpolate([s[i] if i < len(s) else 0 for s in samples])
+           for i in range(n + 2)]
     det = det[next(i for i, c in enumerate(det) if c):]  # t divides it
     common = reduce(poly_gcd, det)
     det = [c / common for c in det]
@@ -189,21 +195,6 @@ def coulomb_constraint_in_k(n: int) -> tuple[UPoly, ...]:
     if det[-1].leading < 0:
         scale = -scale
     return tuple(c / scale for c in det)
-
-
-def _determinant_in_k(equation_at: Callable[[Fraction], EquationSpec],
-                      n: int) -> tuple[UPoly, ...]:
-    """The degree-n band determinant of an equation in t whose nine
-    coefficients are affine in a second unknown k (``equation_at(k)``
-    gives it at a rational k), as the coefficients of t^0..t^(n+1), each a
-    UPoly in k.  Every band entry is affine in k and in t, so the
-    determinant has degree at most n+1 in each: it is evaluated at
-    k = 0..n+1 by ``delta_determinant``, and each t-coefficient is
-    interpolated over those points by Newton divided differences."""
-    samples = [delta_determinant(equation_at(Fraction(k)), n).coeffs
-               for k in range(n + 2)]
-    return tuple(_interpolate([s[i] if i < len(s) else 0 for s in samples])
-                 for i in range(n + 2))
 
 
 def _interpolate(values) -> UPoly:

@@ -212,10 +212,12 @@ def _solutions_at(eq: EquationSpec, n: int, values, notes: list[str]) -> list[di
 def _aim_obstacle(eq: EquationSpec) -> str | None:
     """Why AIM cannot decide ``eq``, or None.  It iterates on y'' only, and
     with neither a y' nor a y term every lambda_n is zero, so its guard
-    lambda_n lambda_(n-1) != 0 rejects every index."""
-    if not eq.p3():
+    lambda_n lambda_(n-1) != 0 rejects every index.  It reads the nine
+    ints of the integer form, as AIM does."""
+    _, (part,) = eq.integer_form
+    if not any(part[:4]):
         return "y'' coefficient is identically zero: the iteration criterion needs a y'' term"
-    if not (eq.p2() or eq.p1()):
+    if not any(part[4:]):
         return ("y' and y coefficients are identically zero: every lambda_n of the "
                 "iteration criterion vanishes")
     return None
@@ -323,7 +325,7 @@ def analyze_constraints(eq: EquationSpec, n: int) -> dict:
             root_report = analyze_roots(det)
             exists = bool(root_report.intervals)
             solutions = _solutions_at(eq, n, root_report.exact_rational_roots, notes)
-    elif isinstance(cond.degree, int) and cond.degree == 1:
+    elif cond.degree == 1:
         required = -cond.coeffs[0] / cond.coeffs[1]
         report["degree_condition"]["required_value"] = str(required)
         if det(required):
@@ -543,7 +545,7 @@ def _demo_hyper(args) -> dict:
             raise CliError(f"{flag} is at most {ceiling}, got {value}")
     try:
         sol = apps.hyper_build(args.m, args.n, args.l, args.a, args.b)
-    except (apps.BadDegreeError, apps.DegenerateParametersError, ValueError) as exc:
+    except ValueError as exc:  # BadDegreeError and DegenerateParametersError too
         raise CliError(str(exc)) from exc
     verified = apps.hyper_verify(sol)
     return {

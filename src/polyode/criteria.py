@@ -159,23 +159,6 @@ class EquationSpec:
         object.__setattr__(self, "integer_form",
                            (scale, (flat,) if numeric else (flat[::2], flat[1::2])))
 
-    def _numeric(self, which) -> list[Fraction]:
-        if not self.is_numeric:
-            raise ValueError("equation carries an unknown parameter")
-        return [s.constant_value() for s in which]
-
-    def p3(self) -> UPoly:
-        """y'' coefficient as a polynomial in x (numeric equations only)."""
-        return UPoly(reversed(self._numeric(self.a3)))
-
-    def p2(self) -> UPoly:
-        """y' coefficient as a polynomial in x (numeric equations only)."""
-        return UPoly(reversed(self._numeric(self.a2)))
-
-    def p1(self) -> UPoly:
-        """Zeroth-order coefficient t10 x + t11 (numeric equations only)."""
-        return UPoly(reversed(self._numeric(self.tau)))
-
     def substitute(self, value) -> "EquationSpec":
         """Fix the unknown parameter to a rational value."""
         v = as_rational(value)

@@ -20,13 +20,10 @@ import operator
 import reprlib
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 #: Degree reported for the zero polynomial.
 NEG_INFINITY = float("-inf")
-
-Scalar = Union[int, Fraction]
-
 
 #: Most digits a parsed numerator or denominator may have: Python converts
 #: no longer integer to or from a string.

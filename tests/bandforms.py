@@ -41,11 +41,20 @@ def entries(matrix):
     return [[matrix.entry(k, j) for j in range(size)] for k in range(size)]
 
 
+def coefficient_polynomials(eq):
+    """P3, P2, P1, the y'', y' and y coefficients of a numeric equation as
+    polynomials in x over the rationals, from its own coefficients rather
+    than its integer form."""
+    return tuple(UPoly(reversed([s.constant_value() for s in part]))
+                 for part in (eq.a3, eq.a2, eq.tau))
+
+
 def residual(eq, coefficients):
     """P3 y'' + P2 y' - P1 y for y = sum c_k x^k, as a polynomial over the
     rationals, from the equation's own coefficients."""
+    p3, p2, p1 = coefficient_polynomials(eq)
     y = UPoly(coefficients)
-    return eq.p3() * y.derivative().derivative() + eq.p2() * y.derivative() - eq.p1() * y
+    return p3 * y.derivative().derivative() + p2 * y.derivative() - p1 * y
 
 
 def bands_of(rows):

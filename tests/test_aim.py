@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polyode.aim import (
     AimState,
@@ -13,6 +16,8 @@ from polyode.aim import (
 )
 from polyode.criteria import EquationSpec, classical_tau, embed_classical
 from polyode.exactalg import UPoly, poly_gcd
+
+from bandforms import coefficient_polynomials
 
 
 def davidson_eq(mu, eps):
@@ -164,9 +169,13 @@ def test_cleared_recurrence_matches_rational_functions():
         davidson_eq(0, 7),
         bessel_eq(6),
         EquationSpec(a3=(0, 1, -1, 0), a2=(1, 2, 0), tau=(-1, 1)),
+        davidson_eq(Fraction(1, 2), Fraction(7, 3)),  # D = 3
     ]
     for eq in cases:
-        p3, p2, p1 = eq.p3(), eq.p2(), eq.p1()
+        p3, p2, p1 = coefficient_polynomials(eq)
+        # the numerators are over (D P3)^(n+1), D the least common
+        # denominator of the nine coefficients
+        scale = lcm(*(c.denominator for p in (p3, p2, p1) for c in p.coeffs))
         lam = RationalFunction(-p2, p3)
         s = RationalFunction(p1, p3)
         lam0, s0 = lam, s
@@ -177,7 +186,7 @@ def test_cleared_recurrence_matches_rational_functions():
                 lam.derivative() + s + lam0 * lam,
                 s.derivative() + s0 * lam,
             )
-            den = p3 ** (state.n + 1)
+            den = (scale * p3) ** (state.n + 1)
             assert lam.equals(state.L, den)
             assert s.equals(state.S, den)
 
@@ -201,3 +210,32 @@ def test_delta_proportional_under_equation_scaling():
         assert d1 * d2.leading == d2 * d1.leading
         s_prev, s_cur = s_cur, aim_iterate(s_cur, eq)
         t_prev, t_cur = t_cur, aim_iterate(t_cur, scaled)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=9, max_size=9), st.integers(0, 4), st.booleans(),
+       rationals.filter(bool))
+def test_index_is_unchanged_when_the_equation_is_scaled(coefficients, n, planted, factor):
+    """AIM reads the integer form, D times the nine coefficients; scaling
+    the equation by any nonzero rational changes D and those ints, but
+    neither lambda_0 = -P2/P3 nor s_0 = P1/P3, so not the first qualifying
+    index either.  A planted equation is of the quadratic-coefficient class
+    (a30 = a20 = t10 = 0) with its level-0 degree condition set at n, so
+    that an index is found in most draws."""
+    a30, a31, a32, a33, a20, a21, a22, t10, t11 = coefficients
+    if planted:
+        a30 = a20 = t10 = 0
+        t11 = n * (n - 1) * a31 + n * a21
+    assume(any((a30, a31, a32, a33)))  # AIM needs a y'' term
+    eq = EquationSpec(a3=(a30, a31, a32, a33), a2=(a20, a21, a22), tau=(t10, t11))
+    scaled = EquationSpec(a3=tuple(factor * c for c in eq.a3),
+                          a2=tuple(factor * c for c in eq.a2),
+                          tau=tuple(factor * c for c in eq.tau))
+    for spec in (eq, scaled):
+        _, ((*_, b20, b21, b22, b10, b11),) = spec.integer_form
+        state = aim_init(spec)
+        assert (state.L, state.S) == (-UPoly((b22, b21, b20)), UPoly((b11, b10)))
+    assert aim_test_polynomial(scaled, 6) == aim_test_polynomial(eq, 6)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyode import applications, criteria
@@ -328,43 +328,6 @@ def test_symbolic_k_takes_no_polynomial():
     # k symbolic is coulomb_constraint_in_k; the rational path reads a number
     with pytest.raises(TypeError):
         coulomb_constraint_for_k(K, 2)
-
-
-affine_parts = st.tuples(*(st.integers(-3, 3) for _ in range(4)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 4), st.lists(affine_parts, min_size=9, max_size=9))
-def test_determinant_in_k_matches_sympy_on_a_random_bilinear_equation(n, parts):
-    """Nine coefficients c0 + c1 k + c2 t + c3 k t, so every band entry is
-    affine in k and in t.  The determinant interpolated in k over the
-    packed band in t equals sympy's determinant of the matrix whose entry
-    (i, j) is minus the x^i coefficient of the equation applied to y = x^j,
-    built over Q[k, t] without the A..D formulas."""
-    def equation_at(k):
-        pairs = [(c0 + c1 * k, c2 + c3 * k) for c0, c1, c2, c3 in parts]
-        return EquationSpec(a3=pairs[:4], a2=pairs[4:7], tau=pairs[7:])
-
-    # the equation must keep a first- or second-order part at every sample
-    assume(all(any(c0 + c1 * k or c2 + c3 * k for c0, c1, c2, c3 in parts[:7])
-               for k in range(n + 2)))
-    x = sympy.Symbol("x")
-    a30, a31, a32, a33, a20, a21, a22, t10, t11 = (
-        c0 + c1 * K_SYM + c2 * T_SYM + c3 * K_SYM * T_SYM for c0, c1, c2, c3 in parts)
-    matrix = sympy.zeros(n + 1, n + 1)
-    for j in range(n + 1):
-        y = x ** j
-        residual = sympy.expand(
-            (a30 * x**3 + a31 * x**2 + a32 * x + a33) * sympy.diff(y, x, 2)
-            + (a20 * x**2 + a21 * x + a22) * sympy.diff(y, x)
-            - (t10 * x + t11) * y)
-        for i in range(n + 1):
-            matrix[i, j] = -residual.coeff(x, i)
-    det = applications._determinant_in_k(equation_at, n)
-    assert len(det) == n + 2
-    ours = sum(sympy.Rational(c.numerator, c.denominator) * K_SYM ** i * T_SYM ** power
-               for power, poly in enumerate(det) for i, c in enumerate(poly.coeffs))
-    assert sympy.expand(ours - matrix.det(method="berkowitz")) == 0
 
 
 def test_coulomb_constraint_numeric_k():

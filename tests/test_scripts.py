@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from polyode.cli import MAX_DEGREE
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -43,6 +45,21 @@ def test_a_negative_range_is_a_usage_error(name, args):
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage:")
     assert f"{args[0]} must be nonnegative, got {args[1]}" in proc.stderr
+
+
+@pytest.mark.parametrize("name, args", [
+    ("bessel_ladder.py", ["--max-n", "31"]),
+    ("davidson_families.py", ["--max-nodes", "31"]),
+    ("coulomb_conditions.py", ["--max-n", "31"]),
+])
+def test_a_range_past_the_degree_ceiling_is_a_usage_error(name, args):
+    # every command stops at MAX_DEGREE; past it a script once ran on, for
+    # a time that grows steeply with the degree
+    proc = run_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage:")
+    assert f"{args[0]} is at most {MAX_DEGREE}, got {args[1]}" in proc.stderr
 
 
 def test_davidson_families_prints_its_table():
