@@ -20,14 +20,12 @@ from .applications import (
     chhajlany_spec,
     coulomb_alpha,
     coulomb_constraint,
-    coulomb_constraint_for_k,
     coulomb_constraint_in_k,
     coulomb_energy,
     coulomb_equation,
     davidson_eigenvalue,
     davidson_spec,
     hyper_build,
-    hyper_equation_spec,
     hyper_verify,
     krylov_robnik_analyze,
     krylov_robnik_spec,

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from typing import Union
 
 # build_criterion_matrix is not called here; it stays bound so that
 # perfbench/tracing.py can count any call to it through this module
@@ -133,31 +132,27 @@ def coulomb_equation(p: CoulombProblem, n: int) -> EquationSpec:
     )
 
 
-def _coulomb_equation_in_t(k: Fraction, n: int) -> EquationSpec:
-    """With s = r/beta the Coulomb equation loses Z and beta:
-        s(s+1) f'' + (-2t s^2 + 2(k+1-t) s + 2(k+1)) f' + (2nt s - 2t(k+1)) f = 0,
-    an equation in the unknown t = alpha beta."""
-    k1 = 2 * (k + 1)
-    return EquationSpec(a3=(0, 1, 1, 0), a2=((0, -2), (k1, -2), (k1, 0)),
-                        tau=((0, -2 * n), (0, k1)))
-
-
-def coulomb_constraint_for_k(k: Union[Fraction, int], n: int) -> UPoly:
-    """Constraint polynomial in t = alpha beta for a rational k: the
-    determinant of the criterion band of the equation in t (see
-    ``_coulomb_equation_in_t``), by ``delta_determinant``, made primitive.
-    That determinant always carries the inadmissible root t = 0 and a
-    constant factor; both are stripped."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    det = delta_determinant(_coulomb_equation_in_t(as_rational(k), n), n)
-    return _reduce_constraint(det)
-
-
 def coulomb_constraint(p: CoulombProblem, n: int) -> UPoly:
     """Primitive constraint polynomial in t = alpha beta; its positive real
-    roots give the admissible shifts beta = t / alpha."""
-    return coulomb_constraint_for_k(p.k, n)
+    roots give the admissible shifts beta = t / alpha.  It is the
+    determinant of ``coulomb_equation``'s band in t (see
+    ``_determinant_in_t``), which always carries the inadmissible root
+    t = 0 and a constant factor; ``_reduce_constraint`` strips both."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return _reduce_constraint(_determinant_in_t(p, n))
+
+
+def _determinant_in_t(p: CoulombProblem, n: int) -> UPoly:
+    """The determinant of ``coulomb_equation``'s band, by
+    ``delta_determinant``, with beta = t / alpha: its beta^i coefficient
+    divided by alpha^i.  The band is tridiagonal, and its diagonal and its
+    paired off-diagonal products,
+        2 t (k+j+1) - j (j+2k+1)   and   -2 t (j-n) (j+1) (j+2k+2),
+    hold alpha and beta only as t, so this polynomial in t is free of Z."""
+    alpha = coulomb_alpha(p, n)
+    det = delta_determinant(coulomb_equation(p, n), n)
+    return UPoly(c / alpha**i for i, c in enumerate(det.coeffs))
 
 
 def _reduce_constraint(det: UPoly) -> UPoly:
@@ -171,19 +166,20 @@ def _reduce_constraint(det: UPoly) -> UPoly:
 
 def coulomb_constraint_in_k(n: int) -> tuple[UPoly, ...]:
     """The Coulomb constraint with k symbolic: the coefficients of t^0,
-    t^1, ... of ``coulomb_constraint_for_k``, each a UPoly in k.
+    t^1, ... of ``coulomb_constraint``, each a UPoly in k.
 
-    Every band entry of the equation in t is affine in k and in t, so the
-    determinant has degree at most n+1 in each: it is taken at k = 0..n+1
-    by ``delta_determinant``, and each t-coefficient is interpolated over
-    those points.  It is then reduced once: the factor t^j and the gcd in
+    The diagonal and the off-diagonal products of the band in t are affine
+    in k and in t (see ``_determinant_in_t``), so the determinant has
+    degree at most n+1 in each: it is taken at k = 0..n+1, on the problem
+    Z = 1, d = 3, l = k, and each t-coefficient is interpolated over those
+    points.  It is then reduced once: the factor t^j and the gcd in
     k of the coefficients are stripped, the rationals of what is left made
     coprime integers, and the top coefficient in k of the top power of t
     made positive.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    samples = [delta_determinant(_coulomb_equation_in_t(Fraction(k), n), n).coeffs
+    samples = [_determinant_in_t(CoulombProblem(Z=1, d=3, l=k), n).coeffs
                for k in range(n + 2)]
     det = [_interpolate([s[i] if i < len(s) else 0 for s in samples])
            for i in range(n + 2)]
@@ -319,20 +315,6 @@ def hyper_build(m: int, n: int, l: int, a, b) -> HyperSolution:
         series.append(series[j] * (pa + j) * (pb + j) / ((pc + j) * (j + 1)) * w)
     return HyperSolution(
         m=m, n=n, l=l, a=a, b=b, prefactor_exponent=m + 1, series=tuple(series)
-    )
-
-
-def hyper_equation_spec(m: int, n: int, l: int, a, b) -> EquationSpec:
-    """The cleared equation as an EquationSpec; only l = 2 fits the cubic
-    coefficient template."""
-    if l != 2:
-        raise ValueError("only l = 2 maps onto the generic equation form")
-    a, b = as_rational(a), as_rational(b)
-    s = m + n
-    return EquationSpec(
-        a3=(a, b * s, 0, 0),
-        a2=(-s * a, 0, 0),
-        tau=(0, s * m * (m + 1) * b),
     )
 
 

@@ -62,7 +62,10 @@ def parse_rational(text) -> Fraction:
     digits = [sum(c.isdigit() for c in part) for part in (*whole.split("/"), decimals)]
     if len(exponent) > MAX_DIGITS:
         raise _too_long(text)
-    shift = int(exponent or 0)  # raises ValueError on a malformed exponent
+    try:
+        shift = int(exponent or 0)
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}") from None
     if max(*digits, digits[0] + digits[-1] + max(shift, 0),
            digits[-1] - min(shift, 0) + 1) > MAX_DIGITS:
         raise _too_long(text)

@@ -3,13 +3,17 @@ dense oracles (Bareiss, Gauss-Jordan, sympy) read the same matrices as the
 band kernels; the recurrence rows of an equation over its own coefficient
 ring (UPolys in t), unscaled; the tridiagonal continuant, the independent oracle for the
 Coulomb constraint; the rational residual, the independent oracle for the
-integer residual certificate; and the primitive form of a rational vector,
+integer residual certificate; the primitive form of a rational vector,
 which turns the Gauss-Jordan nullspace into the integer basis that
-``band_nullspace`` returns."""
+``band_nullspace`` returns; and two case-study inputs: a Coulomb problem of
+a given angular constant k, and the l = 2 equation of the hypergeometric
+class."""
 
+from fractions import Fraction
 from math import gcd, lcm
 
-from polyode.criteria import _recurrence_row
+from polyode.applications import CoulombProblem
+from polyode.criteria import EquationSpec, _recurrence_row
 from polyode.exactalg import UPoly
 
 
@@ -113,3 +117,21 @@ def integer_rows(rows):
         scale = lcm(*(v.denominator for v in row))
         out.append([int(v * scale) for v in row])
     return out
+
+
+def coulomb_problem(k, Z=1):
+    """The Coulomb problem of charge Z whose angular constant
+    k = (2l + d - 3)/2 is the half-integer k >= -1/2: d = 3 for an integer
+    k, d = 2 otherwise."""
+    twice_k = 2 * Fraction(k)
+    if twice_k.denominator != 1 or twice_k < -1:
+        raise ValueError(f"k = {k} is not a half-integer at least -1/2")
+    d = 3 if twice_k % 2 == 0 else 2
+    return CoulombProblem(Z=Z, d=d, l=int(twice_k + 3 - d) // 2)
+
+
+def hyper_l2_equation(m, n, a, b):
+    """The hypergeometric class at l = 2 in the cubic template:
+    x^2 (b s + a x) y'' - s a x^2 y' - s m (m+1) b y = 0, s = m + n."""
+    s = m + n
+    return EquationSpec(a3=(a, b * s, 0, 0), a2=(-s * a, 0, 0), tau=(0, s * m * (m + 1) * b))

@@ -19,7 +19,6 @@ from polyode.applications import (
     davidson_eigenvalue,
     davidson_spec,
     hyper_build,
-    hyper_equation_spec,
     hyper_verify,
     krylov_robnik_analyze,
     krylov_robnik_spec,
@@ -47,7 +46,7 @@ from polyode.heun import (
 )
 from polyode.solve import analyze_roots
 
-from bandforms import entries
+from bandforms import entries, hyper_l2_equation
 
 T = UPoly([0, 1])
 TOL = 1e-12
@@ -273,7 +272,7 @@ def test_criterion_7_hypergeometric_class():
                         sol = hyper_build(m, n, l, a, b)
                         ok = ok and hyper_verify(sol)
                         if l == 2:
-                            eq = hyper_equation_spec(m, n, l, a, b)
+                            eq = hyper_l2_equation(m, n, a, b)
                             ok = ok and degree_condition(eq, n + m + 1) == 0
                             ok = ok and verify_solution(
                                 eq, sol.polynomial().coeffs
@@ -354,8 +353,8 @@ def _corpus():
     coulomb = coulomb_equation(CoulombProblem(1, 3, 0), 1)
     entries.append(("coulomb beta=2", coulomb.substitute(2), 3, True))
     entries.append(("coulomb beta=3", coulomb.substitute(3), 3, False))
-    entries.append(("hyper m=1 n=1", hyper_equation_spec(1, 1, 2, 1, 1), 4, True))
-    entries.append(("hyper m=2 n=2", hyper_equation_spec(2, 2, 2, 1, 2), 6, True))
+    entries.append(("hyper m=1 n=1", hyper_l2_equation(1, 1, 1, 1), 4, True))
+    entries.append(("hyper m=2 n=2", hyper_l2_equation(2, 2, 1, 2), 6, True))
     entries.append((
         "exponential", EquationSpec(a3=(0, 0, 0, 1), a2=(0, 0, 0), tau=(0, 1)),
         6, False,

@@ -15,14 +15,12 @@ from polyode.applications import (
     chhajlany_spec,
     coulomb_alpha,
     coulomb_constraint,
-    coulomb_constraint_for_k,
     coulomb_constraint_in_k,
     coulomb_energy,
     coulomb_equation,
     davidson_eigenvalue,
     davidson_spec,
     hyper_build,
-    hyper_equation_spec,
     hyper_verify,
     krylov_robnik_analyze,
     krylov_robnik_spec,
@@ -37,10 +35,9 @@ from polyode.criteria import (
 )
 from polyode.exactalg import UPoly
 
-from bandforms import tridiagonal_continuant
+from bandforms import coulomb_problem, hyper_l2_equation, tridiagonal_continuant
 
 T = UPoly([0, 1])
-K = UPoly([0, 1])
 
 
 def kp(*ascending):
@@ -309,14 +306,17 @@ def sympy_continuant_constraint(n):
 @pytest.mark.parametrize("k", [Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2), 5])
 def test_coulomb_constraint_matches_the_continuant_oracle(k):
     for n in range(1, 21):
-        assert coulomb_constraint_for_k(k, n) == continuant_constraint(Fraction(k), n), n
+        assert coulomb_constraint(coulomb_problem(k), n) == continuant_constraint(Fraction(k), n), n
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.fractions(min_value=-3, max_value=6, max_denominator=12), st.integers(1, 12))
-def test_coulomb_constraint_for_rational_k_matches_the_continuant_oracle(k, n):
-    # any rational k, so the Z[t] band is scaled by the denominator of 2(k+1)
-    assert coulomb_constraint_for_k(k, n) == continuant_constraint(k, n)
+@given(st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12),
+       st.integers(-1, 10), st.integers(1, 12))
+def test_coulomb_constraint_for_a_rational_charge_matches_the_continuant_oracle(Z, twice_k, n):
+    # alpha = Z/(n+k+1) puts a denominator into the band, and the
+    # constraint in t = alpha beta must not depend on Z
+    k = Fraction(twice_k, 2)
+    assert coulomb_constraint(coulomb_problem(k, Z), n) == continuant_constraint(k, n)
 
 
 def test_coulomb_symbolic_constraint_matches_the_continuant_oracle():
@@ -324,17 +324,10 @@ def test_coulomb_symbolic_constraint_matches_the_continuant_oracle():
         assert coulomb_constraint_in_k(n) == sympy_continuant_constraint(n), n
 
 
-def test_symbolic_k_takes_no_polynomial():
-    # k symbolic is coulomb_constraint_in_k; the rational path reads a number
-    with pytest.raises(TypeError):
-        coulomb_constraint_for_k(K, 2)
-
-
 def test_coulomb_constraint_numeric_k():
-    assert coulomb_constraint_for_k(Fraction(0), 1) == UPoly([-1, 1])
-    assert coulomb_constraint_for_k(Fraction(0), 2) == UPoly([3, -6, 2])
-    p = CoulombProblem(1, 3, 0)
+    p = CoulombProblem(1, 3, 0)  # k = 0
     assert coulomb_constraint(p, 1) == UPoly([-1, 1])
+    assert coulomb_constraint(p, 2) == UPoly([3, -6, 2])
 
 
 def test_coulomb_constraint_consistent_with_generic_determinant():
@@ -358,7 +351,7 @@ def test_coulomb_irrational_roots_certified_by_sign_change():
     # interval by an exact sign change of the constraint at its endpoints
     from polyode.solve import isolate_real_roots
 
-    constraint = coulomb_constraint_for_k(Fraction(0), 2)
+    constraint = coulomb_constraint(CoulombProblem(1, 3, 0), 2)
     report = isolate_real_roots(constraint)
     assert len(report.intervals) == 2
     for lo, hi in report.intervals:
@@ -543,7 +536,7 @@ def test_hyper_l2_generic_cross_check():
     # construction reproduces the series polynomial up to scale
     m, n, a, b = 2, 2, Fraction(1), Fraction(2)
     sol = hyper_build(m, n, 2, a, b)
-    eq = hyper_equation_spec(m, n, 2, a, b)
+    eq = hyper_l2_equation(m, n, a, b)
     N = n + m + 1
     assert degree_condition(eq, N) == 0
     assert verify_solution(eq, sol.polynomial().coeffs)

@@ -513,6 +513,15 @@ def test_check_malformed_json(eq_file, capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_a_malformed_exponent_is_quoted_whole(eq_file, capsys):
+    bad = json.dumps({"a3": ["0", "1", "0", "0"], "a2": ["0", "5e-1/2", "1"],
+                      "tau": ["0", "0"]})
+    code, report, err = run(capsys, "check", eq_file(bad), "--n", "1")
+    assert code == 1
+    assert report is None
+    assert "a2[1]: Invalid literal for Fraction: '5e-1/2'" in err
+
+
 def test_check_undeclared_unknown(eq_file, capsys):
     bad = json.dumps(
         {"a3": ["0", "0", "0", "1"], "a2": ["0", "0", "0"],

@@ -457,6 +457,15 @@ def test_parse_rational_rejects_malformed_and_oversized_text(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["5e-1/2", "1ee2", "1e2.5", "1e+", "1e5/3", "1e", "1/2/3"])
+def test_a_malformed_exponent_is_named_with_the_whole_text(text):
+    # the message quotes what was given, as Fraction's own message does for
+    # "1e" and "1/2/3", not just the part after the "e"
+    with pytest.raises(ValueError) as error:
+        parse_rational(text)
+    assert str(error.value) == f"Invalid literal for Fraction: {text!r}"
+
+
 # ---------------------------------------------------------------------------
 # parse_rational against its general path
 
@@ -585,7 +594,8 @@ EARLIER_PLAIN_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 def earlier_parse_rational(text) -> Fraction:
     """``parse_rational`` as it was when a regular expression picked out
     the plain "p" and "p/q" forms: the reference for every value and every
-    error message."""
+    error message, save that a malformed exponent now gets the message
+    ``Fraction`` gives for any other malformed text, with the whole text."""
     if not isinstance(text, str):
         raise ValueError(f"not an exact rational: {text!r}")
     too_long = ValueError(f"a rational exceeds {MAX_DIGITS} digits: {text[:40]!r}")
@@ -602,7 +612,10 @@ def earlier_parse_rational(text) -> Fraction:
     digits = [sum(c.isdigit() for c in part) for part in (*whole.split("/"), decimals)]
     if len(exponent) > MAX_DIGITS:
         raise too_long
-    shift = int(exponent or 0)
+    try:
+        shift = int(exponent or 0)
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}") from None
     if max(*digits, digits[0] + digits[-1] + max(shift, 0),
            digits[-1] - min(shift, 0) + 1) > MAX_DIGITS:
         raise too_long

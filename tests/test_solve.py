@@ -11,8 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bisection
+from bandforms import coulomb_problem
 from polyode import solve
-from polyode.applications import coulomb_constraint_for_k, krylov_robnik_analyze
+from polyode.applications import CoulombProblem, coulomb_constraint, krylov_robnik_analyze
 from polyode.cli import main
 from polyode.exactalg import UPoly
 from polyode.solve import (
@@ -127,7 +128,7 @@ def test_isolate_krylov_robnik_example():
 
 
 def test_isolate_coulomb_linear():
-    constraint = coulomb_constraint_for_k(Fraction(0), 1)  # t - 1
+    constraint = coulomb_constraint(CoulombProblem(1, 3, 0), 1)  # k = 0: t - 1
     report = analyze_roots(constraint)
     assert len(report.intervals) == 1
     assert report.exact_rational_roots == (1,)
@@ -170,7 +171,7 @@ def test_refine_sqrt2():
 
 def test_refine_coulomb_quadratic_constraint_roots():
     # 2t^2 - 6t + 3: roots (3 +- sqrt(3))/2
-    p = coulomb_constraint_for_k(Fraction(0), 2)
+    p = coulomb_constraint(CoulombProblem(1, 3, 0), 2)  # k = 0
     assert p == UPoly([3, -6, 2])
     report = analyze_roots(p)
     assert len(report.refined) == 2
@@ -803,7 +804,7 @@ def test_every_root_of_the_divided_sequence_lies_inside_the_bound(p):
 
 @pytest.mark.parametrize("k", [Fraction(0), Fraction(1, 2), Fraction(3)])
 def test_bound_holds_for_a_degree_15_coulomb_constraint(k):
-    p = coulomb_constraint_for_k(k, 15)
+    p = coulomb_constraint(coulomb_problem(k), 15)
     assert p.degree == 15
     assert_roots_inside_the_bound(p)
 
